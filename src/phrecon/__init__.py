@@ -4,7 +4,6 @@ reconstruction of the embedding from a metered diagram oracle."""
 from .edge_recon import (
     BowTie,
     IndegreeQuery,
-    edge_exists,
     enumerate_compatible_graphs,
     global_bowtie_width,
     indegree_from_diagrams,
@@ -36,14 +35,12 @@ from .geometry import (
     rotate,
 )
 from .persistence import (
-    CachingDiagramOracle,
     Diagram,
     DiagramOracle,
     PersistencePair,
     diagram_from_json,
     diagram_to_json,
     lower_star_diagrams,
-    oracle_query,
 )
 from .plane_graph import (
     PlaneGraph,

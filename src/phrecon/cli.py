@@ -18,12 +18,7 @@ from . import geometry
 from .edge_recon import reconstruct_edges_detail
 from .errors import DegenerateDirection, GenerationFailed, PhreconError
 from .geometry import Direction, Point2
-from .persistence import (
-    CachingDiagramOracle,
-    DiagramOracle,
-    diagram_to_json,
-    lower_star_diagrams,
-)
+from .persistence import DiagramOracle, diagram_to_json, lower_star_diagrams
 from .plane_graph import (
     PlaneGraph,
     load_graph,
@@ -134,8 +129,7 @@ def cmd_reconstruct(args) -> int:
         for v in violations:
             print(f"invalid graph: {v}", file=sys.stderr)
         return EXIT_INVALID_GRAPH
-    oracle_cls = CachingDiagramOracle if args.cache else DiagramOracle
-    oracle = oracle_cls(hidden, args.tolerance)
+    oracle = DiagramOracle(hidden, args.tolerance)
     start = time.perf_counter()
     vertices = reconstruct_vertices(oracle, args.tolerance)
     vertex_queries = oracle.query_count
@@ -249,7 +243,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--report", default=None)
     p.add_argument("--tolerance", type=float, default=geometry.TOLERANCE)
-    p.add_argument("--cache", action="store_true")
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="compare two graph files up to vertex pairing")

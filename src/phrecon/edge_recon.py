@@ -18,6 +18,8 @@ from dataclasses import dataclass
 from itertools import combinations
 from typing import NamedTuple, Sequence
 
+import numpy as np
+
 from .errors import (
     CoincidentPoints,
     DegenerateDirection,
@@ -31,7 +33,6 @@ from .geometry import (
     Point2,
     height,
     line_angle_mod_pi,
-    rotate,
 )
 from .persistence import Diagram, DiagramOracle, lower_star_diagrams
 from .plane_graph import PlaneGraph
@@ -118,30 +119,84 @@ def pair_directions(
     at v contains exactly v2 and that both directions give pairwise
     distinct heights on V; any float-level violation shrinks theta by 0.9
     and retries (at most 64 times — impossible in exact arithmetic).
+    This is the one-pair call of the certifier the edge phase runs on a
+    whole row of pairs at once.
     """
     if v == v2:
         raise CoincidentPoints(f"cannot probe a vertex against itself: {v}")
-    s = Direction(v2.x - v.x, v2.y - v.y).normalized().perp()
+    X, Y = np.array(V, dtype=np.float64).reshape(-1, 2).T
+    col = [k for k, u in enumerate(V) if u == v2][:1]  # no column: no bow tie can hold v2
+    chosen = _certified_directions(v, X, Y, np.array(col, dtype=np.intp), theta, tol)
+    if not chosen or chosen[0] is None:
+        raise RetryExhausted(_exhausted(v, v2))
+    return chosen[0]
+
+
+def _exhausted(v: Point2, v2: Point2) -> str:
+    return f"no usable bow tie at {v} towards {v2} after {_MAX_SHRINKS} shrinks"
+
+
+def _certified_directions(
+    v: Point2,
+    X: np.ndarray,
+    Y: np.ndarray,
+    cols: np.ndarray,
+    theta: float,
+    tol: float,
+) -> list[tuple[Direction, Direction] | None]:
+    """Probe directions at v towards each vertex (X[c], Y[c]), c in cols,
+    or None where 64 shrinks of theta found none.
+
+    Every row is certified as one pair would be: the bow tie at v holds
+    exactly vertex c, and the heights of all vertices are more than tol
+    apart along both directions. Rows that fail shrink theta by 0.9
+    together, so each attempt has one angle and its sine and cosine come
+    from `math`, as in `rotate`. The base perpendicular is normalized with
+    `math.hypot` as `Direction.normalized` does (`np.hypot` rounds
+    differently), and heights are x*dx + y*dy elementwise as in `height`,
+    so each row gives the directions, and decisions, of the one-pair call.
+    """
+    vx, vy = v
+    ux, uy = [], []
+    for x, y in zip(X[cols].tolist(), Y[cols].tolist()):
+        # rotate(Direction(x - vx, y - vy).normalized().perp(), .) normalizes twice
+        dx, dy = x - vx, y - vy
+        norm = math.hypot(dx, dy)
+        px, py = -(dy / norm), dx / norm
+        norm = math.hypot(px, py)
+        ux.append(px / norm)
+        uy.append(py / norm)
+    ux, uy = np.array(ux), np.array(uy)
+
+    chosen: list[tuple[Direction, Direction] | None] = [None] * len(cols)
+    pending = np.arange(len(cols))
     current = theta
     for _ in range(_MAX_SHRINKS + 1):
-        s1 = rotate(s, current)
-        s2 = rotate(s, -current)
-        if _pair_ok(v, v2, s1, s2, current, V, tol):
-            return s1, s2
+        cos = np.array([[math.cos(current)], [math.cos(-current)]])
+        sin = np.array([[math.sin(current)], [math.sin(-current)]])
+        a, b = ux[pending], uy[pending]
+        sx = a * cos - b * sin  # (2, k): row 0 is s1, row 1 is s2
+        sy = a * sin + b * cos
+        H = X * sx[..., None] + Y * sy[..., None]  # (2, k, n) vertex heights
+        below = H <= (vx * sx + vy * sy)[..., None]
+        inside = below[0] != below[1]
+        ok = (inside.sum(axis=1) == 1) & inside[np.arange(len(pending)), cols[pending]]
+        H.sort(axis=2)
+        ok &= ~(H[..., 1:] - H[..., :-1] <= tol).any(axis=(0, 2))
+        good = np.flatnonzero(ok)
+        for r, x1, y1, x2, y2 in zip(
+            pending[good].tolist(),
+            sx[0, good].tolist(),
+            sy[0, good].tolist(),
+            sx[1, good].tolist(),
+            sy[1, good].tolist(),
+        ):
+            chosen[r] = (Direction(x1, y1), Direction(x2, y2))
+        pending = pending[~ok]
+        if not len(pending):
+            break
         current *= _SHRINK_FACTOR
-    raise RetryExhausted(f"no usable bow tie at {v} towards {v2} after {_MAX_SHRINKS} shrinks")
-
-
-def _pair_ok(v, v2, s1, s2, width, V, tol) -> bool:
-    bt = BowTie(v, s1, s2, width)
-    members = [u for u in V if u != v and bt.contains(u)]
-    if members != [v2]:
-        return False
-    for s in (s1, s2):
-        hs = sorted(height(u, s) for u in V)
-        if any(b - a <= tol for a, b in zip(hs, hs[1:])):
-            return False
-    return True
+    return chosen
 
 
 def indegree_from_diagrams(d: Diagram, v: Point2, tol: float = TOLERANCE) -> int:
@@ -180,11 +235,19 @@ def probe_edge(
     """Decide (v, v2) with two diagrams; retry with a narrower bow tie if
     the oracle reports coincident heights (each retry re-queries and is
     therefore billed against the budget)."""
+    return _probe_from(o, v, v2, theta, V, tol, pair_directions(v, v2, theta, V, tol))
+
+
+def _probe_from(o, v, v2, theta, V, tol, directions) -> EdgeProbe:
+    """`probe_edge` whose first attempt uses `directions`, the certified
+    pair for theta."""
     current = theta
     extra_queries = 0
     last_error: DegenerateDirection | None = None
-    for _ in range(_MAX_SHRINKS + 1):
-        s1, s2 = pair_directions(v, v2, current, V, tol)
+    for attempt in range(_MAX_SHRINKS + 1):
+        if attempt:
+            directions = pair_directions(v, v2, current, V, tol)
+        s1, s2 = directions
         try:
             d1 = o.query(s1)
         except DegenerateDirection as err:
@@ -213,18 +276,6 @@ def probe_edge(
     raise last_error
 
 
-def edge_exists(
-    o: DiagramOracle,
-    v: Point2,
-    v2: Point2,
-    theta: float,
-    V: Sequence[Point2],
-    tol: float = TOLERANCE,
-) -> bool:
-    """True iff the hidden graph has the edge (v, v2)."""
-    return probe_edge(o, v, v2, theta, V, tol).exists
-
-
 @dataclass(frozen=True)
 class EdgeReconResult:
     edges: frozenset[Edge]
@@ -237,19 +288,25 @@ def reconstruct_edges_detail(
 ) -> EdgeReconResult:
     """Decide every unordered pair, lexicographic by index, from the
     lexicographically smaller endpoint; 2 queries per pair plus any
-    (expected zero) retry re-queries."""
+    (expected zero) retry re-queries. The probe directions of all pairs
+    (i, j > i) are chosen and certified in one array block per i."""
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
     theta = global_bowtie_width(V, tol)
+    X, Y = np.array(V, dtype=np.float64).T
     start = o.query_count
     edges: set[Edge] = set()
     retries = 0
-    for i, j in combinations(range(n), 2):
-        probe = probe_edge(o, V[i], V[j], theta, V, tol)
-        retries += probe.retries
-        if probe.exists:
-            edges.add((i, j))
+    for i in range(n - 1):
+        row = _certified_directions(V[i], X, Y, np.arange(i + 1, n), theta, tol)
+        for j, directions in enumerate(row, start=i + 1):
+            if directions is None:
+                raise RetryExhausted(_exhausted(V[i], V[j]))
+            probe = _probe_from(o, V[i], V[j], theta, V, tol, directions)
+            retries += probe.retries
+            if probe.exists:
+                edges.add((i, j))
     return EdgeReconResult(frozenset(edges), o.query_count - start, retries)
 
 

@@ -21,8 +21,10 @@ import threading
 from dataclasses import dataclass
 from typing import NamedTuple
 
+import numpy as np
+
 from .errors import DegenerateDirection
-from .geometry import TOLERANCE, Direction, height
+from .geometry import TOLERANCE, Direction
 from .plane_graph import PlaneGraph
 
 INFINITY = math.inf
@@ -63,62 +65,58 @@ def lower_star_diagrams(g: PlaneGraph, s: Direction, tol: float = TOLERANCE) -> 
     edge index).
 
     Raises DegenerateDirection when two vertex heights coincide within tol.
+
+    Array kernel over `g.arrays`: heights are computed elementwise as
+    x*dx + y*dy, which rounds exactly like `geometry.height` (a dot product
+    would not), edges are put in arrival order by one stable lexsort, and a
+    single integer union-find runs over the ordered edge list. Vertex events
+    are implicit: by the elder rule a component's root is its lowest vertex,
+    so a root's birth is its own height.
     """
     u = Direction(*s).normalized()
-    heights = [height(v, u) for v in g.vertices]
+    x, y, edges = g.arrays
+    h = x * u.dx + y * u.dy
+    order = h.argsort(kind="stable")
+    ascending = h[order]
+    tied = ascending[1:] - ascending[:-1] <= tol
+    if tied.any():
+        k = int(tied.argmax())
+        a, b = int(order[k]), int(order[k + 1])
+        raise DegenerateDirection(min(a, b), max(a, b), u)
 
-    order = sorted(range(g.n), key=heights.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if abs(heights[a] - heights[b]) <= tol:
-            i, j = min(a, b), max(a, b)
-            raise DegenerateDirection(i, j, u)
-
-    # event key: (height, dim, lower endpoint height, index)
-    events: list[tuple[float, int, float, int]] = [
-        (heights[v], 0, 0.0, v) for v in range(g.n)
-    ]
-    for e_idx, (a, b) in enumerate(g.sorted_edges()):
-        lo, hi = sorted((heights[a], heights[b]))
-        events.append((hi, 1, lo, e_idx))
-    events.sort()
-
-    edges = g.sorted_edges()
+    ha, hb = h[edges[:, 0]], h[edges[:, 1]]
+    arrival = np.lexsort((np.minimum(ha, hb), np.maximum(ha, hb)))
+    flat = iter(edges[arrival].ravel().tolist())
+    # Every pair takes its floats from `hs`, so no float is allocated per edge.
+    hs = h.tolist()
     parent = list(range(g.n))
-    root_birth: dict[int, float] = {}
-
-    def find(x: int) -> int:
-        root = x
-        while parent[root] != root:
-            root = parent[root]
-        while parent[x] != root:
-            parent[x], x = root, parent[x]
-        return root
-
-    dim0: list[PersistencePair] = []
-    dim1: list[PersistencePair] = []
-    for h, dim, _lo, idx in events:
-        if dim == 0:
-            root_birth[idx] = heights[idx]
+    death = [INFINITY] * g.n
+    cycles: list[float] = []
+    for a, b in zip(flat, flat):
+        top = hs[a] if hs[a] > hs[b] else hs[b]
+        while parent[a] != a:
+            parent[a] = parent[parent[a]]
+            a = parent[a]
+        while parent[b] != b:
+            parent[b] = parent[parent[b]]
+            b = parent[b]
+        if a == b:
+            cycles.append(top)
+        elif hs[a] <= hs[b]:  # elder rule: the lower root survives
+            parent[b] = a
+            death[b] = top
         else:
-            a, b = edges[idx]
-            ra, rb = find(a), find(b)
-            if ra == rb:
-                dim1.append(PersistencePair(h, INFINITY))
-                continue
-            # elder rule: the class with the smaller birth survives
-            if root_birth[ra] <= root_birth[rb]:
-                elder, younger = ra, rb
-            else:
-                elder, younger = rb, ra
-            dim0.append(PersistencePair(root_birth[younger], h))
-            parent[younger] = elder
-            del root_birth[younger]
+            parent[a] = b
+            death[a] = top
 
-    for root, b in root_birth.items():
-        dim0.append(PersistencePair(b, INFINITY))
-
+    # Both lists come out in (birth, death) order: dim0 by ascending height,
+    # dim1 by arrival. The sort is a linear pass over dim0 that orders equal
+    # births by death, should a tol < 0 let equal heights through.
+    # `_make` builds a pair without the namedtuple's Python-level __new__.
+    pair = PersistencePair._make
+    dim0 = [pair((hs[v], death[v])) for v in order.tolist()]
     dim0.sort()
-    dim1.sort()
+    dim1 = [pair((b, INFINITY)) for b in cycles]
     return Diagram(u, tuple(dim0), tuple(dim1))
 
 
@@ -152,28 +150,6 @@ class DiagramOracle:
 
     def _compute(self, u: Direction) -> Diagram:
         return lower_star_diagrams(self._graph, u, self._tol)
-
-
-class CachingDiagramOracle(DiagramOracle):
-    """Oracle variant that memoizes computed diagrams per direction.
-
-    The cache reduces real work only: repeated directions still count
-    against the query budget exactly as for the plain oracle.
-    """
-
-    def __init__(self, graph: PlaneGraph, tol: float = TOLERANCE):
-        super().__init__(graph, tol)
-        self._cache: dict[Direction, Diagram] = {}
-
-    def _compute(self, u: Direction) -> Diagram:
-        if u not in self._cache:
-            self._cache[u] = lower_star_diagrams(self._graph, u, self._tol)
-        return self._cache[u]
-
-
-def oracle_query(o: DiagramOracle, s: Direction) -> Diagram:
-    """Query the oracle for direction s (normalized internally)."""
-    return o.query(s)
 
 
 def diagram_to_json(d: Diagram) -> str:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import combinations
 
 import numpy as np
@@ -57,6 +58,19 @@ class PlaneGraph:
 
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
+
+    @cached_property
+    def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Read-only array form, built on first use and kept: the float64
+        x and y coordinate columns and the (m, 2) integer array of
+        `sorted_edges()`. Not a dataclass field, so equality, hashing and
+        JSON see only `vertices` and `edges`."""
+        x = np.array([v.x for v in self.vertices], dtype=np.float64)
+        y = np.array([v.y for v in self.vertices], dtype=np.float64)
+        e = np.array(self.sorted_edges(), dtype=np.intp).reshape(-1, 2)
+        for a in (x, y, e):
+            a.flags.writeable = False
+        return x, y, e
 
 
 def _cross(o: Point2, a: Point2, b: Point2) -> float:

@@ -1,4 +1,5 @@
 import json
+from pathlib import Path
 
 import pytest
 
@@ -97,14 +98,6 @@ def test_reconstruct_invalid_graph_exit4(tmp_path, capsys):
     assert "shared x-coordinate" in capsys.readouterr().err
 
 
-def test_reconstruct_cache_flag_same_output(tmp_path, appendix_file):
-    plain = tmp_path / "plain.json"
-    cached = tmp_path / "cached.json"
-    assert run("reconstruct", appendix_file, "-o", plain) == 0
-    assert run("reconstruct", appendix_file, "-o", cached, "--cache") == 0
-    assert plain.read_bytes() == cached.read_bytes()
-
-
 def test_verify_identical_files(tmp_path, appendix_file):
     assert run("verify", appendix_file, appendix_file) == 0
 
@@ -199,3 +192,22 @@ def test_gen_generation_failure_exit2(tmp_path, monkeypatch, capsys):
     monkeypatch.setattr(cli_mod, "random_plane_graph", explode)
     assert run("gen", "--n", 4, "--seed", 1, "-o", tmp_path / "g.json") == 2
     assert "generation failed" in capsys.readouterr().err
+
+
+DATA = Path(__file__).parent / "data"
+
+
+@pytest.mark.parametrize("instance", ["gen_n12_d1.0_s7", "gen_n18_d0.6_s3"])
+def test_golden_diagrams_and_reconstruct_outputs(tmp_path, instance):
+    """`<instance>.graph.json` is `phrecon gen --n 12 --density 1.0 --seed 7`
+    (and `--n 18 --density 0.6 --seed 3`); the `.diagrams.json` and
+    `.recon.json` files are the outputs of `phrecon diagrams --direction 3,-4`
+    and `phrecon reconstruct` on it, written by the pure-Python sweep that
+    the array kernel replaced."""
+    graph = DATA / f"{instance}.graph.json"
+    diagrams = tmp_path / "d.json"
+    recon = tmp_path / "r.json"
+    assert run("diagrams", graph, "--direction", "3,-4", "-o", diagrams) == 0
+    assert run("reconstruct", graph, "-o", recon) == 0
+    assert diagrams.read_bytes() == (DATA / f"{instance}.diagrams.json").read_bytes()
+    assert recon.read_bytes() == (DATA / f"{instance}.recon.json").read_bytes()

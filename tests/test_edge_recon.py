@@ -12,9 +12,10 @@ from phrecon import (
     EnumerationOverflow,
     PlaneGraph,
     Point2,
-    edge_exists,
+    RetryExhausted,
     enumerate_compatible_graphs,
     global_bowtie_width,
+    height,
     indegree_direct,
     indegree_from_diagrams,
     line_angle_mod_pi,
@@ -26,6 +27,8 @@ from phrecon import (
     reconstruct_vertices,
     rotate,
 )
+from phrecon import edge_recon
+from phrecon.edge_recon import probe_edge
 
 from conftest import match_to_hidden, remap_edges, tie_free_direction
 
@@ -133,6 +136,71 @@ def test_pair_directions_shrinks_on_height_tie():
     assert got1.dy == pytest.approx(want1.dy, abs=1e-12)
 
 
+class RecordingOracle:
+    """Oracle that keeps every direction exactly as the caller passed it."""
+
+    def __init__(self, graph):
+        self._inner = DiagramOracle(graph)
+        self.asked = []
+
+    @property
+    def query_count(self):
+        return self._inner.query_count
+
+    def query(self, s):
+        self.asked.append(s)
+        return self._inner.query(s)
+
+
+def test_edge_phase_directions_are_certified_per_pair():
+    for n, seed, margin in ((2, 1, 1e-3), (7, 2, 1e-3), (12, 3, 1e-3), (30, 4, 1e-6)):
+        g = random_plane_graph(n, 0.7, seed, margin=margin)
+        V = list(g.vertices)
+        o = RecordingOracle(g)
+        detail = reconstruct_edges_detail(o, V)
+        assert detail.edges == g.edges
+        assert detail.queries == n * (n - 1) and detail.retries == 0
+        theta = global_bowtie_width(V)
+        pairs = list(combinations(range(n), 2))
+        for (i, j), s1, s2 in zip(pairs, o.asked[::2], o.asked[1::2]):
+            bt = BowTie(V[i], s1, s2, _halfangle(s1, s2))
+            assert [u for u in V if u != V[i] and bt.contains(u)] == [V[j]]
+            for s in (s1, s2):
+                hs = sorted(height(u, s) for u in V)
+                assert all(b - a > 1e-9 for a, b in zip(hs, hs[1:]))
+            # one certifier: the one-pair call picks the very same directions
+            assert (s1, s2) == pair_directions(V[i], V[j], theta, V)
+            # and they are bit for bit the rotated perpendicular of v' - v
+            base = Direction(V[j].x - V[i].x, V[j].y - V[i].y).normalized().perp()
+            assert (s1, s2) == (rotate(base, theta), rotate(base, -theta))
+
+
+def test_edge_phase_shrinks_on_height_tie(monkeypatch):
+    # the geometry of test_pair_directions_shrinks_on_height_tie, run through
+    # the edge phase with its bow-tie width pinned to theta
+    theta = math.pi / 8.0
+    u1 = Point2(-1.0, 2.0)
+    u2 = Point2(u1.x - math.cos(theta), u1.y - math.sin(theta))
+    V = [Point2(0.0, 0.0), Point2(1.0, 0.0), u1, u2]
+    monkeypatch.setattr(edge_recon, "global_bowtie_width", lambda V, tol: theta)
+    o = RecordingOracle(PlaneGraph(V, [(0, 1), (1, 2)]))
+    detail = reconstruct_edges_detail(o, V)
+    want1 = rotate(Direction(0.0, 1.0), 0.9 * theta)
+    assert o.asked[0].dx == pytest.approx(want1.dx, abs=1e-12)
+    assert o.asked[0].dy == pytest.approx(want1.dy, abs=1e-12)
+    assert detail.edges == {(0, 1), (1, 2)}
+
+
+def test_collinear_vertices_raise_retry_exhausted():
+    V = [Point2(0.0, 0.0), Point2(1.0, 0.5), Point2(2.0, 1.0)]
+    o = DiagramOracle(PlaneGraph(V, [(0, 1)]))
+    with pytest.raises(RetryExhausted):
+        reconstruct_edges_detail(o, V)
+    assert o.query_count == 0  # the first pair fails before it is queried
+    with pytest.raises(RetryExhausted):
+        pair_directions(V[0], V[2], global_bowtie_width(V), V)
+
+
 def test_indegree_from_diagrams_appendix(appendix_graph):
     v = Point2(0.25, 0.0)
     v_idx = list(appendix_graph.vertices).index(v)
@@ -169,8 +237,8 @@ def test_edge_exists_appendix_pairs(appendix_graph):
     o = DiagramOracle(appendix_graph)
     V = list(appendix_graph.vertices)
     theta = global_bowtie_width(V)
-    assert edge_exists(o, Point2(0.25, 0.0), Point2(1.0, 1.0), theta, V)
-    assert not edge_exists(o, Point2(0.25, 0.0), Point2(-1.0, 2.0), theta, V)
+    assert probe_edge(o, Point2(0.25, 0.0), Point2(1.0, 1.0), theta, V).exists
+    assert not probe_edge(o, Point2(0.25, 0.0), Point2(-1.0, 2.0), theta, V).exists
     assert o.query_count == 4  # two probes, two diagrams each
 
 
@@ -180,7 +248,7 @@ def test_edge_exists_edgeless_graph():
     V = list(g.vertices)
     theta = global_bowtie_width(V)
     for i, j in combinations(range(5), 2):
-        assert not edge_exists(o, V[i], V[j], theta, V)
+        assert not probe_edge(o, V[i], V[j], theta, V).exists
 
 
 def test_reconstruct_edges_single_vertex():
@@ -218,7 +286,7 @@ def test_indegree_difference_decides_every_pair():
         theta = global_bowtie_width(V)
         for i, j in combinations(range(len(V)), 2):
             want = (i, j) in g.edges
-            assert edge_exists(o, V[i], V[j], theta, V) == want
+            assert probe_edge(o, V[i], V[j], theta, V).exists == want
 
 
 def test_enumerate_single_vertex():

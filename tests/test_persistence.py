@@ -14,11 +14,11 @@ from phrecon import (
     diagram_to_json,
     height,
     lower_star_diagrams,
-    oracle_query,
     random_plane_graph,
 )
 
 from conftest import tie_free_direction
+from sweep_reference import reference_lower_star_diagrams
 
 INF = math.inf
 
@@ -115,9 +115,9 @@ def test_oracle_counts_every_query():
     g = PlaneGraph([(0.25, 0.0)], [])
     o = DiagramOracle(g)
     assert o.query_count == 0
-    oracle_query(o, Direction(1.0, 0.0))
+    o.query(Direction(1.0, 0.0))
     assert o.query_count == 1
-    oracle_query(o, Direction(1.0, 0.0))
+    o.query(Direction(1.0, 0.0))
     assert o.query_count == 2  # identical directions are not cached
     assert len(o.query_log) == 2
 
@@ -198,3 +198,63 @@ def test_diagram_json_roundtrip():
     assert back == d
     # canonical ordering: serialization is stable under re-parsing
     assert diagram_to_json(back) == text
+
+
+def _diagram_or_tie(f, g, s, tol=1e-9):
+    try:
+        return f(g, s, tol)
+    except DegenerateDirection as err:
+        return ("tie", err.i, err.j)
+
+
+def test_lower_star_equals_reference_sweep_exactly():
+    # no approx: the kernel must round and order exactly like the sweep
+    rng = np.random.default_rng(5)
+    for n in range(1, 41):
+        for density in (0.0, 0.5, 1.0):
+            g = random_plane_graph(n, density, 1000 * n + int(10 * density), margin=1e-6)
+            directions = [Direction(1.0, 0.0), Direction(0.0, -1.0)]
+            directions += [tie_free_direction(g, rng) for _ in range(3)]
+            for s in directions:
+                got = lower_star_diagrams(g, s)
+                assert got == reference_lower_star_diagrams(g, s), (n, density, s)
+                assert [p.birth for p in got.dim0] == sorted(height(v, got.direction) for v in g.vertices)
+
+
+def test_lower_star_equals_reference_on_small_shapes():
+    single_edge = PlaneGraph([(0.0, 0.0), (1.0, 0.5)], [(0, 1)])
+    single_edge_and_isolated = PlaneGraph([(0.0, 0.0), (1.0, 0.5), (0.4, -0.3)], [(0, 1)])
+    edgeless = PlaneGraph([(0.1, 0.2), (0.6, 0.9), (0.9, 0.4)], [])
+    empty = PlaneGraph([], [])
+    for g in (single_edge, single_edge_and_isolated, edgeless, empty):
+        for s in (Direction(1.0, 0.0), Direction(-1.0, 0.3), Direction(0.2, 1.0)):
+            assert lower_star_diagrams(g, s) == reference_lower_star_diagrams(g, s)
+    d = lower_star_diagrams(single_edge, Direction(1.0, 0.0))
+    assert pairs(d.dim0) == [(0.0, INF), (1.0, 1.0)]  # the diagonal pair is kept
+
+
+def test_degenerate_direction_pair_matches_reference():
+    exact_ties = PlaneGraph([(0.5, 0.0), (0.2, 1.0), (0.5, 2.0), (0.2, 3.0)], [(0, 1)])
+    within_tol = PlaneGraph([(0.3, 0.0), (0.3 + 5e-10, 1.0), (0.1, 2.0), (0.1 - 4e-10, 3.0)], [])
+    s = Direction(1.0, 0.0)
+    # the first tie in ascending height order, smaller index first
+    assert _diagram_or_tie(lower_star_diagrams, exact_ties, s) == ("tie", 1, 3)
+    assert _diagram_or_tie(lower_star_diagrams, exact_ties, s, 0.0) == ("tie", 1, 3)
+    # 31-way ties: only a stable order reports the two smallest indices
+    columns = PlaneGraph([((k * 5) % 13 / 13.0, k / 400.0) for k in range(400)], [])
+    assert _diagram_or_tie(lower_star_diagrams, columns, s, 0.0) == ("tie", 0, 13)
+    assert _diagram_or_tie(lower_star_diagrams, within_tol, s) == ("tie", 2, 3)
+    for g in (exact_ties, within_tol, columns):
+        for tol in (0.0, 1e-9):
+            assert _diagram_or_tie(lower_star_diagrams, g, s, tol) == _diagram_or_tie(
+                reference_lower_star_diagrams, g, s, tol
+            )
+    # a coarse tolerance makes many heights tie; the first one reported must agree
+    rng = np.random.default_rng(17)
+    for seed in range(30):
+        g = random_plane_graph(3 + seed % 10, 0.5, seed)
+        for tol in (1e-3, 2e-2, 0.1):
+            s = Direction(*rng.normal(size=2))
+            assert _diagram_or_tie(lower_star_diagrams, g, s, tol) == _diagram_or_tie(
+                reference_lower_star_diagrams, g, s, tol
+            )

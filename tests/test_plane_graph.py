@@ -166,3 +166,18 @@ def test_graph_json_shortest_roundtrip_numbers():
 def test_graph_json_rejects_malformed():
     with pytest.raises((ValueError, KeyError, TypeError)):
         graph_from_json('{"vertices": [[0, 1]]}')
+
+
+def test_arrays_cached_read_only_and_outside_equality():
+    g = PlaneGraph([(0.5, 0.1), (0.2, 0.9), (0.8, 0.7)], [(2, 0), (1, 0)])
+    twin = PlaneGraph(g.vertices, g.edges)
+    x, y, e = g.arrays
+    assert g.arrays is g.arrays
+    assert x.tolist() == [0.5, 0.2, 0.8] and y.tolist() == [0.1, 0.9, 0.7]
+    assert e.tolist() == [[0, 1], [0, 2]]
+    for a in (x, y, e):
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert g == twin and hash(g) == hash(twin)
+    assert graph_to_json(g) == graph_to_json(twin)
+    assert PlaneGraph([(0.3, 0.4)], []).arrays[2].shape == (0, 2)
