@@ -8,7 +8,6 @@ from .edge_recon import (
     global_bowtie_width,
     indegree_from_diagrams,
     pair_directions,
-    reconstruct_edges,
     reconstruct_edges_detail,
 )
 from .errors import (
@@ -61,7 +60,6 @@ from .vertex_recon import (
     match_and_intersect,
     reconstruct_vertices,
     third_direction,
-    triple_intersections,
 )
 
 __version__ = "0.1.0"

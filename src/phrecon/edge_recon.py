@@ -35,7 +35,7 @@ from .geometry import (
     line_angle_mod_pi,
 )
 from .persistence import Diagram, DiagramOracle, lower_star_diagrams
-from .plane_graph import PlaneGraph
+from .plane_graph import PlaneGraph, _UnionFind
 
 Edge = tuple[int, int]
 
@@ -203,15 +203,7 @@ def indegree_from_diagrams(d: Diagram, v: Point2, tol: float = TOLERANCE) -> int
     """Indegree of v read off one diagram: dim-0 deaths at v's height
     (diagonal pairs included) plus dim-1 births there. Infinite deaths
     never match."""
-    h = height(v, d.direction)
-    count = 0
-    for p in d.dim0:
-        if not p.is_infinite and abs(p.death - h) <= tol:
-            count += 1
-    for p in d.dim1:
-        if abs(p.birth - h) <= tol:
-            count += 1
-    return count
+    return d.events_at(height(v, d.direction), tol)
 
 
 @dataclass(frozen=True)
@@ -310,31 +302,6 @@ def reconstruct_edges_detail(
     return EdgeReconResult(frozenset(edges), o.query_count - start, retries)
 
 
-def reconstruct_edges(
-    o: DiagramOracle, V: Sequence[Point2], tol: float = TOLERANCE
-) -> frozenset[Edge]:
-    """Exact edge set of the hidden graph over the given vertex order,
-    using at most n(n-1) oracle queries when no retries fire."""
-    return reconstruct_edges_detail(o, V, tol).edges
-
-
-def _components_under(edges: frozenset[Edge], seen: list[int]) -> dict[int, int]:
-    parent = {u: u for u in seen}
-
-    def find(x: int) -> int:
-        while parent[x] != x:
-            parent[x] = parent[parent[x]]
-            x = parent[x]
-        return x
-
-    for a, b in edges:
-        if a in parent and b in parent:
-            ra, rb = find(a), find(b)
-            if ra != rb:
-                parent[ra] = rb
-    return {u: find(u) for u in seen}
-
-
 def enumerate_compatible_graphs(
     V: Sequence[Point2],
     s: Direction,
@@ -374,9 +341,11 @@ def enumerate_compatible_graphs(
         need = k0 + k1
         new_rows: set[frozenset[Edge]] = set()
         for row in rows:
-            comp = _components_under(row, seen)
+            comp = _UnionFind(n)
+            for a, b in row:
+                comp.union(a, b)
             for subset in combinations(seen, need):
-                if len({comp[x] for x in subset}) != k0:
+                if len({comp.find(x) for x in subset}) != k0:
                     continue
                 extension = {(min(v, x), max(v, x)) for x in subset}
                 new_rows.add(row | extension)

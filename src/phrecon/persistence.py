@@ -18,6 +18,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple
 
@@ -39,21 +40,100 @@ class PersistencePair(NamedTuple):
         return math.isinf(self.death)
 
 
+class _Sweep(NamedTuple):
+    """What one lower-star sweep leaves behind, from which a Diagram's pairs
+    and counts are read."""
+
+    ascending: np.ndarray  # vertex heights, ascending, read-only
+    heights: list[float]  # vertex heights by vertex index
+    order: np.ndarray  # vertex indices by ascending height
+    death: list[float]  # per vertex: the height it dies at, or INFINITY
+    cycles: list[float]  # dim-1 births in arrival order, which is ascending
+
+
 @dataclass(frozen=True)
 class Diagram:
     """Directional persistence diagram: dim-0 and dim-1 pairs, canonically
-    sorted by (birth, death)."""
+    sorted by (birth, death).
+
+    A diagram built by `lower_star_diagrams` keeps the sweep's arrays and
+    lists instead of pairs, and builds `dim0` and `dim1` the first time
+    either is read (equality, hashing and repr read them too). `births0`,
+    `n_components` and `events_at` answer from the sweep without building a
+    pair.
+    """
 
     direction: Direction
     dim0: tuple[PersistencePair, ...]
     dim1: tuple[PersistencePair, ...]
 
+    @classmethod
+    def _from_sweep(cls, direction: Direction, sweep: _Sweep) -> "Diagram":
+        d = object.__new__(cls)
+        object.__setattr__(d, "direction", direction)
+        object.__setattr__(d, "_sweep", sweep)
+        return d
+
+    def __getattr__(self, name: str):
+        # Reached only for attributes not set yet: the pairs of a swept diagram.
+        sweep = self.__dict__.get("_sweep")
+        if sweep is None or name not in ("dim0", "dim1"):
+            raise AttributeError(name)
+        # `_make` builds a pair without the namedtuple's Python-level __new__.
+        # dim0 comes out in (birth, death) order by ascending height; the sort
+        # is a linear pass that orders equal births by death, should a tol < 0
+        # let equal heights through. dim1 is in arrival order, which is
+        # ascending birth.
+        pair = PersistencePair._make
+        hs, death = sweep.heights, sweep.death
+        dim0 = [pair((hs[v], death[v])) for v in sweep.order.tolist()]
+        dim0.sort()
+        object.__setattr__(self, "dim0", tuple(dim0))
+        object.__setattr__(self, "dim1", tuple(pair((b, INFINITY)) for b in sweep.cycles))
+        return self.__dict__[name]
+
+    def _raw(self) -> tuple[list[float], list[float]]:
+        """(dim-0 deaths, ascending dim-1 births) as floats, infinite deaths
+        included."""
+        sweep = self.__dict__.get("_sweep")
+        if sweep is not None:
+            return sweep.death, sweep.cycles
+        return [p.death for p in self.dim0], sorted(p.birth for p in self.dim1)
+
     @property
     def n_components(self) -> int:
-        return sum(1 for p in self.dim0 if p.is_infinite)
+        return sum(map(math.isinf, self._raw()[0]))
 
-    def births0(self) -> list[float]:
-        return [p.birth for p in self.dim0]
+    def births0(self) -> np.ndarray:
+        """The dim-0 births, ascending, as a read-only float64 array."""
+        sweep = self.__dict__.get("_sweep")
+        if sweep is not None:
+            return sweep.ascending
+        births = np.sort(np.array([p.birth for p in self.dim0], dtype=np.float64), kind="stable")
+        births.flags.writeable = False
+        return births
+
+    def events_at(self, h: float, tol: float = TOLERANCE) -> int:
+        """Finite dim-0 deaths plus dim-1 births within tol of height h
+        (diagonal pairs included): the indegree of a vertex at height h."""
+        deaths, cycles = self._raw()
+        return _count_near(sorted(deaths), h, tol) + _count_near(cycles, h, tol)
+
+
+def _count_near(xs: list[float], h: float, tol: float) -> int:
+    """How many finite x in the ascending list xs have abs(x - h) <= tol.
+
+    Rounding is monotone, so the x that pass form one run of xs around the
+    place h would be inserted; the scan walks out from there both ways.
+    """
+    k = bisect_left(xs, h)
+    hi = k
+    while hi < len(xs) and abs(xs[hi] - h) <= tol and not math.isinf(xs[hi]):
+        hi += 1
+    lo = k
+    while lo > 0 and abs(xs[lo - 1] - h) <= tol and not math.isinf(xs[lo - 1]):
+        lo -= 1
+    return hi - lo
 
 
 def lower_star_diagrams(g: PlaneGraph, s: Direction, tol: float = TOLERANCE) -> Diagram:
@@ -109,15 +189,8 @@ def lower_star_diagrams(g: PlaneGraph, s: Direction, tol: float = TOLERANCE) -> 
             parent[a] = b
             death[a] = top
 
-    # Both lists come out in (birth, death) order: dim0 by ascending height,
-    # dim1 by arrival. The sort is a linear pass over dim0 that orders equal
-    # births by death, should a tol < 0 let equal heights through.
-    # `_make` builds a pair without the namedtuple's Python-level __new__.
-    pair = PersistencePair._make
-    dim0 = [pair((hs[v], death[v])) for v in order.tolist()]
-    dim0.sort()
-    dim1 = [pair((b, INFINITY)) for b in cycles]
-    return Diagram(u, tuple(dim0), tuple(dim1))
+    ascending.flags.writeable = False
+    return Diagram._from_sweep(u, _Sweep(ascending, hs, order, death, cycles))
 
 
 class DiagramOracle:

@@ -8,10 +8,12 @@ families, edges, vertices).
 
 from __future__ import annotations
 
+import numpy as np
+
 from .edge_recon import global_bowtie_width, pair_directions
 from .geometry import Direction, Line, Point2, height
 from .plane_graph import PlaneGraph
-from .vertex_recon import AXIS_X, AXIS_Y, LineFamily, filtration_line, third_direction
+from .vertex_recon import AXIS_X, AXIS_Y, LineFamily, line_family, third_direction
 
 _FAMILY_STROKES = ("#000000", "#1f77b4", "#d62728")
 
@@ -31,20 +33,12 @@ def _bounds(g: PlaneGraph) -> tuple[float, float, float, float]:
 
 
 def _axis_families(g: PlaneGraph) -> list[LineFamily]:
-    fams = []
-    for direction in (AXIS_X, AXIS_Y):
-        lines = sorted(
-            (filtration_line(direction, height(v, direction)) for v in g.vertices),
-            key=lambda l: l.offset,
-        )
-        fams.append(LineFamily(direction, tuple(lines)))
-    f1, f2 = fams
-    s3 = third_direction(f1, f2)
-    lines3 = sorted(
-        (filtration_line(s3, height(v, s3)) for v in g.vertices),
-        key=lambda l: l.offset,
-    )
-    return [f1, f2, LineFamily(s3, lines3)]
+    def through_vertices(direction: Direction) -> LineFamily:
+        heights = np.array([height(v, direction) for v in g.vertices], dtype=np.float64)
+        return line_family(direction, np.sort(heights, kind="stable"))
+
+    f1, f2 = through_vertices(AXIS_X), through_vertices(AXIS_Y)
+    return [f1, f2, through_vertices(third_direction(f1, f2))]
 
 
 def _line_segment(line: Line, cx: float, cy: float, reach: float):

@@ -12,11 +12,13 @@ the three oracle queries.
 from __future__ import annotations
 
 import math
-from bisect import bisect_left
 from dataclasses import dataclass
+
+import numpy as np
 
 from .errors import DuplicateHeights, ParallelLines, WrongCardinality
 from .geometry import (
+    PARALLEL_EPS,
     TOLERANCE,
     Direction,
     Line,
@@ -34,18 +36,48 @@ AXIS_Y = Direction(0.0, 1.0)
 _SINGLE_VERTEX_DIRECTION = Direction(math.sqrt(0.5), math.sqrt(0.5))
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineFamily:
-    """Parallel filtration lines of one direction, ascending by offset."""
+    """Parallel filtration lines of one direction, ascending by offset.
+
+    Line i is {p : p . normal = offsets[i]}, the filtration line of
+    births[i]. The normal and offsets carry exactly the floats of
+    `filtration_line(direction, births[i])`: the direction is normalized,
+    divided by its `hypot` once more, flipped to a lexicographically
+    positive sign, and given `+ 0.0`. When the sign flips, births run
+    descending so that offsets still ascend. Families compare by
+    identity, since their fields are arrays.
+    """
 
     direction: Direction
-    lines: tuple[Line, ...]
+    births: np.ndarray
+    normal: Direction
+    offsets: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.lines)
+        return len(self.offsets)
 
-    def offsets(self) -> list[float]:
-        return [line.offset for line in self.lines]
+    def line(self, i: int) -> Line:
+        return filtration_line(self.direction, float(self.births[i]))
+
+    @property
+    def lines(self) -> tuple[Line, ...]:
+        """Every line as a `Line`, built on each read."""
+        return tuple(filtration_line(self.direction, b) for b in self.births.tolist())
+
+
+def line_family(direction: Direction, births: np.ndarray) -> LineFamily:
+    """The family of lines along `direction` through ascending `births`."""
+    u = Direction(*direction).normalized()
+    n = u.norm()
+    nx, ny = u.dx / n, u.dy / n
+    offsets = births / n
+    if nx < 0.0 or (nx == 0.0 and ny < 0.0):
+        nx, ny, offsets = -nx, -ny, -offsets[::-1]
+        births = births[::-1]
+    offsets = offsets + 0.0  # collapses any -0.0, as Line does
+    offsets.flags.writeable = False
+    return LineFamily(direction, births, Direction(nx + 0.0, ny + 0.0), offsets)
 
 
 def lines_from_dgm0(d: Diagram, tol: float = TOLERANCE) -> LineFamily:
@@ -54,16 +86,15 @@ def lines_from_dgm0(d: Diagram, tol: float = TOLERANCE) -> LineFamily:
     Raises DuplicateHeights when two births coincide within tol (the
     diagram then cannot pin one line per vertex).
     """
-    births = sorted(d.births0())
-    for a, b in zip(births, births[1:]):
-        if abs(a - b) <= tol:
-            raise DuplicateHeights(
-                f"dim-0 births {a} and {b} coincide for direction {d.direction}"
-            )
-    lines = sorted(
-        (filtration_line(d.direction, b) for b in births), key=lambda l: l.offset
-    )
-    return LineFamily(d.direction, tuple(lines))
+    births = d.births0()
+    close = births[1:] - births[:-1] <= tol
+    if close.any():
+        k = int(close.argmax())
+        a, b = float(births[k]), float(births[k + 1])
+        raise DuplicateHeights(
+            f"dim-0 births {a} and {b} coincide for direction {d.direction}"
+        )
+    return line_family(d.direction, births)
 
 
 def third_direction(f1: LineFamily, f2: LineFamily) -> Direction:
@@ -85,10 +116,9 @@ def third_direction(f1: LineFamily, f2: LineFamily) -> Direction:
         raise ValueError(f"families must have equal positive size, got {n}, {len(f2)}")
     if n == 1:
         return _SINGLE_VERTEX_DIRECTION
-    xs = f1.offsets()
-    ys = f2.offsets()
-    w = xs[-1] - xs[0]
-    h = min(b - a for a, b in zip(ys, ys[1:]))
+    xs, ys = f1.offsets, f2.offsets
+    w = float(xs[-1] - xs[0])
+    h = float((ys[1:] - ys[:-1]).min())
     return Direction(w, h / 2.0).perp().normalized()
 
 
@@ -100,26 +130,48 @@ def match_and_intersect(
     f2 is ordered by y-intercept; f3 by the y-coordinate of each line's
     intersection with the leftmost vertical line. Under the third-direction
     guarantee these orders agree with the vertices' y-order, so matched
-    intersections are exactly the vertices. Linear after the two sorts.
+    intersections are exactly the vertices. Linear after the sort.
+
+    Both intersections evaluate `intersect_lines` elementwise, operand for
+    operand (a product with a zero normal component included, so signed
+    zeros come out the same), and f3 is ordered by a stable argsort, so
+    the points are those of intersecting the `Line`s one by one.
     """
     if len(f2) != len(f3):
         raise ValueError(f"family sizes differ: {len(f2)} vs {len(f3)}")
-    by_y = sorted(f2.lines, key=lambda l: l.offset)
-    by_left = sorted(
-        f3.lines, key=lambda l: intersect_lines(l, leftmost_of_f1).y
-    )
-    return [intersect_lines(a, b) for a, b in zip(by_y, by_left)]
+    if not len(f3):
+        return []
+    (n2x, n2y), (n3x, n3y) = f2.normal, f3.normal
+    left = leftmost_of_f1
+    # intersect_lines(line of f3, left).y for every f3 line
+    det = _det(f3.normal, left.normal)
+    left_y = (n3x * left.offset - left.normal.dx * f3.offsets) / det
+    off3 = f3.offsets[left_y.argsort(kind="stable")]
+    # intersect_lines(i-th line of f2, i-th line of f3 in that order)
+    det = _det(f2.normal, f3.normal)
+    off2 = f2.offsets
+    xs = (off2 * n3y - off3 * n2y) / det
+    ys = (n2x * off3 - n3x * off2) / det
+    return list(map(Point2._make, zip(xs.tolist(), ys.tolist())))
+
+
+def _det(a: Direction, b: Direction) -> float:
+    """`intersect_lines`' determinant of two unit normals; raises
+    ParallelLines as it does."""
+    det = a.dx * b.dy - a.dy * b.dx
+    if abs(det) <= PARALLEL_EPS:
+        raise ParallelLines(f"normals {a} and {b} are parallel")
+    return det
 
 
 def locate_point(dgm0_a: Diagram, dgm0_b: Diagram) -> Point2:
     """Position of the sole vertex from two single-feature diagrams."""
     for d in (dgm0_a, dgm0_b):
-        if len(d.dim0) != 1:
-            raise WrongCardinality(
-                f"expected exactly one dim-0 feature, got {len(d.dim0)}"
-            )
-    la = filtration_line(dgm0_a.direction, dgm0_a.dim0[0].birth)
-    lb = filtration_line(dgm0_b.direction, dgm0_b.dim0[0].birth)
+        count = len(d.births0())
+        if count != 1:
+            raise WrongCardinality(f"expected exactly one dim-0 feature, got {count}")
+    la = filtration_line(dgm0_a.direction, float(dgm0_a.births0()[0]))
+    lb = filtration_line(dgm0_b.direction, float(dgm0_b.births0()[0]))
     return intersect_lines(la, lb)
 
 
@@ -138,32 +190,4 @@ def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point
     if len(f1) == 1:
         return [locate_point(d1, d2)]
     f3 = lines_from_dgm0(d3, tol)
-    return match_and_intersect(f2, f3, f1.lines[0])
-
-
-def triple_intersections(
-    f1: LineFamily, f2: LineFamily, f3: LineFamily, tol: float = TOLERANCE
-) -> set[Point2]:
-    """All points where one line of each family meet, within tol.
-
-    Brute-force reference for `match_and_intersect`: intersects every
-    f1/f2 pair and keeps the points lying on some f3 line. Test and
-    verification use only.
-    """
-    result: set[Point2] = set()
-    if not f3.lines:
-        return result
-    normal3 = f3.lines[0].normal
-    offsets3 = [line.offset for line in f3.lines]
-    for a in f1.lines:
-        for b in f2.lines:
-            try:
-                p = intersect_lines(a, b)
-            except ParallelLines:
-                continue
-            q = p.x * normal3.dx + p.y * normal3.dy
-            k = bisect_left(offsets3, q)
-            near = offsets3[max(0, k - 1) : k + 1]
-            if any(abs(q - off) <= tol for off in near):
-                result.add(p)
-    return result
+    return match_and_intersect(f2, f3, f1.line(0))

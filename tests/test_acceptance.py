@@ -23,12 +23,12 @@ from phrecon import (
     reconstruct_edges_detail,
     reconstruct_vertices,
     third_direction,
-    triple_intersections,
 )
 from phrecon.cli import main
 from phrecon.vertex_recon import AXIS_X, AXIS_Y
 
 from conftest import match_to_hidden, remap_edges, tie_free_direction
+from vertex_reference import triple_intersections
 
 VERTEX_TOL = 1e-6
 THIRD_DIR_TOL = 1e-12

@@ -22,7 +22,6 @@ from phrecon import (
     lower_star_diagrams,
     pair_directions,
     random_plane_graph,
-    reconstruct_edges,
     reconstruct_edges_detail,
     reconstruct_vertices,
     rotate,
@@ -253,7 +252,7 @@ def test_edge_exists_edgeless_graph():
 
 def test_reconstruct_edges_single_vertex():
     o = DiagramOracle(PlaneGraph([(0.3, 0.4)], []))
-    assert reconstruct_edges(o, [Point2(0.3, 0.4)]) == frozenset()
+    assert reconstruct_edges_detail(o, [Point2(0.3, 0.4)]).edges == frozenset()
     assert o.query_count == 0
 
 

@@ -6,18 +6,23 @@ import pytest
 
 from phrecon import (
     DegenerateDirection,
+    Diagram,
     DiagramOracle,
     Direction,
+    PersistencePair,
     PlaneGraph,
+    Point2,
     connected_components,
     diagram_from_json,
     diagram_to_json,
     height,
     lower_star_diagrams,
     random_plane_graph,
+    reconstruct_vertices,
 )
+from phrecon.edge_recon import global_bowtie_width, probe_edge
 
-from conftest import tie_free_direction
+from conftest import match_to_hidden, tie_free_direction
 from sweep_reference import reference_lower_star_diagrams
 
 INF = math.inf
@@ -258,3 +263,61 @@ def test_degenerate_direction_pair_matches_reference():
             assert _diagram_or_tie(lower_star_diagrams, g, s, tol) == _diagram_or_tie(
                 reference_lower_star_diagrams, g, s, tol
             )
+
+
+def _scan_events(d, h, tol):
+    # the indegree read as a scan over the pairs
+    deaths = sum(1 for p in d.dim0 if not p.is_infinite and abs(p.death - h) <= tol)
+    return deaths + sum(1 for p in d.dim1 if abs(p.birth - h) <= tol)
+
+
+def test_swept_diagram_equals_its_pairs_through_the_constructor():
+    rng = np.random.default_rng(31)
+    for seed in range(40):
+        g = random_plane_graph(1 + seed % 12, (0.0, 0.5, 1.0)[seed % 3], seed)
+        d = lower_star_diagrams(g, tie_free_direction(g, rng))
+        heights = [height(v, d.direction) for v in g.vertices]
+        probes = heights + [h + 0.7e-9 for h in heights] + [0.5 * (a + b) for a, b in zip(heights, heights[1:])]
+        tols = (0.0, 1e-9, 1e-3, 0.2, INF)
+        # read from the sweep before the pairs exist
+        births, components = d.births0(), d.n_components
+        events = [d.events_at(h, tol) for h in probes for tol in tols]
+        assert "dim0" not in vars(d)
+        t = Diagram(d.direction, d.dim0, d.dim1)
+        assert d == t and hash(d) == hash(t) and repr(d) == repr(t)
+        assert components == t.n_components == sum(p.is_infinite for p in d.dim0)
+        assert births.dtype == np.float64 and not births.flags.writeable
+        assert births.tobytes() == t.births0().tobytes()
+        assert births.tolist() == [p.birth for p in d.dim0]
+        assert events == [t.events_at(h, tol) for h in probes for tol in tols]
+        assert events == [_scan_events(d, h, tol) for h in probes for tol in tols]
+        assert diagram_to_json(d) == diagram_to_json(t)
+
+
+def test_events_at_on_unsorted_constructed_pairs():
+    d = Diagram(
+        Direction(1.0, 0.0),
+        (PersistencePair(0.5, 0.5), PersistencePair(0.0, INF), PersistencePair(0.2, 0.5)),
+        (PersistencePair(0.9, INF), PersistencePair(0.5, INF)),
+    )
+    assert d.events_at(0.5, 1e-9) == 3
+    assert d.events_at(0.9, 0.0) == 1
+    assert d.events_at(0.7, INF) == _scan_events(d, 0.7, INF) == 4
+    assert d.births0().tolist() == [0.0, 0.2, 0.5]
+    assert d.n_components == 1
+
+
+def test_vertex_phase_and_probe_build_no_pair(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("a persistence pair was built")
+
+    monkeypatch.setattr(PersistencePair, "_make", refuse)
+    assert reconstruct_vertices(DiagramOracle(PlaneGraph([(0.3, 0.7)], []))) == [Point2(0.3, 0.7)]
+    g = random_plane_graph(9, 1.0, 5)
+    o = DiagramOracle(g)
+    V = reconstruct_vertices(o)
+    a, b = match_to_hidden(V[:2], g).values()
+    probe = probe_edge(o, V[0], V[1], global_bowtie_width(V), V)
+    assert probe.exists == ((min(a, b), max(a, b)) in g.edges)
+    with pytest.raises(AssertionError, match="pair was built"):
+        lower_star_diagrams(g, Direction(1.0, 0.0)).dim0

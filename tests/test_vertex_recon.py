@@ -22,10 +22,11 @@ from phrecon import (
     random_plane_graph,
     reconstruct_vertices,
     third_direction,
-    triple_intersections,
 )
 from phrecon.errors import PhreconError
 from phrecon.vertex_recon import AXIS_X, AXIS_Y
+
+from vertex_reference import reference_lines, reference_reconstruct_vertices, triple_intersections
 
 from conftest import assert_points_close
 
@@ -56,7 +57,7 @@ def test_lines_from_empty_diagram():
 
 def test_lines_sorted_by_offset():
     f = family((0.0, 1.0), [2.0, 0.0, 1.0])
-    assert f.offsets() == [0.0, 1.0, 2.0]
+    assert f.offsets.tolist() == [0.0, 1.0, 2.0]
     for off in (0.0, 1.0, 2.0):
         assert any(l.contains(Point2(-5.0, off)) for l in f.lines)
 
@@ -213,7 +214,7 @@ def test_vertex_localization_inside_box():
         f1 = lines_from_dgm0(o.query(AXIS_X))
         f2 = lines_from_dgm0(o.query(AXIS_Y))
         s3 = third_direction(f1, f2)
-        xs, ys = f1.offsets(), f2.offsets()
+        xs, ys = f1.offsets.tolist(), f2.offsets.tolist()
         f3 = lines_from_dgm0(o.query(s3))
         for line in f3.lines:
             hits = 0
@@ -222,3 +223,61 @@ def test_vertex_localization_inside_box():
                 if xs[0] - 1e-9 <= p.x <= xs[-1] + 1e-9:
                     hits += 1
             assert hits <= 1
+
+
+def _hex(points):
+    return [(float(x).hex(), float(y).hex()) for x, y in points]
+
+
+def _same_as_reference(g):
+    o, ref = DiagramOracle(g), DiagramOracle(g)
+    want = reference_reconstruct_vertices(ref)
+    got = reconstruct_vertices(o)
+    assert all(type(p) is Point2 and type(p.x) is float and type(p.y) is float for p in got)
+    # float.hex tells signed zeros and every last bit apart
+    assert _hex(got) == _hex(want)
+    assert _hex(o.query_log) == _hex(ref.query_log)
+
+
+def test_vertex_phase_equals_line_reference_bit_for_bit():
+    for n in range(1, 41):
+        for seed in range(3):
+            _same_as_reference(random_plane_graph(n, 0.5, 100 * n + seed, margin=1e-6))
+
+
+def test_vertex_phase_equals_line_reference_on_negative_clouds():
+    # a vertex on y = 0 gets its y from 0.0 * offset - n3x * 0.0, whose sign
+    # follows the sign of its third-family offset
+    for pts in (
+        [(0.0, 0.0), (0.7, 0.4), (-0.5, 0.9)],
+        [(-0.3, 0.0), (0.2, -0.6), (0.9, 0.5)],
+        [(0.4, -0.0), (-0.0, -0.7), (-0.8, 0.3), (0.6, -0.9)],
+    ):
+        _same_as_reference(PlaneGraph(pts, []))
+    rng = np.random.default_rng(8)
+    for scale in (1e-3, 1e-2, 1.0, 1e2, 1e3):
+        for _ in range(8):
+            n = int(rng.integers(1, 40))
+            pts = rng.normal(loc=-0.5 * scale, scale=scale, size=(n, 2))
+            _same_as_reference(PlaneGraph([tuple(p) for p in pts.tolist()], []))
+
+
+def test_vertex_phase_equals_line_reference_on_jittered_grid():
+    n = 20_000
+    rng = np.random.default_rng(20)
+    xs = (np.arange(n) + 0.1 + 0.8 * rng.random(n)) / n
+    ys = (np.arange(n) + 0.1 + 0.8 * rng.random(n)) / n
+    _same_as_reference(PlaneGraph(list(zip(xs.tolist(), rng.permutation(ys).tolist())), []))
+
+
+def test_family_fields_are_the_floats_of_its_lines():
+    # (-0.3, 0.8) has nx < 0, so the family flips: births descend, offsets ascend
+    for direction in (AXIS_X, AXIS_Y, Direction(-0.3, 0.8), Direction(0.6, -0.2)):
+        d = dgm0(direction, [-2.5, -0.0, 0.0 + 1e-3, 0.75, 3.0])
+        f = lines_from_dgm0(d)
+        lines = reference_lines(d)
+        assert f.lines == lines
+        assert f.normal == lines[0].normal
+        assert [x.hex() for x in f.offsets.tolist()] == [l.offset.hex() for l in lines]
+        assert f.line(0) == lines[0]
+        assert not f.offsets.flags.writeable
