@@ -227,33 +227,43 @@ def probe_edge(
     """Decide (v, v2) with two diagrams; retry with a narrower bow tie if
     the oracle reports coincident heights (each retry re-queries and is
     therefore billed against the budget)."""
-    return _probe_from(o, v, v2, theta, V, tol, pair_directions(v, v2, theta, V, tol))
+    directions = pair_directions(v, v2, theta, V, tol)
+    return _probe_from(o, v, v2, theta, V, tol, directions, _ask(o, directions))
 
 
-def _probe_from(o, v, v2, theta, V, tol, directions) -> EdgeProbe:
-    """`probe_edge` whose first attempt uses `directions`, the certified
-    pair for theta."""
+def _ask(o: DiagramOracle, directions: tuple[Direction, Direction]) -> tuple:
+    """The oracle's entries for one attempt's two directions, in order, a
+    DegenerateDirection standing for a raised query; the second direction
+    is not asked once the first is degenerate."""
+    s1, s2 = directions
+    try:
+        d1 = o.query(s1)
+    except DegenerateDirection as err:
+        return (err,)
+    try:
+        return d1, o.query(s2)
+    except DegenerateDirection as err:
+        return d1, err
+
+
+def _probe_from(o, v, v2, theta, V, tol, directions, answers) -> EdgeProbe:
+    """`probe_edge` whose first attempt has been asked: `directions` is the
+    certified pair for theta and `answers` the oracle's entries for them.
+    Every entry asked is billed, so a degenerate attempt adds its entries
+    to `retries` and the next one narrows the bow tie."""
     current = theta
     extra_queries = 0
     last_error: DegenerateDirection | None = None
     for attempt in range(_MAX_SHRINKS + 1):
         if attempt:
             directions = pair_directions(v, v2, current, V, tol)
-        s1, s2 = directions
-        try:
-            d1 = o.query(s1)
-        except DegenerateDirection as err:
-            last_error = err
-            extra_queries += 1
+            answers = _ask(o, directions)
+        last_error = next((a for a in answers if isinstance(a, DegenerateDirection)), None)
+        if last_error is not None:
+            extra_queries += len(answers)
             current *= _SHRINK_FACTOR
             continue
-        try:
-            d2 = o.query(s2)
-        except DegenerateDirection as err:
-            last_error = err
-            extra_queries += 2
-            current *= _SHRINK_FACTOR
-            continue
+        (s1, s2), (d1, d2) = directions, answers
         i1 = indegree_from_diagrams(d1, v, tol)
         i2 = indegree_from_diagrams(d2, v, tol)
         return EdgeProbe(
@@ -281,7 +291,10 @@ def reconstruct_edges_detail(
     """Decide every unordered pair, lexicographic by index, from the
     lexicographically smaller endpoint; 2 queries per pair plus any
     (expected zero) retry re-queries. The probe directions of all pairs
-    (i, j > i) are chosen and certified in one array block per i."""
+    (i, j > i) are chosen and certified in one array block per i, and asked
+    in one `query_many` call, [s1, s2] per pair in order; a pair with a
+    degenerate entry is retried after the row. An uncertifiable pair raises
+    RetryExhausted before its row is queried."""
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
@@ -295,7 +308,9 @@ def reconstruct_edges_detail(
         for j, directions in enumerate(row, start=i + 1):
             if directions is None:
                 raise RetryExhausted(_exhausted(V[i], V[j]))
-            probe = _probe_from(o, V[i], V[j], theta, V, tol, directions)
+        answers = o.query_many([s for directions in row for s in directions])
+        for j, directions, d1, d2 in zip(range(i + 1, n), row, answers[::2], answers[1::2]):
+            probe = _probe_from(o, V[i], V[j], theta, V, tol, directions, (d1, d2))
             retries += probe.retries
             if probe.exists:
                 edges.add((i, j))

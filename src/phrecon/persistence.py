@@ -1,16 +1,20 @@
 """Lower-star persistence of height filtrations on plane graphs.
 
-`lower_star_diagrams` runs a union-find sweep over the simplices ordered by
-height: each vertex births a component at its height; an edge arrives at the
-height of its upper endpoint and either merges two components (a dim-0 death,
-killing the younger birth per the elder rule) or closes a cycle (a dim-1
-birth that never dies, since the complex has no 2-simplices). Diagonal pairs
-produced by this trace are retained: a component born at the same height the
-merging edge arrives yields a (h, h) point, and those points are counted by
-the indegree machinery downstream.
+`lower_star_many` computes the diagrams of many directions in one array
+pass. Each vertex births a component at its height; an edge arrives at the
+height of its upper endpoint and either merges two components (a dim-0
+death, killing the younger birth per the elder rule) or closes a cycle (a
+dim-1 birth that never dies, since the complex has no 2-simplices). The
+kernel reads these events off the descent forest, in which each vertex
+points to its lowest lower neighbour: that first arriving edge always kills
+the vertex at its own height, leaving a diagonal (h, h) pair that the
+indegree machinery downstream counts. Only edges between the basins of two
+local minima need an elder-rule union-find, and a triangulation has none.
+`lower_star_diagrams` is the batch of one.
 
 `DiagramOracle` wraps a hidden graph and meters every diagram request; the
-reconstruction modules are written against this interface only.
+reconstruction modules are written against its interface only: `query`,
+`query_many`, `query_count` and `query_log`.
 """
 
 from __future__ import annotations
@@ -20,7 +24,7 @@ import math
 import threading
 from bisect import bisect_left
 from dataclasses import dataclass
-from typing import NamedTuple
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
@@ -45,10 +49,8 @@ class _Sweep(NamedTuple):
     and counts are read."""
 
     ascending: np.ndarray  # vertex heights, ascending, read-only
-    heights: list[float]  # vertex heights by vertex index
-    order: np.ndarray  # vertex indices by ascending height
-    death: list[float]  # per vertex: the height it dies at, or INFINITY
-    cycles: list[float]  # dim-1 births in arrival order, which is ascending
+    death: np.ndarray  # per vertex in ascending order: its death, or INFINITY
+    cycles: np.ndarray  # dim-1 births, ascending
 
 
 @dataclass(frozen=True)
@@ -56,11 +58,10 @@ class Diagram:
     """Directional persistence diagram: dim-0 and dim-1 pairs, canonically
     sorted by (birth, death).
 
-    A diagram built by `lower_star_diagrams` keeps the sweep's arrays and
-    lists instead of pairs, and builds `dim0` and `dim1` the first time
-    either is read (equality, hashing and repr read them too). `births0`,
-    `n_components` and `events_at` answer from the sweep without building a
-    pair.
+    A diagram built by `lower_star_many` keeps the sweep's arrays instead
+    of pairs, and builds `dim0` and `dim1` the first time either is read
+    (equality, hashing and repr read them too). `births0`, `n_components`
+    and `events_at` answer from the sweep without building a pair.
     """
 
     direction: Direction
@@ -82,14 +83,12 @@ class Diagram:
         # `_make` builds a pair without the namedtuple's Python-level __new__.
         # dim0 comes out in (birth, death) order by ascending height; the sort
         # is a linear pass that orders equal births by death, should a tol < 0
-        # let equal heights through. dim1 is in arrival order, which is
-        # ascending birth.
+        # let equal heights through.
         pair = PersistencePair._make
-        hs, death = sweep.heights, sweep.death
-        dim0 = [pair((hs[v], death[v])) for v in sweep.order.tolist()]
+        dim0 = [pair(bd) for bd in zip(sweep.ascending.tolist(), sweep.death.tolist())]
         dim0.sort()
         object.__setattr__(self, "dim0", tuple(dim0))
-        object.__setattr__(self, "dim1", tuple(pair((b, INFINITY)) for b in sweep.cycles))
+        object.__setattr__(self, "dim1", tuple(pair((b, INFINITY)) for b in sweep.cycles.tolist()))
         return self.__dict__[name]
 
     def _raw(self) -> tuple[list[float], list[float]]:
@@ -97,7 +96,7 @@ class Diagram:
         included."""
         sweep = self.__dict__.get("_sweep")
         if sweep is not None:
-            return sweep.death, sweep.cycles
+            return sweep.death.tolist(), sweep.cycles.tolist()
         return [p.death for p in self.dim0], sorted(p.birth for p in self.dim1)
 
     @property
@@ -136,61 +135,115 @@ def _count_near(xs: list[float], h: float, tol: float) -> int:
     return hi - lo
 
 
-def lower_star_diagrams(g: PlaneGraph, s: Direction, tol: float = TOLERANCE) -> Diagram:
-    """Zero- and one-dimensional diagrams of the height filtration along s.
+def lower_star_many(
+    g: PlaneGraph, S: Sequence[Direction], tol: float = TOLERANCE
+) -> list[Diagram | DegenerateDirection]:
+    """Zero- and one-dimensional diagrams of the height filtrations along
+    every direction in S, computed together: one entry per direction, the
+    Diagram or the DegenerateDirection that `lower_star_diagrams` raises.
 
-    s is normalized on entry. Simplices are ordered by (height, dimension,
-    tie-break), so a vertex precedes the edges arriving at its height and
-    same-height edges are processed by ascending (lower-endpoint height,
-    edge index).
+    Each s is normalized on entry. Simplices are ordered by (height,
+    dimension, tie-break), so a vertex precedes the edges arriving at its
+    height and same-height edges are processed by ascending (lower-endpoint
+    height, edge index). A direction is degenerate when two vertex heights
+    coincide within tol; its entry names the first such pair in ascending
+    height order, smaller index first.
+
+    Array kernel over `g.arrays`, one row per direction:
+
+    - Heights are x*dx + y*dy elementwise, which rounds exactly like
+      `geometry.height` (a dot product would not). A stable argsort per row
+      ranks the vertices, and everything below works on ranks.
+    - Descent forest: a vertex's first arriving edge goes to its lowest
+      lower neighbour, whose component is older, so every vertex with a
+      lower neighbour dies at its own height (a diagonal pair). Pointer
+      jumping takes each vertex to the local minimum of its basin, and a
+      non-forest edge within one basin closes a cycle at its top height.
+    - Edges between basins (none on a triangulation) go through a small
+      elder-rule union-find over basin minima in arrival order: the younger
+      minimum dies at the edge's top height, or the edge closes a cycle.
+    - Cycle births are the ascending heights, each repeated by the number
+      of cycles arriving at that rank, so no edge table is sorted.
+    """
+    units = [Direction(*s).normalized() for s in S]
+    k, n = len(units), g.n
+    x, y, edges = g.arrays
+    u = np.array(units, dtype=np.float64).reshape(k, 2)
+    H = u[:, :1] * x + u[:, 1:] * y  # (k, n)
+    order = H.argsort(axis=1, kind="stable")
+
+    # Flat indices: r*n + v for vertex v of row r, and r*n + q for rank q,
+    # so one 1-d array holds a quantity for every row. Tied rows are swept
+    # too, their ties broken by rank, but give no diagram.
+    offsets = (np.arange(k) * n)[:, None]
+    by_rank = (order + offsets).ravel()
+    heights = H.ravel()[by_rank]
+    heights.flags.writeable = False
+    ascending = heights.reshape(k, n)
+    tied = ascending[:, 1:] - ascending[:, :-1] <= tol
+    ranks = np.arange(k * n)
+    rank = np.empty_like(ranks)
+    rank[by_rank] = ranks
+    ra = rank[(edges[:, 0] + offsets).ravel()]
+    rb = rank[(edges[:, 1] + offsets).ravel()]
+    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+
+    lowest = ranks.copy()  # rank of the lowest lower neighbour, else own rank
+    np.minimum.at(lowest, hi, lo)
+    basin = lowest
+    while True:  # pointer jumping down the descent forest
+        below = basin[basin]
+        if (below == basin).all():
+            break
+        basin = below
+    death = np.where(lowest < ranks, heights, INFINITY)
+    within = basin[lo] == basin[hi]
+    arrivals = np.bincount(hi[within & (lowest[hi] != lo)], minlength=k * n)
+
+    if not within.all():
+        # arrival order is (top rank, lower-endpoint rank): ranks are
+        # distinct, so the pair names the edge and no index tie-break is left
+        across = np.flatnonzero(~within)
+        lo, hi = lo[across], hi[across]
+        arrival = sorted(zip(hi.tolist(), lo.tolist(), basin[lo].tolist(), basin[hi].tolist()))
+        up: dict[int, int] = {}
+        for top, _, a, b in arrival:
+            while a in up:
+                a = up[a]
+            while b in up:
+                b = up[b]
+            if a == b:
+                arrivals[top] += 1
+            else:  # elder rule: the lower minimum survives
+                up[max(a, b)] = min(a, b)
+                death[max(a, b)] = heights[top]
+
+    cycles = np.repeat(heights, arrivals)
+    ends = arrivals.reshape(k, n).sum(axis=1).cumsum().tolist()
+    rows = zip(units, tied.any(axis=1).tolist(), ascending, death.reshape(k, n), ends)
+    out: list[Diagram | DegenerateDirection] = []
+    start = 0
+    for r, (unit, degenerate, asc, dead, end) in enumerate(rows):
+        if degenerate:
+            t = int(tied[r].argmax())
+            a, b = int(order[r, t]), int(order[r, t + 1])
+            out.append(DegenerateDirection(min(a, b), max(a, b), unit))
+        else:
+            out.append(Diagram._from_sweep(unit, _Sweep(asc, dead, cycles[start:end])))
+        start = end
+    return out
+
+
+def lower_star_diagrams(g: PlaneGraph, s: Direction, tol: float = TOLERANCE) -> Diagram:
+    """Zero- and one-dimensional diagrams of the height filtration along s:
+    `lower_star_many` on the one direction.
 
     Raises DegenerateDirection when two vertex heights coincide within tol.
-
-    Array kernel over `g.arrays`: heights are computed elementwise as
-    x*dx + y*dy, which rounds exactly like `geometry.height` (a dot product
-    would not), edges are put in arrival order by one stable lexsort, and a
-    single integer union-find runs over the ordered edge list. Vertex events
-    are implicit: by the elder rule a component's root is its lowest vertex,
-    so a root's birth is its own height.
     """
-    u = Direction(*s).normalized()
-    x, y, edges = g.arrays
-    h = x * u.dx + y * u.dy
-    order = h.argsort(kind="stable")
-    ascending = h[order]
-    tied = ascending[1:] - ascending[:-1] <= tol
-    if tied.any():
-        k = int(tied.argmax())
-        a, b = int(order[k]), int(order[k + 1])
-        raise DegenerateDirection(min(a, b), max(a, b), u)
-
-    ha, hb = h[edges[:, 0]], h[edges[:, 1]]
-    arrival = np.lexsort((np.minimum(ha, hb), np.maximum(ha, hb)))
-    flat = iter(edges[arrival].ravel().tolist())
-    # Every pair takes its floats from `hs`, so no float is allocated per edge.
-    hs = h.tolist()
-    parent = list(range(g.n))
-    death = [INFINITY] * g.n
-    cycles: list[float] = []
-    for a, b in zip(flat, flat):
-        top = hs[a] if hs[a] > hs[b] else hs[b]
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        while parent[b] != b:
-            parent[b] = parent[parent[b]]
-            b = parent[b]
-        if a == b:
-            cycles.append(top)
-        elif hs[a] <= hs[b]:  # elder rule: the lower root survives
-            parent[b] = a
-            death[b] = top
-        else:
-            parent[a] = b
-            death[a] = top
-
-    ascending.flags.writeable = False
-    return Diagram._from_sweep(u, _Sweep(ascending, hs, order, death, cycles))
+    (d,) = lower_star_many(g, [s], tol)
+    if isinstance(d, DegenerateDirection):
+        raise d
+    return d
 
 
 class DiagramOracle:
@@ -220,6 +273,15 @@ class DiagramOracle:
         with self._lock:
             self._log.append(u)
         return self._compute(u)
+
+    def query_many(self, S: Sequence[Direction]) -> list[Diagram | DegenerateDirection]:
+        """One entry per direction, as `query` would give it: the Diagram, or
+        the DegenerateDirection `query` would raise. Every direction is
+        logged and counted, exactly as by one `query` call each."""
+        units = [Direction(*s).normalized() for s in S]
+        with self._lock:
+            self._log.extend(units)
+        return lower_star_many(self._graph, units, self._tol)
 
     def _compute(self, u: Direction) -> Diagram:
         return lower_star_diagrams(self._graph, u, self._tol)

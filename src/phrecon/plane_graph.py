@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import combinations
+from itertools import chain, combinations
 
 import numpy as np
 
@@ -27,6 +27,9 @@ Edge = tuple[int, int]
 GENERATOR_MARGIN = 1e-3
 
 _MAX_ATTEMPTS = 10_000
+
+#: Triangle areas the general-position check evaluates per array block.
+_TRIPLE_CELLS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -65,8 +68,8 @@ class PlaneGraph:
         x and y coordinate columns and the (m, 2) integer array of
         `sorted_edges()`. Not a dataclass field, so equality, hashing and
         JSON see only `vertices` and `edges`."""
-        x = np.array([v.x for v in self.vertices], dtype=np.float64)
-        y = np.array([v.y for v in self.vertices], dtype=np.float64)
+        xy = np.fromiter(chain.from_iterable(self.vertices), np.float64, 2 * self.n)
+        x, y = xy[0::2].copy(), xy[1::2].copy()
         e = np.array(self.sorted_edges(), dtype=np.intp).reshape(-1, 2)
         for a in (x, y, e):
             a.flags.writeable = False
@@ -145,16 +148,31 @@ def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
 
 
 def _general_position_ok(pts: np.ndarray, margin: float) -> bool:
+    """Coordinate gaps and every triple's doubled area are at least margin.
+
+    The triples (i, j, k), i < j < k, are evaluated as arrays, a block of i
+    at a time so that a block holds at most about _TRIPLE_CELLS areas (one
+    row of O(n^2) once n^2 exceeds it). Each area is
+    (pj0 - pi0) * (pk1 - pi1) - (pj1 - pi1) * (pk0 - pi0), operand for
+    operand, so every decision is that of the triple loop.
+    """
     for axis in (0, 1):
         coords = np.sort(pts[:, axis])
         if len(coords) > 1 and np.min(np.diff(coords)) < margin:
             return False
     n = len(pts)
-    for i, j, k in combinations(range(n), 3):
-        area2 = (pts[j, 0] - pts[i, 0]) * (pts[k, 1] - pts[i, 1]) - (
-            pts[j, 1] - pts[i, 1]
-        ) * (pts[k, 0] - pts[i, 0])
-        if abs(area2) < margin:
+    if n < 3:
+        return True
+    x, y = pts[:, 0], pts[:, 1]
+    rows = max(1, _TRIPLE_CELLS // (n * n))
+    for start in range(0, n - 2, rows):
+        i = np.arange(start, min(start + rows, n - 2))
+        dx = x[start + 1 :] - x[i, None]  # (block, j): pj0 - pi0 for j > start
+        dy = y[start + 1 :] - y[i, None]
+        area2 = dx[:, :, None] * dy[:, None, :] - dy[:, :, None] * dx[:, None, :]
+        j = np.arange(start + 1, n)
+        triple = (j[None, :, None] > i[:, None, None]) & (j[None, None, :] > j[None, :, None])
+        if (triple & (np.abs(area2) < margin)).any():
             return False
     return True
 

@@ -6,6 +6,7 @@ import pytest
 
 from phrecon import (
     BowTie,
+    DegenerateDirection,
     DegeneratePoints,
     DiagramOracle,
     Direction,
@@ -150,6 +151,10 @@ class RecordingOracle:
         self.asked.append(s)
         return self._inner.query(s)
 
+    def query_many(self, S):
+        self.asked.extend(S)
+        return self._inner.query_many(S)
+
 
 def test_edge_phase_directions_are_certified_per_pair():
     for n, seed, margin in ((2, 1, 1e-3), (7, 2, 1e-3), (12, 3, 1e-3), (30, 4, 1e-6)):
@@ -188,6 +193,52 @@ def test_edge_phase_shrinks_on_height_tie(monkeypatch):
     assert o.asked[0].dx == pytest.approx(want1.dx, abs=1e-12)
     assert o.asked[0].dy == pytest.approx(want1.dy, abs=1e-12)
     assert detail.edges == {(0, 1), (1, 2)}
+
+
+class OneDegenerateOracle(RecordingOracle):
+    """Reports the first direction of the batch's second pair as degenerate,
+    once, as if its heights had tied."""
+
+    def __init__(self, graph):
+        super().__init__(graph)
+        self.patched = None
+
+    def query_many(self, S):
+        out = super().query_many(S)
+        if self.patched is None and len(S) >= 4:
+            self.patched = S[2]
+            out[2] = DegenerateDirection(0, 1, Direction(*S[2]).normalized())
+        return out
+
+
+def test_degenerate_batch_entry_is_decided_by_the_retry_loop():
+    g = random_plane_graph(8, 0.7, 3)
+    V = list(g.vertices)
+    o = OneDegenerateOracle(g)
+    detail = reconstruct_edges_detail(o, V)
+    assert (0, 2) in g.edges and detail.edges == g.edges
+    # the batch billed both directions of the failed attempt
+    assert detail.retries == 2 and detail.queries == 8 * 7 + 2 == o.query_count
+    # pair (0, 2) is retried once its row is answered, with a narrower bow
+    # tie; every other query is as without the fault
+    clean = RecordingOracle(g)
+    reconstruct_edges_detail(clean, V)
+    row = 2 * 7
+    retry = list(pair_directions(V[0], V[2], 0.9 * global_bowtie_width(V), V))
+    assert o.patched == clean.asked[2]
+    assert o.asked == clean.asked[:row] + retry + clean.asked[row:]
+
+
+def test_uncertifiable_pair_raises_before_its_row_is_queried(monkeypatch):
+    # with the bow-tie width pinned, (0, 1) certifies but (0, 2) cannot:
+    # V[3] lies on the line through V[0] and V[2]
+    V = [Point2(0.0, 0.0), Point2(1.0, 0.3), Point2(1.0, 1.0), Point2(2.0, 2.0)]
+    monkeypatch.setattr(edge_recon, "global_bowtie_width", lambda V, tol: math.pi / 16.0)
+    pair_directions(V[0], V[1], math.pi / 16.0, V)
+    o = DiagramOracle(PlaneGraph(V, [(0, 1)]))
+    with pytest.raises(RetryExhausted):
+        reconstruct_edges_detail(o, V)
+    assert o.query_count == 0
 
 
 def test_collinear_vertices_raise_retry_exhausted():

@@ -1,4 +1,5 @@
 import math
+import sys
 import threading
 
 import numpy as np
@@ -21,6 +22,7 @@ from phrecon import (
     reconstruct_vertices,
 )
 from phrecon.edge_recon import global_bowtie_width, probe_edge
+from phrecon.persistence import lower_star_many
 
 from conftest import match_to_hidden, tie_free_direction
 from sweep_reference import reference_lower_star_diagrams
@@ -152,8 +154,134 @@ def test_oracle_count_and_log_stay_consistent_under_threads():
     assert o.query_count == len(o.query_log) == 40
 
 
+def _entry(f, g, s, tol=1e-9):
+    try:
+        return f(g, s, tol)
+    except DegenerateDirection as err:
+        return err
+
+
+def _same_entry(got, want):
+    """Exactly equal entries: diagrams equal as pairs and in their raw
+    death and cycle lists; degenerate entries name the same pair and
+    direction."""
+    if isinstance(want, DegenerateDirection):
+        return isinstance(got, DegenerateDirection) and vars(got) == vars(want)
+    return got == want and got.direction == want.direction and got._raw() == want._raw()
+
+
+def _tied_direction(g, a, b):
+    # perpendicular to V[b] - V[a]: the two heights (nearly) coincide
+    va, vb = g.vertices[a], g.vertices[b]
+    return Direction(va.y - vb.y, vb.x - va.x)
+
+
+def test_lower_star_many_equals_single_calls_and_reference():
+    rng = np.random.default_rng(41)
+    for n in range(41):
+        for density in (0.0, 0.2, 0.5, 1.0):
+            if n == 0:
+                g = PlaneGraph([], [])
+            else:
+                g = random_plane_graph(n, density, 100 * n + int(10 * density), margin=1e-6)
+            S = [tie_free_direction(g, rng) for _ in range(3)]
+            if n >= 3:
+                S[1:1] = [_tied_direction(g, 0, n - 1), _tied_direction(g, 1, 2)]
+            S += [S[0], Direction(3.0 * S[-1].dx, 3.0 * S[-1].dy)]  # repeats, one rescaled
+            batch = lower_star_many(g, S)
+            assert len(batch) == len(S)
+            for s, got in zip(S, batch):
+                case = (n, density, s)
+                assert _same_entry(got, _entry(lower_star_diagrams, g, s)), case
+                assert _same_entry(got, _entry(reference_lower_star_diagrams, g, s)), case
+            if n >= 3:
+                assert isinstance(batch[1], DegenerateDirection)
+
+
+def test_lower_star_many_empty_batch():
+    g = random_plane_graph(5, 1.0, 2)
+    assert lower_star_many(g, []) == []
+    assert lower_star_many(PlaneGraph([], []), []) == []
+    (d,) = lower_star_many(PlaneGraph([], []), [Direction(1.0, 0.0)])
+    assert d.dim0 == () and d.dim1 == () and d.births0().shape == (0,)
+
+
+def test_lower_star_many_across_basins():
+    # Heights along (0, 1) are the y values. A, B and C are local minima.
+    # p joins B's basin and meets C's at 0.3 (C dies); T joins A's basin
+    # first, then meets B's (B dies at 1.0), C's and p's (both already
+    # merged into A's: cycles) and q's (inside A's basin: a cycle). The
+    # three edges into T from other basins share their top height, so the
+    # lower-endpoint order decides which merges and which closes a cycle.
+    A, B, C, p, q, T = range(6)
+    g = PlaneGraph(
+        [(0.0, 0.0), (1.1, 0.1), (2.0, 0.2), (1.5, 0.3), (0.5, 0.5), (0.9, 1.0)],
+        [(A, T), (C, T), (B, T), (p, T), (q, T), (B, p), (C, p), (A, q)],
+    )
+    d = lower_star_diagrams(g, Direction(0.0, 1.0))
+    assert pairs(d.dim0) == [(0.0, INF), (0.1, 1.0), (0.2, 0.3), (0.3, 0.3), (0.5, 0.5), (1.0, 1.0)]
+    assert pairs(d.dim1) == [(1.0, INF)] * 3
+    # several multi-basin rows in one batch, tied rows between them
+    rng = np.random.default_rng(3)
+    S = [Direction(0.0, 1.0), _tied_direction(g, A, C)]
+    S += [Direction(math.sin(a), math.cos(a)) for a in rng.uniform(-0.4, 0.4, size=6)]
+    S += [Direction(0.0, 1.0), _tied_direction(g, B, q), Direction(1.0, 0.0)]
+    for s, got in zip(S, lower_star_many(g, S)):
+        assert _same_entry(got, _entry(lower_star_diagrams, g, s))
+        assert _same_entry(got, _entry(reference_lower_star_diagrams, g, s))
+
+
+def test_query_many_matches_successive_queries():
+    g = random_plane_graph(9, 0.8, 6)
+    S = [
+        Direction(2.0, 0.0),
+        _tied_direction(g, 2, 5),
+        Direction(0.3, -0.7),
+        Direction(2.0, 0.0),
+        Direction(-0.3, 0.7),
+    ]
+    batched, single = DiagramOracle(g), DiagramOracle(g)
+    got = batched.query_many(S)
+    want = [_entry(lambda g, s, tol: single.query(s), g, s) for s in S]
+    assert batched.query_count == single.query_count == len(S)
+    assert batched.query_log == single.query_log
+    assert all(_same_entry(a, b) for a, b in zip(got, want))
+    err = got[1]
+    assert isinstance(err, DegenerateDirection) and {err.i, err.j} == {2, 5}
+    assert batched.query_many([]) == [] and batched.query_count == len(S)
+
+
+def test_oracle_count_and_log_stay_consistent_under_threads_with_query_many():
+    g = random_plane_graph(6, 0.5, 2)
+    o = DiagramOracle(g)
+    batches = [[Direction(1.0, 0.1 * t + 0.01 * k) for k in range(7)] for t in range(8)]
+
+    def worker(batch):
+        for _ in range(5):
+            o.query_many(batch)
+            o.query(batch[0])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=worker, args=(b,)) for b in batches]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads)
+    assert o.query_count == len(o.query_log) == 8 * 5 * 8
+    # each batch sits in the log as one run
+    log = o.query_log
+    units = [[Direction(*s).normalized() for s in b] for b in batches]
+    starts = [k for k in range(len(log)) if any(log[k : k + 7] == tuple(u) for u in units)]
+    assert len(starts) == 8 * 5
+
+
 def test_reconstruction_uses_only_the_oracle_interface():
-    # a wrapper exposing nothing but query/query_count/query_log is enough
+    # a wrapper exposing nothing but query/query_many/query_count/query_log is enough
     # for the whole reconstruction path
     from phrecon import reconstruct_edges_detail, reconstruct_vertices
 
@@ -171,6 +299,9 @@ def test_reconstruction_uses_only_the_oracle_interface():
 
         def query(self, s):
             return self._inner.query(s)
+
+        def query_many(self, S):
+            return self._inner.query_many(S)
 
     g = random_plane_graph(6, 0.8, 14)
     o = InterfaceOnly(DiagramOracle(g))

@@ -1,3 +1,5 @@
+from itertools import combinations
+
 import numpy as np
 import pytest
 
@@ -12,6 +14,8 @@ from phrecon import (
     random_plane_graph,
     validate,
 )
+
+from phrecon.plane_graph import _general_position_ok
 
 from conftest import components_by_bfs
 
@@ -89,6 +93,43 @@ def test_generator_failure_on_impossible_margin():
     # 50 points cannot keep pairwise x-gaps of 0.1 inside the unit square
     with pytest.raises(GenerationFailed):
         random_plane_graph(50, 0.5, 1, margin=0.1)
+
+
+def _general_position_loop(pts: np.ndarray, margin: float) -> bool:
+    """The generator's check as a loop over every triple: the reference the
+    array form must agree with decision for decision. Python floats round
+    like numpy's float64 scalars, and are faster to loop over."""
+    for axis in (0, 1):
+        coords = np.sort(pts[:, axis])
+        if len(coords) > 1 and np.min(np.diff(coords)) < margin:
+            return False
+    p = pts.tolist()
+    for i, j, k in combinations(range(len(p)), 3):
+        area2 = (p[j][0] - p[i][0]) * (p[k][1] - p[i][1]) - (p[j][1] - p[i][1]) * (p[k][0] - p[i][0])
+        if abs(area2) < margin:
+            return False
+    return True
+
+
+def test_general_position_check_matches_the_triple_loop():
+    rng = np.random.default_rng(8)
+    decisions = []
+    for t in range(400):
+        n = int(rng.integers(40, 121)) if t % 20 == 0 else int(rng.integers(0, 40))
+        margin = float(rng.choice([0.0, 1e-7, 1e-6, 1e-5, 1e-4, 1e-3]))
+        pts = rng.random((n, 2))
+        if n >= 3 and t % 2:
+            # move one point to about `margin` of doubled area off the line
+            # through two others, so the decision is close
+            a, b = pts[rng.choice(n, size=2, replace=False)]
+            d = b - a
+            area = margin * rng.uniform(0.5, 1.5)
+            normal = np.array([-d[1], d[0]]) / (d @ d)
+            pts[rng.integers(n)] = a + rng.uniform(-0.5, 1.5) * d + normal * area
+        want = _general_position_loop(pts, margin)
+        assert _general_position_ok(pts, margin) == want, (t, n, margin)
+        decisions.append(want)
+    assert 0 < sum(decisions) < len(decisions)
 
 
 def test_indegree_star_with_ties():
