@@ -15,8 +15,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import combinations
-from typing import NamedTuple, Sequence
+from itertools import chain, combinations
+from typing import Iterator, NamedTuple, Sequence
 
 import numpy as np
 
@@ -34,13 +34,17 @@ from .geometry import (
     height,
     line_angle_mod_pi,
 )
-from .persistence import Diagram, DiagramOracle, lower_star_diagrams
+from .persistence import Diagram, DiagramOracle, events_at_many, lower_star_diagrams
 from .plane_graph import PlaneGraph, _UnionFind
 
 Edge = tuple[int, int]
 
 _MAX_SHRINKS = 64
 _SHRINK_FACTOR = 0.9
+
+#: Directions times 4n (a bound on the simplices per direction) that one
+#: edge-phase batch may hold; the oracle kernel's arrays grow with it.
+_BATCH_CELLS = 1 << 15
 
 #: Largest vertex count the compatible-graph enumerator accepts; the row
 #: table is exponential in the worst case.
@@ -120,16 +124,18 @@ def pair_directions(
     distinct heights on V; any float-level violation shrinks theta by 0.9
     and retries (at most 64 times — impossible in exact arithmetic).
     This is the one-pair call of the certifier the edge phase runs on a
-    whole row of pairs at once.
+    whole batch of pairs at once.
     """
     if v == v2:
         raise CoincidentPoints(f"cannot probe a vertex against itself: {v}")
     X, Y = np.array(V, dtype=np.float64).reshape(-1, 2).T
     col = [k for k, u in enumerate(V) if u == v2][:1]  # no column: no bow tie can hold v2
-    chosen = _certified_directions(v, X, Y, np.array(col, dtype=np.intp), theta, tol)
-    if not chosen or chosen[0] is None:
+    vx, vy = np.full(len(col), float(v[0])), np.full(len(col), float(v[1]))
+    S = _certified_directions(vx, vy, X, Y, np.array(col, dtype=np.intp), theta, tol)
+    if not len(S) or np.isnan(S[0, 0, 0]):
         raise RetryExhausted(_exhausted(v, v2))
-    return chosen[0]
+    (x1, y1), (x2, y2) = S[0].tolist()
+    return Direction(x1, y1), Direction(x2, y2)
 
 
 def _exhausted(v: Point2, v2: Point2) -> str:
@@ -137,38 +143,35 @@ def _exhausted(v: Point2, v2: Point2) -> str:
 
 
 def _certified_directions(
-    v: Point2,
+    vx: np.ndarray,
+    vy: np.ndarray,
     X: np.ndarray,
     Y: np.ndarray,
     cols: np.ndarray,
     theta: float,
     tol: float,
-) -> list[tuple[Direction, Direction] | None]:
-    """Probe directions at v towards each vertex (X[c], Y[c]), c in cols,
-    or None where 64 shrinks of theta found none.
+) -> np.ndarray:
+    """Probe directions at (vx[r], vy[r]) towards each vertex (X[c], Y[c]),
+    c = cols[r], as a (len(cols), 2, 2) array of [s1, s2] per row, NaN
+    where 64 shrinks of theta found none.
 
-    Every row is certified as one pair would be: the bow tie at v holds
-    exactly vertex c, and the heights of all vertices are more than tol
-    apart along both directions. Rows that fail shrink theta by 0.9
+    Every row is certified as one pair would be: the bow tie at its source
+    holds exactly vertex c, and the heights of all vertices are more than
+    tol apart along both directions. Rows that fail shrink theta by 0.9
     together, so each attempt has one angle and its sine and cosine come
     from `math`, as in `rotate`. The base perpendicular is normalized with
     `math.hypot` as `Direction.normalized` does (`np.hypot` rounds
     differently), and heights are x*dx + y*dy elementwise as in `height`,
     so each row gives the directions, and decisions, of the one-pair call.
     """
-    vx, vy = v
-    ux, uy = [], []
-    for x, y in zip(X[cols].tolist(), Y[cols].tolist()):
-        # rotate(Direction(x - vx, y - vy).normalized().perp(), .) normalizes twice
-        dx, dy = x - vx, y - vy
-        norm = math.hypot(dx, dy)
-        px, py = -(dy / norm), dx / norm
-        norm = math.hypot(px, py)
-        ux.append(px / norm)
-        uy.append(py / norm)
-    ux, uy = np.array(ux), np.array(uy)
+    # rotate(Direction(x - vx, y - vy).normalized().perp(), .) normalizes twice
+    dx, dy = X[cols] - vx, Y[cols] - vy
+    norm = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=np.float64)
+    px, py = -(dy / norm), dx / norm
+    norm = np.array(list(map(math.hypot, px.tolist(), py.tolist())), dtype=np.float64)
+    ux, uy = px / norm, py / norm
 
-    chosen: list[tuple[Direction, Direction] | None] = [None] * len(cols)
+    chosen = np.full((len(cols), 2, 2), np.nan)
     pending = np.arange(len(cols))
     current = theta
     for _ in range(_MAX_SHRINKS + 1):
@@ -178,20 +181,12 @@ def _certified_directions(
         sx = a * cos - b * sin  # (2, k): row 0 is s1, row 1 is s2
         sy = a * sin + b * cos
         H = X * sx[..., None] + Y * sy[..., None]  # (2, k, n) vertex heights
-        below = H <= (vx * sx + vy * sy)[..., None]
+        below = H <= (vx[pending] * sx + vy[pending] * sy)[..., None]
         inside = below[0] != below[1]
         ok = (inside.sum(axis=1) == 1) & inside[np.arange(len(pending)), cols[pending]]
         H.sort(axis=2)
         ok &= ~(H[..., 1:] - H[..., :-1] <= tol).any(axis=(0, 2))
-        good = np.flatnonzero(ok)
-        for r, x1, y1, x2, y2 in zip(
-            pending[good].tolist(),
-            sx[0, good].tolist(),
-            sy[0, good].tolist(),
-            sx[1, good].tolist(),
-            sy[1, good].tolist(),
-        ):
-            chosen[r] = (Direction(x1, y1), Direction(x2, y2))
+        chosen[pending[ok]] = np.stack([sx[:, ok], sy[:, ok]], axis=-1).transpose(1, 0, 2)
         pending = pending[~ok]
         if not len(pending):
             break
@@ -290,11 +285,15 @@ def reconstruct_edges_detail(
 ) -> EdgeReconResult:
     """Decide every unordered pair, lexicographic by index, from the
     lexicographically smaller endpoint; 2 queries per pair plus any
-    (expected zero) retry re-queries. The probe directions of all pairs
-    (i, j > i) are chosen and certified in one array block per i, and asked
-    in one `query_many` call, [s1, s2] per pair in order; a pair with a
-    degenerate entry is retried after the row. An uncertifiable pair raises
-    RetryExhausted before its row is queried."""
+    (expected zero) retry re-queries.
+
+    The pairs are taken in batches of whole rows (i, j > i), see
+    `_row_batches`. A batch's probe directions are certified in one array
+    block and asked in one `query_many` call, [s1, s2] per pair in order;
+    one `events_at_many` read gives both indegrees of every pair, and a pair
+    exists iff they differ by exactly one. A pair with a degenerate entry is
+    retried after its batch, in order. An uncertifiable pair raises
+    RetryExhausted before its batch is queried."""
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
@@ -303,18 +302,49 @@ def reconstruct_edges_detail(
     start = o.query_count
     edges: set[Edge] = set()
     retries = 0
-    for i in range(n - 1):
-        row = _certified_directions(V[i], X, Y, np.arange(i + 1, n), theta, tol)
-        for j, directions in enumerate(row, start=i + 1):
-            if directions is None:
-                raise RetryExhausted(_exhausted(V[i], V[j]))
-        answers = o.query_many([s for directions in row for s in directions])
-        for j, directions, d1, d2 in zip(range(i + 1, n), row, answers[::2], answers[1::2]):
-            probe = _probe_from(o, V[i], V[j], theta, V, tol, directions, (d1, d2))
+    for rows in _row_batches(n):
+        src = np.repeat(rows, n - 1 - rows)
+        cols = np.concatenate([np.arange(i + 1, n) for i in rows.tolist()])
+        vx, vy = X[src], Y[src]
+        S = _certified_directions(vx, vy, X, Y, cols, theta, tol)
+        failed = np.isnan(S[:, 0, 0])
+        if failed.any():
+            r = int(failed.argmax())
+            raise RetryExhausted(_exhausted(V[src[r]], V[cols[r]]))
+        asked = list(map(Direction._make, S.reshape(-1, 2).tolist()))
+        answers = o.query_many(asked)
+        # each entry's own direction, as `height(v, d.direction)` reads it
+        U = [a.direction for a in answers]
+        U = np.fromiter(chain.from_iterable(U), np.float64, 2 * len(U))
+        heights = vx.repeat(2) * U[0::2] + vy.repeat(2) * U[1::2]
+        counts, degenerate = events_at_many(answers, heights, tol)
+        clean = ~(degenerate[0::2] | degenerate[1::2])
+        exists = clean & (np.abs(counts[0::2] - counts[1::2]) == 1)
+        edges.update(zip(src[exists].tolist(), cols[exists].tolist()))
+        for r in np.flatnonzero(~clean).tolist():
+            i, j, pair = int(src[r]), int(cols[r]), slice(2 * r, 2 * r + 2)
+            directions, first = tuple(asked[pair]), tuple(answers[pair])
+            probe = _probe_from(o, V[i], V[j], theta, V, tol, directions, first)
             retries += probe.retries
             if probe.exists:
                 edges.add((i, j))
     return EdgeReconResult(frozenset(edges), o.query_count - start, retries)
+
+
+def _row_batches(n: int) -> Iterator[np.ndarray]:
+    """The sources i of consecutive whole rows (i, j > i), one array per
+    batch. A row adds 2(n - 1 - i) directions, and rows join a batch while
+    its k directions keep k * 4n within _BATCH_CELLS (4n bounds the n + m
+    simplices of a direction, since a plane graph has m <= 3n - 6); a row
+    larger than that is a batch of its own."""
+    start = 0
+    while start < n - 1:
+        stop, k = start + 1, 2 * (n - 1 - start)
+        while stop < n - 1 and (k + 2 * (n - 1 - stop)) * 4 * n <= _BATCH_CELLS:
+            k += 2 * (n - 1 - stop)
+            stop += 1
+        yield np.arange(start, stop)
+        start = stop
 
 
 def enumerate_compatible_graphs(

@@ -10,7 +10,9 @@ points to its lowest lower neighbour: that first arriving edge always kills
 the vertex at its own height, leaving a diagonal (h, h) pair that the
 indegree machinery downstream counts. Only edges between the basins of two
 local minima need an elder-rule union-find, and a triangulation has none.
-`lower_star_diagrams` is the batch of one.
+`lower_star_diagrams` is the batch of one. `events_at_many` reads the
+indegree events of a whole batch of diagrams in one array pass, and
+`Diagram.events_at` is its batch of one.
 
 `DiagramOracle` wraps a hidden graph and meters every diagram request; the
 reconstruction modules are written against its interface only: `query`,
@@ -22,7 +24,6 @@ from __future__ import annotations
 import json
 import math
 import threading
-from bisect import bisect_left
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -91,17 +92,18 @@ class Diagram:
         object.__setattr__(self, "dim1", tuple(pair((b, INFINITY)) for b in sweep.cycles.tolist()))
         return self.__dict__[name]
 
-    def _raw(self) -> tuple[list[float], list[float]]:
-        """(dim-0 deaths, ascending dim-1 births) as floats, infinite deaths
+    def _raw(self) -> tuple[np.ndarray, np.ndarray]:
+        """(dim-0 deaths, dim-1 births) as float64 arrays, infinite deaths
         included."""
         sweep = self.__dict__.get("_sweep")
         if sweep is not None:
-            return sweep.death.tolist(), sweep.cycles.tolist()
-        return [p.death for p in self.dim0], sorted(p.birth for p in self.dim1)
+            return sweep.death, sweep.cycles
+        deaths = np.array([p.death for p in self.dim0], dtype=np.float64)
+        return deaths, np.array([p.birth for p in self.dim1], dtype=np.float64)
 
     @property
     def n_components(self) -> int:
-        return sum(map(math.isinf, self._raw()[0]))
+        return int(np.isinf(self._raw()[0]).sum())
 
     def births0(self) -> np.ndarray:
         """The dim-0 births, ascending, as a read-only float64 array."""
@@ -114,25 +116,37 @@ class Diagram:
 
     def events_at(self, h: float, tol: float = TOLERANCE) -> int:
         """Finite dim-0 deaths plus dim-1 births within tol of height h
-        (diagonal pairs included): the indegree of a vertex at height h."""
-        deaths, cycles = self._raw()
-        return _count_near(sorted(deaths), h, tol) + _count_near(cycles, h, tol)
+        (diagonal pairs included): the indegree of a vertex at height h.
+        `events_at_many` on this one diagram."""
+        counts, _ = events_at_many([self], [h], tol)
+        return int(counts[0])
 
 
-def _count_near(xs: list[float], h: float, tol: float) -> int:
-    """How many finite x in the ascending list xs have abs(x - h) <= tol.
+_NO_EVENTS = (np.empty(0), np.empty(0))  # what a degenerate entry adds to a read
 
-    Rounding is monotone, so the x that pass form one run of xs around the
-    place h would be inserted; the scan walks out from there both ways.
+
+def events_at_many(
+    entries: Sequence[Diagram | DegenerateDirection], heights, tol: float = TOLERANCE
+) -> tuple[np.ndarray, np.ndarray]:
+    """`events_at(heights[e], tol)` of every entry e, read in one array pass.
+
+    Entries are Diagrams, swept or built from pairs, or the
+    DegenerateDirections that stand for them in a `lower_star_many` batch.
+    Returns (counts, degenerate): counts[e] is the number of finite dim-0
+    deaths and dim-1 births x of entry e with abs(x - heights[e]) <= tol,
+    and 0 where degenerate[e] flags an entry that is no Diagram. All events
+    are concatenated, each tagged with its entry, so a single elementwise
+    test and one bincount give every count; no list is sorted or scanned.
     """
-    k = bisect_left(xs, h)
-    hi = k
-    while hi < len(xs) and abs(xs[hi] - h) <= tol and not math.isinf(xs[hi]):
-        hi += 1
-    lo = k
-    while lo > 0 and abs(xs[lo - 1] - h) <= tol and not math.isinf(xs[lo - 1]):
-        lo -= 1
-    return hi - lo
+    k = len(entries)
+    degenerate = np.fromiter((not isinstance(d, Diagram) for d in entries), bool, k)
+    events = [a for d in entries for a in (d._raw() if isinstance(d, Diagram) else _NO_EVENTS)]
+    sizes = np.fromiter(map(len, events), np.intp, 2 * k).reshape(k, 2).sum(axis=1)
+    values = np.concatenate(events or [np.empty(0)])
+    gap = values - np.repeat(np.asarray(heights, dtype=np.float64), sizes)
+    near = np.abs(gap, out=gap) <= tol
+    near &= ~np.isinf(values)
+    return np.bincount(np.repeat(np.arange(k), sizes)[near], minlength=k), degenerate
 
 
 def lower_star_many(

@@ -13,6 +13,7 @@ import json
 from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, combinations
+from typing import Iterator
 
 import numpy as np
 
@@ -130,9 +131,12 @@ def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
             issues.append(f"shared x-coordinate: vertices ({i}, {j})")
         if abs(g.vertices[i].y - g.vertices[j].y) <= tol:
             issues.append(f"shared y-coordinate: vertices ({i}, {j})")
-    for i, j, k in combinations(range(n), 3):
-        if abs(_cross(g.vertices[i], g.vertices[j], g.vertices[k])) <= tol:
-            issues.append(f"collinear vertices ({i}, {j}, {k})")
+    xy = np.fromiter(chain.from_iterable(g.vertices), np.float64, 2 * n)
+    x, y = xy[0::2], xy[1::2]
+    # non-finite coordinates give NaN or inf areas, silently as Python floats do
+    with np.errstate(invalid="ignore", over="ignore"):
+        for block in _triples_where(x, y, lambda area2: np.abs(area2) <= tol):
+            issues.extend(f"collinear vertices ({i}, {j}, {k})" for i, j, k in block.tolist())
     for i, j in g.sorted_edges():
         if not (0 <= i < n and 0 <= j < n):
             issues.append(f"edge ({i}, {j}) out of range")
@@ -147,34 +151,43 @@ def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
     return issues
 
 
+def _triples_where(x: np.ndarray, y: np.ndarray, hit) -> Iterator[np.ndarray]:
+    """The triples (i, j, k), i < j < k, of points (x, y) whose doubled
+    area passes `hit`, in lexicographic order: a (count, 3) array for each
+    block of first vertices i that has any.
+
+    A block holds at most about _TRIPLE_CELLS areas (one row of O(n^2) once
+    n^2 exceeds it). Each area is
+    (xj - xi) * (yk - yi) - (yj - yi) * (xk - xi), operand for operand the
+    `_cross(V[i], V[j], V[k])` of a loop over triples, so every decision is
+    that of the loop.
+    """
+    n = len(x)
+    if n < 3:
+        return
+    rows = max(1, _TRIPLE_CELLS // (n * n))
+    index = np.arange(n)
+    later = index[:, None] < index  # later[a, b]: b > a
+    for start in range(0, n - 2, rows):
+        stop = min(start + rows, n - 2)
+        dx = x[start + 1 :] - x[start:stop, None]  # (block, j): xj - xi for j > start
+        dy = y[start + 1 :] - y[start:stop, None]
+        area2 = dx[:, :, None] * dy[:, None, :] - dy[:, :, None] * dx[:, None, :]
+        triple = later[start:stop, start + 1 :, None] & later[None, start + 1 :, start + 1 :]
+        found = triple & hit(area2)
+        if found.any():
+            yield np.argwhere(found) + (start, start + 1, start + 1)
+
+
 def _general_position_ok(pts: np.ndarray, margin: float) -> bool:
     """Coordinate gaps and every triple's doubled area are at least margin.
-
-    The triples (i, j, k), i < j < k, are evaluated as arrays, a block of i
-    at a time so that a block holds at most about _TRIPLE_CELLS areas (one
-    row of O(n^2) once n^2 exceeds it). Each area is
-    (pj0 - pi0) * (pk1 - pi1) - (pj1 - pi1) * (pk0 - pi0), operand for
-    operand, so every decision is that of the triple loop.
-    """
+    The triples are checked as arrays by `_triples_where`."""
     for axis in (0, 1):
         coords = np.sort(pts[:, axis])
         if len(coords) > 1 and np.min(np.diff(coords)) < margin:
             return False
-    n = len(pts)
-    if n < 3:
-        return True
-    x, y = pts[:, 0], pts[:, 1]
-    rows = max(1, _TRIPLE_CELLS // (n * n))
-    for start in range(0, n - 2, rows):
-        i = np.arange(start, min(start + rows, n - 2))
-        dx = x[start + 1 :] - x[i, None]  # (block, j): pj0 - pi0 for j > start
-        dy = y[start + 1 :] - y[i, None]
-        area2 = dx[:, :, None] * dy[:, None, :] - dy[:, :, None] * dx[:, None, :]
-        j = np.arange(start + 1, n)
-        triple = (j[None, :, None] > i[:, None, None]) & (j[None, None, :] > j[None, :, None])
-        if (triple & (np.abs(area2) < margin)).any():
-            return False
-    return True
+    close = _triples_where(pts[:, 0], pts[:, 1], lambda area2: np.abs(area2) < margin)
+    return next(close, None) is None
 
 
 def _delaunay_edges(pts: np.ndarray) -> list[Edge]:

@@ -1,6 +1,7 @@
 """Acceptance suite: one pass/fail line per criterion (run with -s to see
 them as they complete)."""
 
+import gc
 import math
 import time
 from dataclasses import dataclass
@@ -212,6 +213,7 @@ def _time_vertex_phase(n: int, repeats: int) -> float:
     best = math.inf
     for _ in range(repeats):
         o = DiagramOracle(g)
+        gc.collect()
         t0 = time.perf_counter()
         vs = reconstruct_vertices(o)
         best = min(best, time.perf_counter() - t0)
@@ -222,7 +224,7 @@ def _time_vertex_phase(n: int, repeats: int) -> float:
 def test_criterion_8_vertex_phase_scaling():
     t3 = _time_vertex_phase(1_000, repeats=3)
     t4 = _time_vertex_phase(10_000, repeats=3)
-    t5 = _time_vertex_phase(100_000, repeats=1)
+    t5 = _time_vertex_phase(100_000, repeats=3)
     ok = (
         t5 < SCALE_BUDGET_SECONDS
         and t4 / t3 < SCALE_RATIO_LIMIT

@@ -142,6 +142,7 @@ class RecordingOracle:
     def __init__(self, graph):
         self._inner = DiagramOracle(graph)
         self.asked = []
+        self.calls = []  # the length of every query_many batch
 
     @property
     def query_count(self):
@@ -153,6 +154,7 @@ class RecordingOracle:
 
     def query_many(self, S):
         self.asked.extend(S)
+        self.calls.append(len(S))
         return self._inner.query_many(S)
 
 
@@ -212,21 +214,48 @@ class OneDegenerateOracle(RecordingOracle):
 
 
 def test_degenerate_batch_entry_is_decided_by_the_retry_loop():
-    g = random_plane_graph(8, 0.7, 3)
+    g = random_plane_graph(30, 0.7, 14, margin=1e-6)
     V = list(g.vertices)
     o = OneDegenerateOracle(g)
     detail = reconstruct_edges_detail(o, V)
     assert (0, 2) in g.edges and detail.edges == g.edges
     # the batch billed both directions of the failed attempt
-    assert detail.retries == 2 and detail.queries == 8 * 7 + 2 == o.query_count
-    # pair (0, 2) is retried once its row is answered, with a narrower bow
-    # tie; every other query is as without the fault
+    assert detail.retries == 2 and detail.queries == 30 * 29 + 2 == o.query_count
+    # pair (0, 2) is retried once the batch that holds it is answered, with
+    # a narrower bow tie, before the next batch; every other query is as
+    # without the fault
     clean = RecordingOracle(g)
     reconstruct_edges_detail(clean, V)
-    row = 2 * 7
+    batch = clean.calls[0]
+    assert batch > 2 * 29 and len(clean.calls) > 1  # several rows, then more batches
     retry = list(pair_directions(V[0], V[2], 0.9 * global_bowtie_width(V), V))
     assert o.patched == clean.asked[2]
-    assert o.asked == clean.asked[:row] + retry + clean.asked[row:]
+    assert o.asked == clean.asked[:batch] + retry + clean.asked[batch:]
+
+
+def test_edge_phase_batches_whole_rows_within_the_cell_budget(monkeypatch):
+    default = edge_recon._BATCH_CELLS
+    for n, seed, margin in ((2, 1, 1e-3), (12, 3, 1e-3), (30, 4, 1e-6)):
+        g = random_plane_graph(n, 0.7, seed, margin=margin)
+        logs = []
+        for cells in (default, 600, 4000):
+            monkeypatch.setattr(edge_recon, "_BATCH_CELLS", cells)
+            o = RecordingOracle(g)
+            assert reconstruct_edges_detail(o, list(g.vertices)).edges == g.edges
+            logs.append(o.asked)
+            rows = [2 * (n - 1 - i) for i in range(n - 1)]  # directions per row
+            row_at = {int(b): i for i, b in enumerate(np.cumsum([0] + rows)[:-1])}
+            start = 0
+            for k in o.calls:
+                assert start in row_at and (start + k in row_at or start + k == n * (n - 1))
+                first = row_at[start]
+                assert k * 4 * n <= cells or k == rows[first]  # only a lone row may exceed
+                if start + k < n * (n - 1):  # the next row would not have fit
+                    assert (k + rows[row_at[start + k]]) * 4 * n > cells
+                start += k
+            assert start == n * (n - 1)
+        # batching never changes what is asked, or in which order
+        assert logs[0] == logs[1] == logs[2]
 
 
 def test_uncertifiable_pair_raises_before_its_row_is_queried(monkeypatch):

@@ -19,10 +19,11 @@ from phrecon import (
     height,
     lower_star_diagrams,
     random_plane_graph,
+    reconstruct_edges_detail,
     reconstruct_vertices,
 )
 from phrecon.edge_recon import global_bowtie_width, probe_edge
-from phrecon.persistence import lower_star_many
+from phrecon.persistence import events_at_many, lower_star_many
 
 from conftest import match_to_hidden, tie_free_direction
 from sweep_reference import reference_lower_star_diagrams
@@ -167,7 +168,8 @@ def _same_entry(got, want):
     direction."""
     if isinstance(want, DegenerateDirection):
         return isinstance(got, DegenerateDirection) and vars(got) == vars(want)
-    return got == want and got.direction == want.direction and got._raw() == want._raw()
+    same_raw = all(a.tolist() == b.tolist() for a, b in zip(got._raw(), want._raw()))
+    return got == want and got.direction == want.direction and same_raw
 
 
 def _tied_direction(g, a, b):
@@ -438,6 +440,48 @@ def test_events_at_on_unsorted_constructed_pairs():
     assert d.n_components == 1
 
 
+def test_events_at_many_equals_a_scan_per_diagram():
+    rng = np.random.default_rng(17)
+    tols = (0.0, 1e-9, 1e-3, INF)
+    for seed in range(24):
+        n = 1 + seed % 12
+        g = random_plane_graph(n, (0.0, 0.5, 1.0)[seed % 3], seed)  # density 0: no cycles
+        S = [tie_free_direction(g, rng) for _ in range(4)]
+        if n >= 3:
+            S.insert(2, _tied_direction(g, 0, n - 1))  # a degenerate entry mid-batch
+        swept = lower_star_many(g, S)
+        # the same diagrams again, built from their pairs
+        built = [
+            Diagram(d.direction, d.dim0, d.dim1) for d in lower_star_many(g, S) if isinstance(d, Diagram)
+        ]
+        built.append(
+            Diagram(
+                Direction(1.0, 0.0),
+                (PersistencePair(0.5, 0.5), PersistencePair(0.0, INF), PersistencePair(0.2, 0.5)),
+                (PersistencePair(0.9, INF), PersistencePair(0.5, INF)),
+            )
+        )
+        entries = swept + built
+        # vertex heights along each entry's own direction, nudged or not
+        vs = [g.vertices[v] for v in rng.integers(n, size=len(entries))]
+        nudge = rng.choice([0.0, 0.7e-9, -2e-9, 5e-4, 0.3], size=len(entries))
+        heights = [height(v, d.direction) + e for v, d, e in zip(vs, entries, nudge)]
+        for tol in tols:
+            counts, degenerate = events_at_many(entries, heights, tol)
+            assert degenerate.tolist() == [isinstance(d, DegenerateDirection) for d in entries]
+            scans = [
+                0 if isinstance(d, DegenerateDirection) else _scan_events(d, h, tol)
+                for d, h in zip(entries, heights)
+            ]
+            assert counts.tolist() == scans, (seed, tol)
+            singles = [d.events_at(h, tol) for d, h in zip(entries, heights) if isinstance(d, Diagram)]
+            assert singles == [c for c, flag in zip(scans, degenerate) if not flag]
+        if n >= 3:
+            assert degenerate[2] and not degenerate[[0, 1, 3, 4]].any()
+    counts, degenerate = events_at_many([], [], 1e-9)
+    assert counts.shape == degenerate.shape == (0,)
+
+
 def test_vertex_phase_and_probe_build_no_pair(monkeypatch):
     def refuse(*args):
         raise AssertionError("a persistence pair was built")
@@ -450,5 +494,6 @@ def test_vertex_phase_and_probe_build_no_pair(monkeypatch):
     a, b = match_to_hidden(V[:2], g).values()
     probe = probe_edge(o, V[0], V[1], global_bowtie_width(V), V)
     assert probe.exists == ((min(a, b), max(a, b)) in g.edges)
+    assert len(reconstruct_edges_detail(o, V).edges) == len(g.edges)
     with pytest.raises(AssertionError, match="pair was built"):
         lower_star_diagrams(g, Direction(1.0, 0.0)).dim0

@@ -132,6 +132,48 @@ def test_general_position_check_matches_the_triple_loop():
     assert 0 < sum(decisions) < len(decisions)
 
 
+def _collinear_loop(pts: list, tol: float) -> list:
+    """validate's collinearity messages from a loop over every triple: the
+    reference its array check must match message for message."""
+    out = []
+    for i, j, k in combinations(range(len(pts)), 3):
+        (xi, yi), (xj, yj), (xk, yk) = pts[i], pts[j], pts[k]
+        if abs((xj - xi) * (yk - yi) - (yj - yi) * (xk - xi)) <= tol:
+            out.append(f"collinear vertices ({i}, {j}, {k})")
+    return out
+
+
+def test_validate_collinearity_matches_the_triple_loop():
+    rng = np.random.default_rng(12)
+    found = 0
+    for t in range(300):
+        n = int(rng.integers(40, 71)) if t % 30 == 0 else int(rng.integers(0, 25))
+        tol = float(rng.choice([0.0, 1e-9, 1e-6, 1e-3]))
+        pts = rng.random((n, 2))
+        if t % 3 == 0:
+            pts = np.round(pts * 6.0)  # a small integer grid: many exact collinear triples
+        for _ in range(int(rng.integers(0, 4)) if n >= 3 else 0):
+            # move one point to about tol of doubled area off the line
+            # through two others, so the decision is close
+            a, b = pts[rng.choice(n, size=2, replace=False)]
+            d = b - a
+            if not d.any():
+                continue
+            area = tol * rng.choice([0.0, 0.5, 1.0, 1.5])
+            normal = np.array([-d[1], d[0]]) / (d @ d)
+            pts[rng.integers(n)] = a + rng.uniform(-0.5, 1.5) * d + normal * area
+        if t % 50 == 7 and n:
+            pts[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf], size=2)
+        g = PlaneGraph(pts.tolist(), [(0, n - 1)] if n >= 2 else [])
+        issues = validate(g, tol)
+        loop = _collinear_loop([tuple(v) for v in g.vertices], tol)
+        rest = [m for m in issues if not m.startswith("collinear")]
+        head = sum(1 for m in rest if m.startswith(("non-finite", "shared")))
+        assert issues == rest[:head] + loop + rest[head:], (t, n, tol)
+        found += len(loop)
+    assert found > 0
+
+
 def test_indegree_star_with_ties():
     g = PlaneGraph(
         [(0, 0), (1, 0), (-1, 0), (0, 1), (0, -1)],
