@@ -4,6 +4,7 @@ reconstruction of the embedding from a metered diagram oracle."""
 from .edge_recon import (
     BowTie,
     IndegreeQuery,
+    bowtie_widths,
     enumerate_compatible_graphs,
     global_bowtie_width,
     indegree_from_diagrams,
@@ -19,7 +20,7 @@ from .errors import (
     GenerationFailed,
     ParallelLines,
     PhreconError,
-    RetryExhausted,
+    UncertifiedPair,
     WrongCardinality,
 )
 from .geometry import (

@@ -7,6 +7,9 @@ from the two directions then differ by exactly one iff the edge exists, and
 each indegree is read off a single persistence diagram, so deciding all
 pairs costs at most n(n-1) oracle queries.
 
+Each pair's bow tie has its own width (`bowtie_widths`), both ends are
+tried as its centre, and the better one is certified once, with no retry.
+
 `enumerate_compatible_graphs` is the independent brute-force oracle: it
 builds every edge set whose filtration events match a given diagram.
 """
@@ -25,22 +28,13 @@ from .errors import (
     DegenerateDirection,
     DegeneratePoints,
     EnumerationOverflow,
-    RetryExhausted,
+    UncertifiedPair,
 )
-from .geometry import (
-    TOLERANCE,
-    Direction,
-    Point2,
-    height,
-    line_angle_mod_pi,
-)
+from .geometry import TOLERANCE, Direction, Point2, height
 from .persistence import Diagram, DiagramOracle, events_at_many, lower_star_diagrams
 from .plane_graph import PlaneGraph, _UnionFind
 
 Edge = tuple[int, int]
-
-_MAX_SHRINKS = 64
-_SHRINK_FACTOR = 0.9
 
 #: Directions times 4n (a bound on the simplices per direction) that one
 #: edge-phase batch may hold; the oracle kernel's arrays grow with it.
@@ -85,28 +79,46 @@ class IndegreeQuery(NamedTuple):
     count: int
 
 
-def global_bowtie_width(V: Sequence[Point2], tol: float = TOLERANCE) -> float:
-    """Half the smallest angular gap between lines through any vertex.
+def bowtie_widths(V: Sequence[Point2], tol: float = TOLERANCE) -> np.ndarray:
+    """The (n, n) bow-tie widths: width[i, j] is half the smaller of the two
+    angular gaps next to line (V[i], V[j]) among the lines through V[i],
+    taken mod pi; the diagonal is inf.
 
-    For each v the others are ordered cyclically and the minimum angle
-    between adjacent lines (mod pi) taken; the returned width is half the
-    overall minimum, strictly below every per-vertex bound. Two vertices
-    impose no constraint, so |V| = 2 falls back to pi/8.
+    The line angles come from one (n, n) arctan2 and are sorted around each
+    vertex by one argsort. A bow tie at V[i] of half-angle below width[i, j]
+    about line (V[i], V[j]) holds V[j] and no other vertex. Two vertices
+    impose no constraint, so n = 2 gives pi/8. Raises DegeneratePoints when
+    two vertices coincide within tol.
     """
+    X, Y = np.array(V, dtype=np.float64).reshape(-1, 2).T
+    n = len(X)
+    dx, dy = X - X[:, None], Y - Y[:, None]  # row i: chords from V[i]
+    same = np.maximum(np.abs(dx), np.abs(dy)) <= tol
+    if np.count_nonzero(same) > n:  # more than the diagonal
+        same.flat[:: n + 1] = False
+        i, j = np.argwhere(same)[0].tolist()
+        raise DegeneratePoints(f"vertices {i} and {j} coincide")
+    if n == 2:
+        return np.array([[math.inf, math.pi / 8.0], [math.pi / 8.0, math.inf]])
+    angle = np.arctan2(dy, dx) % math.pi
+    angle.flat[:: n + 1] = math.inf  # a vertex's own column sorts last
+    rows = np.arange(n)[:, None]
+    order = angle.argsort(axis=1)[:, :-1]
+    lines = angle[rows, order]
+    # gap[:, p] lies between lines p - 1 and p, cyclically: n gaps round n - 1 lines
+    lines = np.concatenate([lines[:, -1:] - math.pi, lines, lines[:, :1] + math.pi], axis=1)
+    gap = lines[:, 1:] - lines[:, :-1]
+    width = np.full((n, n), math.inf)
+    width[rows, order] = 0.5 * np.minimum(gap[:, :-1], gap[:, 1:])
+    return width
+
+
+def global_bowtie_width(V: Sequence[Point2], tol: float = TOLERANCE) -> float:
+    """The narrowest bow tie of all pairs, `bowtie_widths(V, tol).min()`:
+    half the smallest angular gap between lines through any vertex."""
     if len(V) < 2:
         raise ValueError("need at least two vertices")
-    for i, j in combinations(range(len(V)), 2):
-        if abs(V[i].x - V[j].x) <= tol and abs(V[i].y - V[j].y) <= tol:
-            raise DegeneratePoints(f"vertices {i} and {j} coincide")
-    if len(V) == 2:
-        return math.pi / 8.0
-    best = math.pi
-    for v in V:
-        angles = sorted(line_angle_mod_pi(v, u) for u in V if u != v)
-        gaps = [b - a for a, b in zip(angles, angles[1:])]
-        gaps.append(angles[0] + math.pi - angles[-1])
-        best = min(best, min(gaps))
-    return 0.5 * best
+    return float(bowtie_widths(V, tol).min())
 
 
 def pair_directions(
@@ -119,27 +131,24 @@ def pair_directions(
     """The two probe directions forming angles +-theta with the
     perpendicular of v2 - v.
 
-    Before returning, checks against the known vertex set that the bow tie
-    at v contains exactly v2 and that both directions give pairwise
-    distinct heights on V; any float-level violation shrinks theta by 0.9
-    and retries (at most 64 times — impossible in exact arithmetic).
-    This is the one-pair call of the certifier the edge phase runs on a
-    whole batch of pairs at once.
+    Certified against the known vertex set before they are returned: the
+    bow tie at v holds exactly v2 and the heights of V are more than tol
+    apart along both directions; otherwise raises UncertifiedPair, with i
+    and j the indices of v and v2 in V (None for a point not in V). This is
+    the one-pair call of the certifier the edge phase runs on whole batches.
     """
     if v == v2:
         raise CoincidentPoints(f"cannot probe a vertex against itself: {v}")
+    i, j = (V.index(p) if p in V else None for p in (v, v2))
+    if j is None:  # no bow tie can hold a point that is not a vertex
+        raise UncertifiedPair(i, j, None, 0.0)
     X, Y = np.array(V, dtype=np.float64).reshape(-1, 2).T
-    col = [k for k, u in enumerate(V) if u == v2][:1]  # no column: no bow tie can hold v2
-    vx, vy = np.full(len(col), float(v[0])), np.full(len(col), float(v[1]))
-    S = _certified_directions(vx, vy, X, Y, np.array(col, dtype=np.intp), theta, tol)
-    if not len(S) or np.isnan(S[0, 0, 0]):
-        raise RetryExhausted(_exhausted(v, v2))
+    vx, vy = np.array(v, dtype=np.float64).reshape(2, 1)
+    S, headroom = _certified_directions(vx, vy, X, Y, np.array([j]), np.array([theta]), tol)
+    if not headroom[0] > 1.0:
+        raise _uncertified(X, Y, i, j, S[0], headroom[0])
     (x1, y1), (x2, y2) = S[0].tolist()
     return Direction(x1, y1), Direction(x2, y2)
-
-
-def _exhausted(v: Point2, v2: Point2) -> str:
-    return f"no usable bow tie at {v} towards {v2} after {_MAX_SHRINKS} shrinks"
 
 
 def _certified_directions(
@@ -148,50 +157,42 @@ def _certified_directions(
     X: np.ndarray,
     Y: np.ndarray,
     cols: np.ndarray,
-    theta: float,
+    theta: np.ndarray,
     tol: float,
-) -> np.ndarray:
-    """Probe directions at (vx[r], vy[r]) towards each vertex (X[c], Y[c]),
-    c = cols[r], as a (len(cols), 2, 2) array of [s1, s2] per row, NaN
-    where 64 shrinks of theta found none.
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probe directions at (vx[r], vy[r]) towards vertex (X[c], Y[c]),
+    c = cols[r]: the perpendicular of the chord turned by +theta[r] and
+    -theta[r], as a (len(cols), 2, 2) array of unit [s1, s2] per row, and
+    each row's headroom.
 
-    Every row is certified as one pair would be: the bow tie at its source
-    holds exactly vertex c, and the heights of all vertices are more than
-    tol apart along both directions. Rows that fail shrink theta by 0.9
-    together, so each attempt has one angle and its sine and cosine come
-    from `math`, as in `rotate`. The base perpendicular is normalized with
-    `math.hypot` as `Direction.normalized` does (`np.hypot` rounds
-    differently), and heights are x*dx + y*dy elementwise as in `height`,
-    so each row gives the directions, and decisions, of the one-pair call.
+    The headroom is the smallest gap between the heights of all vertices
+    along s1 and s2, divided by tol, and 0 where the bow tie at the row's
+    source does not hold exactly vertex c; a row is certified when it
+    exceeds 1. One attempt per row, no retry: heights are x*dx + y*dy
+    elementwise as in `height`.
     """
-    # rotate(Direction(x - vx, y - vy).normalized().perp(), .) normalizes twice
-    dx, dy = X[cols] - vx, Y[cols] - vy
-    norm = np.array(list(map(math.hypot, dx.tolist(), dy.tolist())), dtype=np.float64)
-    px, py = -(dy / norm), dx / norm
-    norm = np.array(list(map(math.hypot, px.tolist(), py.tolist())), dtype=np.float64)
-    ux, uy = px / norm, py / norm
+    perp = np.arctan2(X[cols] - vx, vy - Y[cols])  # angle of (-dy, dx)
+    turn = perp + np.array([theta, -theta])  # (2, k): s1, s2
+    sx, sy = np.cos(turn), np.sin(turn)
+    H = X * sx[..., None] + Y * sy[..., None]  # (2, k, n) vertex heights
+    below = H <= (vx * sx + vy * sy)[..., None]
+    inside = below[0] != below[1]
+    holds = (inside.sum(axis=1) == 1) & inside[np.arange(len(cols)), cols]
+    H.sort(axis=2)
+    gap = (H[..., 1:] - H[..., :-1]).min(axis=(0, 2), initial=math.inf)
+    return np.array([sx, sy]).transpose(2, 1, 0), np.where(holds, gap / tol, 0.0)
 
-    chosen = np.full((len(cols), 2, 2), np.nan)
-    pending = np.arange(len(cols))
-    current = theta
-    for _ in range(_MAX_SHRINKS + 1):
-        cos = np.array([[math.cos(current)], [math.cos(-current)]])
-        sin = np.array([[math.sin(current)], [math.sin(-current)]])
-        a, b = ux[pending], uy[pending]
-        sx = a * cos - b * sin  # (2, k): row 0 is s1, row 1 is s2
-        sy = a * sin + b * cos
-        H = X * sx[..., None] + Y * sy[..., None]  # (2, k, n) vertex heights
-        below = H <= (vx[pending] * sx + vy[pending] * sy)[..., None]
-        inside = below[0] != below[1]
-        ok = (inside.sum(axis=1) == 1) & inside[np.arange(len(pending)), cols[pending]]
-        H.sort(axis=2)
-        ok &= ~(H[..., 1:] - H[..., :-1] <= tol).any(axis=(0, 2))
-        chosen[pending[ok]] = np.stack([sx[:, ok], sy[:, ok]], axis=-1).transpose(1, 0, 2)
-        pending = pending[~ok]
-        if not len(pending):
-            break
-        current *= _SHRINK_FACTOR
-    return chosen
+
+def _uncertified(X, Y, i, j, s: np.ndarray, headroom) -> UncertifiedPair:
+    """The error for the bow tie at vertex i towards vertex j with the
+    directions s = [s1, s2]; k is the vertex outside (i, j) that sets the
+    smallest height gap with another vertex, None if there is none."""
+    near = []
+    for h in (X * s[:, :1] + Y * s[:, 1:]).tolist():
+        up = sorted(range(len(h)), key=h.__getitem__)
+        near += [(h[b] - h[a], a, b) for a, b in zip(up, up[1:]) if not {a, b} <= {i, j}]
+    _, a, b = min(near, default=(None, None, None))
+    return UncertifiedPair(i, j, b if a in (i, j) else a, float(headroom))
 
 
 def indegree_from_diagrams(d: Diagram, v: Point2, tol: float = TOLERANCE) -> int:
@@ -203,11 +204,9 @@ def indegree_from_diagrams(d: Diagram, v: Point2, tol: float = TOLERANCE) -> int
 
 @dataclass(frozen=True)
 class EdgeProbe:
-    """Outcome of one pair decision. `retries` counts the extra oracle
-    queries consumed by retrying, so a probe always costs 2 + retries."""
+    """Outcome of one pair decision, which costs two oracle queries."""
 
     exists: bool
-    retries: int
     indegrees: tuple[IndegreeQuery, IndegreeQuery]
 
 
@@ -219,116 +218,75 @@ def probe_edge(
     V: Sequence[Point2],
     tol: float = TOLERANCE,
 ) -> EdgeProbe:
-    """Decide (v, v2) with two diagrams; retry with a narrower bow tie if
-    the oracle reports coincident heights (each retry re-queries and is
-    therefore billed against the budget)."""
+    """Decide (v, v2) from the two diagrams of its certified bow tie at v,
+    asked in one `query_many`. A degenerate entry is raised as the
+    oracle's DegenerateDirection; nothing is asked again."""
     directions = pair_directions(v, v2, theta, V, tol)
-    return _probe_from(o, v, v2, theta, V, tol, directions, _ask(o, directions))
-
-
-def _ask(o: DiagramOracle, directions: tuple[Direction, Direction]) -> tuple:
-    """The oracle's entries for one attempt's two directions, in order, a
-    DegenerateDirection standing for a raised query; the second direction
-    is not asked once the first is degenerate."""
-    s1, s2 = directions
-    try:
-        d1 = o.query(s1)
-    except DegenerateDirection as err:
-        return (err,)
-    try:
-        return d1, o.query(s2)
-    except DegenerateDirection as err:
-        return d1, err
-
-
-def _probe_from(o, v, v2, theta, V, tol, directions, answers) -> EdgeProbe:
-    """`probe_edge` whose first attempt has been asked: `directions` is the
-    certified pair for theta and `answers` the oracle's entries for them.
-    Every entry asked is billed, so a degenerate attempt adds its entries
-    to `retries` and the next one narrows the bow tie."""
-    current = theta
-    extra_queries = 0
-    last_error: DegenerateDirection | None = None
-    for attempt in range(_MAX_SHRINKS + 1):
-        if attempt:
-            directions = pair_directions(v, v2, current, V, tol)
-            answers = _ask(o, directions)
-        last_error = next((a for a in answers if isinstance(a, DegenerateDirection)), None)
-        if last_error is not None:
-            extra_queries += len(answers)
-            current *= _SHRINK_FACTOR
-            continue
-        (s1, s2), (d1, d2) = directions, answers
-        i1 = indegree_from_diagrams(d1, v, tol)
-        i2 = indegree_from_diagrams(d2, v, tol)
-        return EdgeProbe(
-            exists=abs(i1 - i2) == 1,
-            retries=extra_queries,
-            indegrees=(
-                IndegreeQuery(v, s1, i1),
-                IndegreeQuery(v, s2, i2),
-            ),
-        )
-    assert last_error is not None
-    raise last_error
+    answers = o.query_many(list(directions))
+    for d in answers:
+        if isinstance(d, DegenerateDirection):
+            raise d
+    i1, i2 = (indegree_from_diagrams(d, v, tol) for d in answers)
+    return EdgeProbe(
+        exists=abs(i1 - i2) == 1,
+        indegrees=(IndegreeQuery(v, directions[0], i1), IndegreeQuery(v, directions[1], i2)),
+    )
 
 
 @dataclass(frozen=True)
 class EdgeReconResult:
     edges: frozenset[Edge]
     queries: int
-    retries: int
+    retries: int  # always 0: nothing is asked twice
 
 
 def reconstruct_edges_detail(
     o: DiagramOracle, V: Sequence[Point2], tol: float = TOLERANCE
 ) -> EdgeReconResult:
-    """Decide every unordered pair, lexicographic by index, from the
-    lexicographically smaller endpoint; 2 queries per pair plus any
-    (expected zero) retry re-queries.
+    """Decide every unordered pair (i, j > i), lexicographic by index, with
+    exactly 2 queries each.
 
-    The pairs are taken in batches of whole rows (i, j > i), see
-    `_row_batches`. A batch's probe directions are certified in one array
-    block and asked in one `query_many` call, [s1, s2] per pair in order;
-    one `events_at_many` read gives both indegrees of every pair, and a pair
-    exists iff they differ by exactly one. A pair with a degenerate entry is
-    retried after its batch, in order. An uncertifiable pair raises
-    RetryExhausted before its batch is queried."""
+    The pairs go in batches of whole rows, see `_row_batches`. One array
+    pass certifies both ends of every pair of a batch, each with its own
+    `bowtie_widths` entry; a pair keeps the end with the larger headroom
+    (V[i] on a tie) and raises UncertifiedPair before the batch is queried
+    if that is at most 1. The kept directions, [s1, s2] per pair, are asked
+    in one `query_many` call, one `events_at_many` read gives the kept end's
+    indegrees, and a pair exists iff they differ by exactly one. A
+    degenerate entry raises UncertifiedPair from its DegenerateDirection."""
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
-    theta = global_bowtie_width(V, tol)
+    width = bowtie_widths(V, tol)
     X, Y = np.array(V, dtype=np.float64).T
     start = o.query_count
     edges: set[Edge] = set()
-    retries = 0
     for rows in _row_batches(n):
         src = np.repeat(rows, n - 1 - rows)
         cols = np.concatenate([np.arange(i + 1, n) for i in rows.tolist()])
-        vx, vy = X[src], Y[src]
-        S = _certified_directions(vx, vy, X, Y, cols, theta, tol)
-        failed = np.isnan(S[:, 0, 0])
-        if failed.any():
-            r = int(failed.argmax())
-            raise RetryExhausted(_exhausted(V[src[r]], V[cols[r]]))
-        asked = list(map(Direction._make, S.reshape(-1, 2).tolist()))
-        answers = o.query_many(asked)
+        k = len(src)
+        centre, far = np.concatenate([src, cols]), np.concatenate([cols, src])
+        S, headroom = _certified_directions(
+            X[centre], Y[centre], X, Y, far, width[centre, far], tol
+        )
+        kept = np.arange(k) + k * (headroom[k:] > headroom[:k])
+        certified = headroom[kept] > 1.0
+        if not certified.all():
+            r = int(kept[certified.argmin()])
+            raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r])
+        answers = o.query_many(list(map(Direction._make, S[kept].reshape(-1, 2).tolist())))
         # each entry's own direction, as `height(v, d.direction)` reads it
         U = [a.direction for a in answers]
         U = np.fromiter(chain.from_iterable(U), np.float64, 2 * len(U))
-        heights = vx.repeat(2) * U[0::2] + vy.repeat(2) * U[1::2]
-        counts, degenerate = events_at_many(answers, heights, tol)
-        clean = ~(degenerate[0::2] | degenerate[1::2])
-        exists = clean & (np.abs(counts[0::2] - counts[1::2]) == 1)
+        at = centre[kept].repeat(2)
+        counts, degenerate = events_at_many(answers, X[at] * U[0::2] + Y[at] * U[1::2], tol)
+        if degenerate.any():
+            e = int(degenerate.argmax())
+            r = int(kept[e // 2])
+            raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r]) from answers[e]
+        exists = np.abs(counts[0::2] - counts[1::2]) == 1
         edges.update(zip(src[exists].tolist(), cols[exists].tolist()))
-        for r in np.flatnonzero(~clean).tolist():
-            i, j, pair = int(src[r]), int(cols[r]), slice(2 * r, 2 * r + 2)
-            directions, first = tuple(asked[pair]), tuple(answers[pair])
-            probe = _probe_from(o, V[i], V[j], theta, V, tol, directions, first)
-            retries += probe.retries
-            if probe.exists:
-                edges.add((i, j))
-    return EdgeReconResult(frozenset(edges), o.query_count - start, retries)
+    return EdgeReconResult(frozenset(edges), o.query_count - start, 0)
 
 
 def _row_batches(n: int) -> Iterator[np.ndarray]:

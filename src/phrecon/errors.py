@@ -49,8 +49,24 @@ class WrongCardinality(PhreconError):
     """A diagram does not contain the expected number of features."""
 
 
-class RetryExhausted(PhreconError):
-    """Bow-tie construction kept hitting degenerate heights after 64 shrinks."""
+class UncertifiedPair(PhreconError):
+    """No bow tie at vertex i towards vertex j can be certified.
+
+    `headroom` is the smallest gap between vertex heights along the bow
+    tie's two directions divided by the tolerance (0 when the bow tie does
+    not hold exactly j); it must exceed 1. `k` is the vertex outside (i, j)
+    that sets the smallest gap. Indices are into the known vertices, None
+    for a point not among them. Raised before the pair is queried, or with
+    the oracle's DegenerateDirection as its cause when certified directions
+    still tie.
+    """
+
+    def __init__(self, i, j, k, headroom: float):
+        self.i, self.j, self.k, self.headroom = i, j, k, headroom
+        super().__init__(
+            f"no certified bow tie at vertex {i} towards vertex {j}: "
+            f"headroom {headroom:.3g} (vertex {k} sets the smallest height gap)"
+        )
 
 
 class EnumerationOverflow(PhreconError):

@@ -179,7 +179,14 @@ def lower_star_many(
     - Cycle births are the ascending heights, each repeated by the number
       of cycles arriving at that rank, so no edge table is sorted.
     """
-    units = [Direction(*s).normalized() for s in S]
+    return _lower_star_units(g, [Direction(*s).normalized() for s in S], tol)
+
+
+def _lower_star_units(
+    g: PlaneGraph, units: Sequence[Direction], tol: float
+) -> list[Diagram | DegenerateDirection]:
+    """`lower_star_many` on unit directions, which it does not normalize
+    again: the oracle's entry, so each entry's `direction` is the logged unit."""
     k, n = len(units), g.n
     x, y, edges = g.arrays
     u = np.array(units, dtype=np.float64).reshape(k, 2)
@@ -283,22 +290,20 @@ class DiagramOracle:
         return tuple(self._log)
 
     def query(self, s: Direction) -> Diagram:
-        u = Direction(*s).normalized()
-        with self._lock:
-            self._log.append(u)
-        return self._compute(u)
+        """`query_many` on the one direction; raises its DegenerateDirection."""
+        (d,) = self.query_many([s])
+        if isinstance(d, DegenerateDirection):
+            raise d
+        return d
 
     def query_many(self, S: Sequence[Direction]) -> list[Diagram | DegenerateDirection]:
         """One entry per direction, as `query` would give it: the Diagram, or
         the DegenerateDirection `query` would raise. Every direction is
-        logged and counted, exactly as by one `query` call each."""
+        normalized once, then logged, counted and swept as that unit."""
         units = [Direction(*s).normalized() for s in S]
         with self._lock:
             self._log.extend(units)
-        return lower_star_many(self._graph, units, self._tol)
-
-    def _compute(self, u: Direction) -> Diagram:
-        return lower_star_diagrams(self._graph, u, self._tol)
+        return _lower_star_units(self._graph, units, self._tol)
 
 
 def diagram_to_json(d: Diagram) -> str:

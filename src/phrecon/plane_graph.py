@@ -57,9 +57,6 @@ class PlaneGraph:
     def degree(self, v: int) -> int:
         return sum(1 for e in self.edges if v in e)
 
-    def neighbors(self, v: int) -> list[int]:
-        return sorted(b if a == v else a for a, b in self.edges if v in (a, b))
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .edge_recon import global_bowtie_width, pair_directions
+from .edge_recon import bowtie_widths, pair_directions
 from .geometry import Direction, Line, Point2, height
 from .plane_graph import PlaneGraph
 from .vertex_recon import AXIS_X, AXIS_Y, LineFamily, line_family, third_direction
@@ -87,8 +87,8 @@ def render_svg(
     if bowtie is not None:
         i, j = bowtie
         v, v2 = g.vertices[i], g.vertices[j]
-        theta = global_bowtie_width(list(g.vertices))
-        s1, s2 = pair_directions(v, v2, theta, list(g.vertices))
+        V = list(g.vertices)
+        s1, s2 = pair_directions(v, v2, float(bowtie_widths(V)[i, j]), V)
         rays = []
         for s in (s1, s2):
             e = Direction(-s.dy, s.dx)

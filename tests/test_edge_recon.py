@@ -6,6 +6,7 @@ import pytest
 
 from phrecon import (
     BowTie,
+    bowtie_widths,
     DegenerateDirection,
     DegeneratePoints,
     DiagramOracle,
@@ -13,7 +14,7 @@ from phrecon import (
     EnumerationOverflow,
     PlaneGraph,
     Point2,
-    RetryExhausted,
+    UncertifiedPair,
     enumerate_compatible_graphs,
     global_bowtie_width,
     height,
@@ -82,6 +83,38 @@ def test_global_width_coincident_points():
         global_bowtie_width([Point2(0, 0), Point2(0, 0), Point2(1, 1)])
 
 
+def _widths_by_loop(V):
+    """width[i][j] pair by pair: half the smaller gap next to line (i, j)
+    among the sorted `line_angle_mod_pi` angles at V[i]."""
+    n = len(V)
+    W = [[math.inf] * n for _ in range(n)]
+    for i, v in enumerate(V):
+        angles = sorted((line_angle_mod_pi(v, u), j) for j, u in enumerate(V) if j != i)
+        for p, (a, j) in enumerate(angles):
+            before = a - angles[p - 1][0] if p else a + math.pi - angles[-1][0]
+            after = angles[p + 1][0] - a if p + 1 < len(angles) else angles[0][0] + math.pi - a
+            W[i][j] = 0.5 * min(before, after)
+    return W
+
+
+def test_bowtie_widths_equal_the_loop_over_line_angles(appendix_graph):
+    rng = np.random.default_rng(21)
+    sets = [list(appendix_graph.vertices), [Point2(0, 0), Point2(1, 0), Point2(0, 1)]]
+    sets += [[Point2(*p) for p in rng.random((n, 2)).tolist()] for n in (3, 4, 7, 12, 25, 40)]
+    sets.append([Point2(float(x), float(y)) for x in range(-2, 3) for y in range(-1, 2)])  # collinear rows
+    for V in sets:
+        W = bowtie_widths(V)
+        # np.arctan2 and math.atan2 may differ in the last bit
+        np.testing.assert_allclose(W, _widths_by_loop(V), rtol=0.0, atol=1e-15)
+        assert global_bowtie_width(V) == W.min()
+    assert bowtie_widths([Point2(0, 0), Point2(1, 1)]).tolist() == [
+        [math.inf, math.pi / 8.0],
+        [math.pi / 8.0, math.inf],
+    ]
+    with pytest.raises(DegeneratePoints, match="vertices 1 and 3"):
+        bowtie_widths([Point2(0, 0), Point2(1, 1), Point2(2, 0), Point2(1, 1 + 1e-12)])
+
+
 def test_pair_directions_appendix_base_vector():
     # perpendicular of v' - v is +-(-0.8, 0.6); both probes are theta away
     v, v2 = Point2(0.25, 0.0), Point2(1.0, 1.0)
@@ -108,9 +141,9 @@ def test_pair_directions_bowtie_isolates_target():
     for seed in range(10):
         g = random_plane_graph(6, 0.5, seed + 100)
         V = list(g.vertices)
-        theta = global_bowtie_width(V)
+        W = bowtie_widths(V)
         for i, j in combinations(range(len(V)), 2):
-            s1, s2 = pair_directions(V[i], V[j], theta, V)
+            s1, s2 = pair_directions(V[i], V[j], W[i, j], V)
             bt = BowTie(V[i], s1, s2, _halfangle(s1, s2))
             inside = [u for u in V if u != V[i] and bt.contains(u)]
             assert inside == [V[j]]
@@ -122,18 +155,27 @@ def _halfangle(s1, s2):
     return 0.5 * math.atan2(abs(cross), dot)
 
 
-def test_pair_directions_shrinks_on_height_tie():
+def _height_tie(theta):
     # u2 = u1 + t * (line direction of s1): equal heights along the first
-    # probe direction force one shrink
-    theta = math.pi / 8.0
-    s1 = rotate(Direction(0.0, 1.0), theta)
+    # probe direction of the bow tie at V[0] towards V[1]
     u1 = Point2(-1.0, 2.0)
     u2 = Point2(u1.x - math.cos(theta), u1.y - math.sin(theta))
-    V = [Point2(0.0, 0.0), Point2(1.0, 0.0), u1, u2]
-    got1, got2 = pair_directions(V[0], V[1], theta, V)
-    want1 = rotate(Direction(0.0, 1.0), 0.9 * theta)
-    assert got1.dx == pytest.approx(want1.dx, abs=1e-12)
-    assert got1.dy == pytest.approx(want1.dy, abs=1e-12)
+    return [Point2(0.0, 0.0), Point2(1.0, 0.0), u1, u2]
+
+
+def test_pair_directions_raise_on_height_tie():
+    theta = math.pi / 8.0
+    V = _height_tie(theta)
+    o = DiagramOracle(PlaneGraph(V, [(0, 1)]))
+    with pytest.raises(UncertifiedPair) as err:
+        probe_edge(o, V[0], V[1], theta, V)
+    # u1 and u2 set the gap, u1 lower along s1; nothing was asked
+    assert (err.value.i, err.value.j, err.value.k) == (0, 1, 2)
+    assert abs(err.value.headroom) <= 1.0 and o.query_count == 0
+    with pytest.raises(UncertifiedPair, match="vertex 0 towards vertex 1"):
+        pair_directions(V[0], V[1], theta, V)
+    # a narrower bow tie separates them
+    pair_directions(V[0], V[1], 0.9 * theta, V)
 
 
 class RecordingOracle:
@@ -166,35 +208,52 @@ def test_edge_phase_directions_are_certified_per_pair():
         detail = reconstruct_edges_detail(o, V)
         assert detail.edges == g.edges
         assert detail.queries == n * (n - 1) and detail.retries == 0
-        theta = global_bowtie_width(V)
+        W = bowtie_widths(V)
         pairs = list(combinations(range(n), 2))
         for (i, j), s1, s2 in zip(pairs, o.asked[::2], o.asked[1::2]):
-            bt = BowTie(V[i], s1, s2, _halfangle(s1, s2))
-            assert [u for u in V if u != V[i] and bt.contains(u)] == [V[j]]
-            for s in (s1, s2):
-                hs = sorted(height(u, s) for u in V)
-                assert all(b - a > 1e-9 for a, b in zip(hs, hs[1:]))
-            # one certifier: the one-pair call picks the very same directions
-            assert (s1, s2) == pair_directions(V[i], V[j], theta, V)
-            # and they are bit for bit the rotated perpendicular of v' - v
-            base = Direction(V[j].x - V[i].x, V[j].y - V[i].y).normalized().perp()
-            assert (s1, s2) == (rotate(base, theta), rotate(base, -theta))
+            # one certifier: the one-pair call at the kept end, with that
+            # end's width, picks the very same directions bit for bit
+            gaps = {}
+            for c, f in ((i, j), (j, i)):
+                try:
+                    directions = pair_directions(V[c], V[f], W[c, f], V)
+                except UncertifiedPair:
+                    continue
+                gaps[c] = _smallest_gap(V, directions)
+                if directions == (s1, s2):
+                    centre, far = c, f
+            # the kept end has the wider height gaps, V[i] on a tie
+            other = gaps.get(i + j - centre, 0.0)
+            assert gaps[centre] > other or (gaps[centre] == other and centre == i)
+            bt = BowTie(V[centre], s1, s2, _halfangle(s1, s2))
+            assert [u for u in V if u != V[centre] and bt.contains(u)] == [V[far]]
+            assert _halfangle(s1, s2) == pytest.approx(W[centre, far], abs=1e-12)
+            assert gaps[centre] / 1e-9 > 1.0  # headroom
 
 
-def test_edge_phase_shrinks_on_height_tie(monkeypatch):
-    # the geometry of test_pair_directions_shrinks_on_height_tie, run through
-    # the edge phase with its bow-tie width pinned to theta
+def _smallest_gap(V, directions):
+    gaps = []
+    for s in directions:
+        hs = sorted(height(u, s) for u in V)
+        gaps += [b - a for a, b in zip(hs, hs[1:])]
+    return min(gaps)
+
+
+def test_edge_phase_raises_on_height_tie(monkeypatch):
+    # the geometry of test_pair_directions_raise_on_height_tie, run through
+    # the edge phase with every bow-tie width pinned to theta: the bow tie
+    # at V[1] towards V[0] has the opposite directions, so both ends tie
     theta = math.pi / 8.0
-    u1 = Point2(-1.0, 2.0)
-    u2 = Point2(u1.x - math.cos(theta), u1.y - math.sin(theta))
-    V = [Point2(0.0, 0.0), Point2(1.0, 0.0), u1, u2]
-    monkeypatch.setattr(edge_recon, "global_bowtie_width", lambda V, tol: theta)
+    V = _height_tie(theta)
+    monkeypatch.setattr(edge_recon, "bowtie_widths", lambda V, tol: np.full((4, 4), theta))
     o = RecordingOracle(PlaneGraph(V, [(0, 1), (1, 2)]))
-    detail = reconstruct_edges_detail(o, V)
-    want1 = rotate(Direction(0.0, 1.0), 0.9 * theta)
-    assert o.asked[0].dx == pytest.approx(want1.dx, abs=1e-12)
-    assert o.asked[0].dy == pytest.approx(want1.dy, abs=1e-12)
-    assert detail.edges == {(0, 1), (1, 2)}
+    with pytest.raises(UncertifiedPair) as err:
+        reconstruct_edges_detail(o, V)
+    assert (err.value.i, err.value.j, err.value.k) == (0, 1, 2)
+    assert abs(err.value.headroom) <= 1.0
+    assert o.query_count == 0 and o.asked == []
+    monkeypatch.undo()
+    assert reconstruct_edges_detail(o, V).edges == {(0, 1), (1, 2)}
 
 
 class OneDegenerateOracle(RecordingOracle):
@@ -213,24 +272,24 @@ class OneDegenerateOracle(RecordingOracle):
         return out
 
 
-def test_degenerate_batch_entry_is_decided_by_the_retry_loop():
+def test_degenerate_batch_entry_raises_uncertified_pair():
     g = random_plane_graph(30, 0.7, 14, margin=1e-6)
     V = list(g.vertices)
     o = OneDegenerateOracle(g)
-    detail = reconstruct_edges_detail(o, V)
-    assert (0, 2) in g.edges and detail.edges == g.edges
-    # the batch billed both directions of the failed attempt
-    assert detail.retries == 2 and detail.queries == 30 * 29 + 2 == o.query_count
-    # pair (0, 2) is retried once the batch that holds it is answered, with
-    # a narrower bow tie, before the next batch; every other query is as
-    # without the fault
+    with pytest.raises(UncertifiedPair) as err:
+        reconstruct_edges_detail(o, V)
+    # the tie names pair (0, 2) at the end its certified bow tie was asked
+    # from, with that bow tie's headroom; the DegenerateDirection is the cause
+    e = err.value
+    assert {e.i, e.j} == {0, 2} and e.k not in (0, 2, None) and e.headroom > 1.0
+    assert isinstance(e.__cause__, DegenerateDirection)
+    assert list(pair_directions(V[e.i], V[e.j], bowtie_widths(V)[e.i, e.j], V)) == o.asked[2:4]
+    # the first batch was asked whole, as without the fault, and nothing after it
     clean = RecordingOracle(g)
-    reconstruct_edges_detail(clean, V)
+    assert reconstruct_edges_detail(clean, V).edges == g.edges
     batch = clean.calls[0]
     assert batch > 2 * 29 and len(clean.calls) > 1  # several rows, then more batches
-    retry = list(pair_directions(V[0], V[2], 0.9 * global_bowtie_width(V), V))
-    assert o.patched == clean.asked[2]
-    assert o.asked == clean.asked[:batch] + retry + clean.asked[batch:]
+    assert o.query_count == batch and o.asked == clean.asked[:batch]
 
 
 def test_edge_phase_batches_whole_rows_within_the_cell_budget(monkeypatch):
@@ -258,26 +317,68 @@ def test_edge_phase_batches_whole_rows_within_the_cell_budget(monkeypatch):
         assert logs[0] == logs[1] == logs[2]
 
 
-def test_uncertifiable_pair_raises_before_its_row_is_queried(monkeypatch):
-    # with the bow-tie width pinned, (0, 1) certifies but (0, 2) cannot:
-    # V[3] lies on the line through V[0] and V[2]
+def test_uncertifiable_pair_raises_before_its_row_is_queried():
+    # (0, 1) certifies but (0, 2) cannot: V[3] lies on the line through
+    # V[0] and V[2], so the bow tie has width 0 at both ends
     V = [Point2(0.0, 0.0), Point2(1.0, 0.3), Point2(1.0, 1.0), Point2(2.0, 2.0)]
-    monkeypatch.setattr(edge_recon, "global_bowtie_width", lambda V, tol: math.pi / 16.0)
-    pair_directions(V[0], V[1], math.pi / 16.0, V)
+    W = bowtie_widths(V)
+    pair_directions(V[0], V[1], W[0, 1], V)
+    assert W[0, 2] == W[2, 0] == 0.0
     o = DiagramOracle(PlaneGraph(V, [(0, 1)]))
-    with pytest.raises(RetryExhausted):
+    with pytest.raises(UncertifiedPair) as err:
         reconstruct_edges_detail(o, V)
+    assert (err.value.i, err.value.j, err.value.k, err.value.headroom) == (0, 2, 3, 0.0)
     assert o.query_count == 0
 
 
 def test_collinear_vertices_raise_retry_exhausted():
     V = [Point2(0.0, 0.0), Point2(1.0, 0.5), Point2(2.0, 1.0)]
     o = DiagramOracle(PlaneGraph(V, [(0, 1)]))
-    with pytest.raises(RetryExhausted):
+    with pytest.raises(UncertifiedPair) as err:
         reconstruct_edges_detail(o, V)
+    assert (err.value.i, err.value.j, err.value.k) == (0, 1, 2)
     assert o.query_count == 0  # the first pair fails before it is queried
-    with pytest.raises(RetryExhausted):
+    with pytest.raises(UncertifiedPair):
         pair_directions(V[0], V[2], global_bowtie_width(V), V)
+
+
+def test_near_collinear_triple_names_its_third_vertex():
+    # uniform points, seed 1000: validate flags (164, 539, 909) as collinear
+    V = [Point2(*p) for p in np.random.default_rng(1000).random((1000, 2)).tolist()]
+    W = bowtie_widths(V)
+    for c, f in ((164, 909), (909, 164)):
+        with pytest.raises(UncertifiedPair) as err:
+            pair_directions(V[c], V[f], W[c, f], V)
+        assert (err.value.i, err.value.j, err.value.k) == (c, f, 539)
+        assert 0.0 < err.value.headroom < 1.0
+
+
+def test_frontier_n300_certifies_every_pair_at_its_better_end():
+    g = random_plane_graph(300, 1.0, 300, margin=1e-7)
+    V, n = list(g.vertices), g.n
+    X, Y = np.array(V).T
+    W = bowtie_widths(V)
+    src, dst = np.triu_indices(n, 1)
+    best, centre = np.empty(len(src)), np.empty(len(src), dtype=np.intp)
+    for a in range(0, len(src), 128):  # both ends of 128 pairs at a time
+        i, j = src[a : a + 128], dst[a : a + 128]
+        ends, far = np.concatenate([i, j]), np.concatenate([j, i])
+        _, headroom = edge_recon._certified_directions(X[ends], Y[ends], X, Y, far, W[ends, far], 1e-9)
+        at_j = headroom[len(i) :] > headroom[: len(i)]
+        best[a : a + 128] = np.where(at_j, headroom[len(i) :], headroom[: len(i)])
+        centre[a : a + 128] = np.where(at_j, j, i)
+    assert best.min() > 1.0
+    # probes from the better end decide every edge and as many non-edges
+    rng = np.random.default_rng(300)
+    index = {(a, b): p for p, (a, b) in enumerate(zip(src.tolist(), dst.tolist()))}
+    non_edges = [p for p in rng.permutation(len(src)).tolist() if (src[p], dst[p]) not in g.edges]
+    o = DiagramOracle(g)
+    for p in [index[e] for e in sorted(g.edges)] + non_edges[: len(g.edges)]:
+        c = int(centre[p])
+        f = int(src[p] + dst[p] - c)
+        want = (int(src[p]), int(dst[p])) in g.edges
+        assert probe_edge(o, V[c], V[f], W[c, f], V).exists == want
+    assert o.query_count == 4 * len(g.edges)
 
 
 def test_indegree_from_diagrams_appendix(appendix_graph):
