@@ -12,7 +12,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, field
 from functools import cached_property
-from itertools import chain, combinations
+from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -29,7 +29,8 @@ GENERATOR_MARGIN = 1e-3
 
 _MAX_ATTEMPTS = 10_000
 
-#: Triangle areas the general-position check evaluates per array block.
+#: Cells an array block evaluates: triangle areas in the general-position
+#: and collinearity checks, segment-pair operands in validate's crossing check.
 _TRIPLE_CELLS = 1 << 14
 
 
@@ -74,41 +75,6 @@ class PlaneGraph:
         return x, y, e
 
 
-def _cross(o: Point2, a: Point2, b: Point2) -> float:
-    return (a.x - o.x) * (b.y - o.y) - (a.y - o.y) * (b.x - o.x)
-
-
-def _point_segment_dist(p: Point2, a: Point2, b: Point2) -> float:
-    ax, ay, bx, by = a.x, a.y, b.x, b.y
-    dx, dy = bx - ax, by - ay
-    dd = dx * dx + dy * dy
-    if dd == 0.0:
-        return ((p.x - ax) ** 2 + (p.y - ay) ** 2) ** 0.5
-    t = ((p.x - ax) * dx + (p.y - ay) * dy) / dd
-    t = min(1.0, max(0.0, t))
-    qx, qy = ax + t * dx, ay + t * dy
-    return ((p.x - qx) ** 2 + (p.y - qy) ** 2) ** 0.5
-
-
-def _segments_touch(p1: Point2, p2: Point2, p3: Point2, p4: Point2, tol: float) -> bool:
-    """True when segments p1p2 and p3p4 cross or come within tol."""
-    d1 = _cross(p3, p4, p1)
-    d2 = _cross(p3, p4, p2)
-    d3 = _cross(p1, p2, p3)
-    d4 = _cross(p1, p2, p4)
-    if ((d1 > tol and d2 < -tol) or (d1 < -tol and d2 > tol)) and (
-        (d3 > tol and d4 < -tol) or (d3 < -tol and d4 > tol)
-    ):
-        return True
-    # near-degenerate contact: an endpoint sits on (or touches) the other segment
-    return (
-        _point_segment_dist(p1, p3, p4) <= tol
-        or _point_segment_dist(p2, p3, p4) <= tol
-        or _point_segment_dist(p3, p1, p2) <= tol
-        or _point_segment_dist(p4, p1, p2) <= tol
-    )
-
-
 def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
     """Check all PlaneGraph invariants; return one message per violation.
 
@@ -117,35 +83,144 @@ def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
     collinear within tol), index-valid non-loop edges, and a plane
     straight-line embedding (no two edge segments intersect except at a
     shared endpoint).
+
+    The pair and triple checks run on arrays and decide as loops over
+    vertex pairs, triples and edge pairs would, message for message and in
+    that order (the tests keep those loops as the reference). Shared
+    coordinates sort each axis once: O(n log n) plus the pairs found.
+    Collinearity evaluates all O(n^3) triples (`_triples_where`), and
+    crossings all O(m^2) edge pairs (`_touching_edge_pairs`), in blocks of
+    at most about _TRIPLE_CELLS cells (one row once a row is longer), so
+    no array grows as m^2 or n^3. Non-finite and huge finite coordinates
+    are reported, never raised on.
     """
-    issues: list[str] = []
     n = g.n
-    for i, v in enumerate(g.vertices):
-        if not (np.isfinite(v.x) and np.isfinite(v.y)):
-            issues.append(f"non-finite coordinate at vertex {i}")
-    for i, j in combinations(range(n), 2):
-        if abs(g.vertices[i].x - g.vertices[j].x) <= tol:
-            issues.append(f"shared x-coordinate: vertices ({i}, {j})")
-        if abs(g.vertices[i].y - g.vertices[j].y) <= tol:
-            issues.append(f"shared y-coordinate: vertices ({i}, {j})")
     xy = np.fromiter(chain.from_iterable(g.vertices), np.float64, 2 * n)
     x, y = xy[0::2], xy[1::2]
-    # non-finite coordinates give NaN or inf areas, silently as Python floats do
+    bad = ~(np.isfinite(x) & np.isfinite(y))
+    issues = [f"non-finite coordinate at vertex {i}" for i in np.flatnonzero(bad).tolist()]
+    # non-finite and huge coordinates give NaN or inf, silently as Python floats do
     with np.errstate(invalid="ignore", over="ignore"):
+        issues.extend(_shared_coordinates(x, y, tol))
         for block in _triples_where(x, y, lambda area2: np.abs(area2) <= tol):
             issues.extend(f"collinear vertices ({i}, {j}, {k})" for i, j, k in block.tolist())
-    for i, j in g.sorted_edges():
-        if not (0 <= i < n and 0 <= j < n):
-            issues.append(f"edge ({i}, {j}) out of range")
-        elif i == j:
-            issues.append(f"self-loop edge ({i}, {j})")
-    edges = [e for e in g.sorted_edges() if 0 <= e[0] < n and 0 <= e[1] < n and e[0] != e[1]]
-    for (a, b), (c, d) in combinations(edges, 2):
-        if len({a, b, c, d}) < 4:
-            continue  # adjacent edges may share their common endpoint only
-        if _segments_touch(g.vertices[a], g.vertices[b], g.vertices[c], g.vertices[d], tol):
-            issues.append(f"crossing edges ({a}, {b}) x ({c}, {d})")
+        edges: list[Edge] = []
+        for i, j in g.sorted_edges():
+            if not (0 <= i < n and 0 <= j < n):
+                issues.append(f"edge ({i}, {j}) out of range")
+            elif i == j:
+                issues.append(f"self-loop edge ({i}, {j})")
+            else:
+                edges.append((i, j))
+        e = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        for block in _touching_edge_pairs(x, y, e, tol):
+            issues.extend(f"crossing edges ({a}, {b}) x ({c}, {d})" for a, b, c, d in block.tolist())
     return issues
+
+
+def _close_pairs(v: np.ndarray, tol: float) -> np.ndarray:
+    """The pairs (i, j), i < j, with abs(v[i] - v[j]) <= tol, as a
+    (count, 2) array in no particular order.
+
+    After a sort, the values within tol above a are a run that ends at
+    a + nextafter(tol, inf): b - a can round to tol or less only if it is
+    at most that bound exactly, and rounding the bound keeps every such b
+    below it (a + tol alone can round below such a b). `searchsorted` finds
+    each run; each candidate in it is then decided by the loop's own
+    `abs(a - b) <= tol`.
+    """
+    order = np.argsort(v, kind="stable")
+    s = v[order]
+    end = np.searchsorted(s, s + np.nextafter(tol, np.inf), side="right")
+    count = np.maximum(end - np.arange(1, len(s) + 1), 0)
+    first = np.repeat(np.arange(len(s)), count)
+    second = first + 1 + np.arange(len(first)) - np.repeat(np.cumsum(count) - count, count)
+    i, j = order[first], order[second]
+    pairs = np.sort(np.column_stack([i, j]), axis=1)
+    return pairs[np.abs(v[i] - v[j]) <= tol]
+
+
+def _shared_coordinates(x: np.ndarray, y: np.ndarray, tol: float) -> list[str]:
+    """validate's shared-coordinate messages in the loop's order: vertex
+    pairs (i, j) lexicographically, x before y within a pair."""
+    # in sorted order a rounded b - a never shrinks as b moves up, so when
+    # no value is within tol of the next one on its axis, no pair is
+    s = np.sort(np.stack([x, y]), axis=1)
+    if not (s[:, 1:] - s[:, :-1] <= tol).any():
+        return []
+    xs, ys = _close_pairs(x, tol), _close_pairs(y, tol)
+    pairs = np.concatenate([xs, ys])
+    axis = np.repeat([0, 1], [len(xs), len(ys)])
+    order = np.lexsort((axis, pairs[:, 1], pairs[:, 0]))
+    return [
+        f"shared {'xy'[a]}-coordinate: vertices ({i}, {j})"
+        for (i, j), a in zip(pairs[order].tolist(), axis[order].tolist())
+    ]
+
+
+def _touching_edge_pairs(x: np.ndarray, y: np.ndarray, e: np.ndarray, tol: float) -> Iterator[np.ndarray]:
+    """The pairs of edges e[p], e[q], p < q, with no common endpoint whose
+    segments cross or come within tol, in lexicographic (p, q) order: a
+    (count, 4) array of their endpoints (a, b, c, d) for each block of
+    first edges p that has any.
+
+    A block pairs a run of first edges with every later edge, at most about
+    _TRIPLE_CELLS // 4 pairs (one row once 4m exceeds it), and stacks the
+    four operands of each pair on a leading axis. For segments
+    p1p2 = (a, b) and p3p4 = (c, d), operand k is a point p against the
+    segment from o to o + (dx, dy): (p1, p3p4), (p2, p3p4), (p3, p1p2) and
+    (p4, p1p2). The same operand gives the loop's orientation d1..d4,
+    cross(p3, p4, p1) and so on, and its point-segment distance. Every
+    operand is that of the loop kept in tests/validate_reference.py: the
+    distance clamps t to [0, 1] as Python's min(1.0, max(0.0, t)) does (NaN
+    gives 0.0), measures from o when the squared length is 0.0, squares by
+    multiplying and roots with `** 0.5`. So every decision is the loop's,
+    except that squares that overflow give inf where Python's `** 2` raised
+    OverflowError.
+    """
+    m = len(e)
+    if m < 2:
+        return
+    rows = max(1, _TRIPLE_CELLS // (4 * m))
+    tie = 2 * np.spacing(tol)
+    ex, ey = x[e].T, y[e].T  # (2, m): first and second endpoint of each edge
+    sx, sy = ex[1] - ex[0], ey[1] - ey[0]
+    ends = np.stack([ex, ey])  # coordinate, endpoint, edge
+    segments = np.stack([ex[0], ey[0], sx, sy, sx * sx + sy * sy])  # ox, oy, dx, dy, dd; edge
+    for start in range(0, m - 1, rows):
+        first, later = slice(start, min(start + rows, m - 1)), slice(start + 1, m)
+        (a, b), (c, d) = e[first].T[:, :, None], e[later].T
+        apart = np.arange(start, first.stop)[:, None] < np.arange(start + 1, m)
+        apart &= (a != c) & (a != d) & (b != c) & (b != d)
+        if not apart.any():
+            continue
+        ops = np.empty((7, 4, first.stop - start, m - start - 1))
+        ops[:2, :2] = ends[:, :, first, None]
+        ops[:2, 2:] = ends[:, :, None, later]
+        ops[2:, :2] = segments[:, None, None, later]
+        ops[2:, 2:] = segments[:, None, first, None]
+        px, py, ox, oy, dx, dy, dd = ops
+        rx, ry = px - ox, py - oy
+        side = dx * ry - dy * rx
+        above, below = side > tol, side < -tol
+        cross = ((above[0::2] & below[1::2]) | (below[0::2] & above[1::2])).all(axis=0)
+        t = np.divide(rx * dx + ry * dy, dd, out=np.zeros_like(dd), where=dd != 0.0)
+        # fmax maps NaN to 0.0 as Python's max(0.0, t) does; a -0.0 it keeps
+        # only flips the sign of a zero difference, which squaring drops
+        t = np.fmin(np.fmax(t, 0.0), 1.0)
+        qx, qy = px - (ox + t * dx), py - (oy + t * dy)
+        sums = qx * qx + qy * qy
+        root = sums**0.5
+        close = root <= tol
+        near = np.abs(root - tol) <= tie
+        if near.any():
+            # numpy's root is correctly rounded; libm's pow, behind Python's
+            # float ** 0.5, can be one unit in the last place off, which
+            # decides differently only next to tol
+            close[near] = [v**0.5 <= tol for v in sums[near].tolist()]
+        p, q = np.nonzero(apart & (cross | close.any(axis=0)))
+        if len(p):
+            yield np.concatenate([e[p + start], e[q + start + 1]], axis=1)
 
 
 def _triples_where(x: np.ndarray, y: np.ndarray, hit) -> Iterator[np.ndarray]:
@@ -156,8 +231,8 @@ def _triples_where(x: np.ndarray, y: np.ndarray, hit) -> Iterator[np.ndarray]:
     A block holds at most about _TRIPLE_CELLS areas (one row of O(n^2) once
     n^2 exceeds it). Each area is
     (xj - xi) * (yk - yi) - (yj - yi) * (xk - xi), operand for operand the
-    `_cross(V[i], V[j], V[k])` of a loop over triples, so every decision is
-    that of the loop.
+    `cross(V[i], V[j], V[k])` of a loop over triples
+    (tests/validate_reference.py), so every decision is that of the loop.
     """
     n = len(x)
     if n < 3:
@@ -190,12 +265,13 @@ def _general_position_ok(pts: np.ndarray, margin: float) -> bool:
 def _delaunay_edges(pts: np.ndarray) -> list[Edge]:
     from scipy.spatial import Delaunay
 
-    tri = Delaunay(pts)
-    edges: set[Edge] = set()
-    for simplex in tri.simplices:
-        for a, b in combinations(sorted(int(x) for x in simplex), 2):
-            edges.add((a, b))
-    return sorted(edges)
+    n = len(pts)
+    tri = np.sort(Delaunay(pts).simplices, axis=1).astype(np.int64)  # int32 keys overflow
+    # edge (a, b), a < b, as the key a * n + b: one 1-D unique sorts and
+    # dedupes all three edge columns (np.unique with axis=0 costs more than
+    # the set it replaces on small graphs)
+    keys = np.unique(tri[:, [0, 1, 0]] * n + tri[:, [1, 2, 2]])
+    return [divmod(k, n) for k in keys.tolist()]
 
 
 def random_plane_graph(

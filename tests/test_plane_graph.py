@@ -1,3 +1,4 @@
+import math
 from itertools import combinations
 
 import numpy as np
@@ -15,9 +16,12 @@ from phrecon import (
     validate,
 )
 
-from phrecon.plane_graph import _general_position_ok
+from phrecon import plane_graph
+from phrecon.geometry import TOLERANCE
+from phrecon.plane_graph import _delaunay_edges, _general_position_ok
 
 from conftest import components_by_bfs
+from validate_reference import crossing_messages, shared_coordinate_messages
 
 
 def test_validate_ok_segment():
@@ -172,6 +176,135 @@ def test_validate_collinearity_matches_the_triple_loop():
         assert issues == rest[:head] + loop + rest[head:], (t, n, tol)
         found += len(loop)
     assert found > 0
+
+
+def _root_tie(rng):
+    """A vertex (u, h) whose squared distance s to the point (-0.5, 0) has
+    a root that Python's `s ** 0.5` (libm's pow) and a correctly rounded
+    sqrt round to different neighbours, with both roots; None when this
+    libm rounds every tried one correctly."""
+    for u, h in rng.uniform(0.2, 1.0, (20_000, 2)).tolist():
+        ex = u - -0.5
+        s = ex * ex + h * h
+        if s**0.5 != math.sqrt(s):
+            return (u, h), (s**0.5, math.sqrt(s))
+    return None
+
+
+def _pair_check_inputs(seed: int, cases: int = 240):
+    """(graph, tol) cases for validate's pair checks: random and Delaunay
+    edges plus random crossing ones, vertices planted on an edge's midpoint
+    and 0, 0.5, 1 and 1.5 tol off it, coordinates tied exactly or at tol,
+    coincident and underflowing endpoints, collinear overlapping segments,
+    NaN, inf and huge coordinates, and a distance whose root libm rounds
+    the other way from sqrt next to tol."""
+    rng = np.random.default_rng(seed)
+    for t in range(cases):
+        n = int(rng.integers(60, 91)) if t % 60 == 0 else int(rng.integers(2, 25))
+        tol = float(rng.choice([0.0, 1e-9, 1e-3]))
+        pts = rng.random((n, 2))
+        edges = _delaunay_edges(pts) if n >= 3 and t % 2 else []
+        if t % 5 == 0:
+            pts = np.round(pts * 8.0) / 8.0  # exact coordinate ties and segment contacts
+            tol = float(rng.choice([tol, 0.125]))  # 0.125: exact ties at tol
+        extra = rng.integers(0, n, size=(int(rng.integers(0, n + 2)), 2))
+        edges = edges + [(int(a), int(b)) for a, b in extra if a != b]
+        for _ in range(int(rng.integers(0, 3)) if n >= 4 else 0):
+            # a vertex on an edge's midpoint, or 0.5, 1 or 1.5 tol off it,
+            # with an edge of its own that shares no endpoint
+            a, b, k, r = rng.choice(n, size=4, replace=False)
+            d = pts[b] - pts[a]
+            normal = np.array([-d[1], d[0]]) / max(float(np.hypot(*d)), 1e-300)
+            pts[k] = (pts[a] + pts[b]) / 2 + normal * tol * rng.choice([0.0, 0.5, 1.0, 1.5])
+            edges += [(int(a), int(b)), (int(k), int(r))]
+        for _ in range(int(rng.integers(0, 4)) if n >= 2 else 0):
+            # a coordinate tied with another's exactly or at about tol
+            i, j = rng.choice(n, size=2, replace=False)
+            axis = int(rng.integers(2))
+            if rng.random() < 0.7:
+                pts[j, axis] = pts[i, axis] + tol * rng.choice([0.0, 0.5, 1.0, 1.5, -1.0])
+            else:
+                # b - a can round down to tol although b lies above a + tol as rounded
+                pts[i, axis] = -tol * rng.random()
+                pts[j, axis] = np.nextafter(pts[i, axis] + tol, np.inf)
+        if t % 7 == 3 and n >= 2:
+            # coincident or underflowing endpoints: squared length 0.0
+            a, b = rng.choice(n, size=2, replace=False)
+            pts[b] = pts[a] + rng.choice([0.0, 1e-170])
+            edges.append((int(a), int(b)))
+        if t % 11 == 4 and n >= 4:
+            # collinear overlapping segments a-b and c-d on one line
+            a, b, c, d = rng.choice(n, size=4, replace=False)
+            base, step = rng.random(2), rng.normal(size=2)
+            for v, s in zip((a, c, b, d), np.sort(rng.random(4))):
+                pts[v] = base + s * step
+            edges += [(int(a), int(b)), (int(c), int(d))]
+        if t % 13 == 6:
+            pts[rng.integers(n)] = rng.choice([np.nan, np.inf, -np.inf, 1e200], size=2)
+        yield PlaneGraph(pts.tolist(), edges), tol
+    tie = _root_tie(rng)
+    if tie is not None:
+        # (u, h) is nearest to the end (-0.5, 0) of segment (-1, 0)-(-0.5, 0)
+        (u, h), roots = tie
+        g = PlaneGraph([(-1.0, 0.0), (-0.5, 0.0), (u, h), (u + 0.25, h + 1.0)], [(0, 1), (2, 3)])
+        for tol in roots:
+            yield g, tol
+
+
+@pytest.mark.parametrize("cells", [plane_graph._TRIPLE_CELLS, 64])
+def test_validate_edge_pairs_match_the_loop(cells, monkeypatch):
+    monkeypatch.setattr(plane_graph, "_TRIPLE_CELLS", cells)
+    found = 0
+    for g, tol in _pair_check_inputs(cells, 240 if cells > 64 else 120):
+        issues = validate(g, tol)
+        want = crossing_messages(g, tol)
+        assert [m for m in issues if m.startswith("crossing")] == want, (g.n, len(g.edges), tol)
+        assert issues[len(issues) - len(want) :] == want
+        found += len(want)
+    assert found > 0
+
+
+def test_validate_shared_coordinates_match_the_loop():
+    found = 0
+    for g, tol in _pair_check_inputs(3):
+        issues = validate(g, tol)
+        want = shared_coordinate_messages(g, tol)
+        bad = [i for i, v in enumerate(g.vertices) if not (math.isfinite(v.x) and math.isfinite(v.y))]
+        head = len(bad)
+        assert issues[:head] == [f"non-finite coordinate at vertex {i}" for i in bad]
+        assert issues[head : head + len(want)] == want, (g.n, tol)
+        assert not any(m.startswith("shared") for m in issues[head + len(want) :])
+        found += len(want)
+    assert found > 0
+
+
+def test_validate_reports_huge_coordinates_instead_of_raising():
+    # squares of these differences overflow; Python's ** 2 raised OverflowError
+    g = PlaneGraph([(0, 0), (1e200, 1), (-5, 1e200), (-3, 2e200)], [(0, 1), (2, 3)])
+    issues = validate(g)
+    assert isinstance(issues, list)
+    assert [m for m in issues if m.startswith("crossing")] == crossing_messages(g, TOLERANCE)
+
+
+def _delaunay_edges_loop(pts: np.ndarray) -> list:
+    """The generator's Delaunay edge list built one simplex at a time."""
+    from scipy.spatial import Delaunay
+
+    edges = set()
+    for simplex in Delaunay(pts).simplices:
+        for a, b in combinations(sorted(int(x) for x in simplex), 2):
+            edges.add((a, b))
+    return sorted(edges)
+
+
+def test_delaunay_edges_match_the_set_loop():
+    rng = np.random.default_rng(21)
+    sizes = rng.integers(3, 120, size=50).tolist() + [46_400]  # n * n > 2**31
+    for t, n in enumerate(sizes):
+        pts = rng.random((n, 2))
+        if t % 5 == 1:
+            pts = np.round(pts * 4.0) / 4.0 + rng.random(pts.shape) * 1e-9  # near-cocircular grid
+        assert _delaunay_edges(pts) == _delaunay_edges_loop(pts), t
 
 
 def test_indegree_star_with_ties():
