@@ -2,10 +2,7 @@
 reconstruction of the embedding from a metered diagram oracle."""
 
 from .edge_recon import (
-    BowTie,
-    IndegreeQuery,
     bowtie_widths,
-    enumerate_compatible_graphs,
     global_bowtie_width,
     indegree_from_diagrams,
     pair_directions,
@@ -16,12 +13,10 @@ from .errors import (
     DegenerateDirection,
     DegeneratePoints,
     DuplicateHeights,
-    EnumerationOverflow,
     GenerationFailed,
     ParallelLines,
     PhreconError,
     UncertifiedPair,
-    WrongCardinality,
 )
 from .geometry import (
     TOLERANCE,
@@ -31,8 +26,6 @@ from .geometry import (
     filtration_line,
     height,
     intersect_lines,
-    line_angle_mod_pi,
-    rotate,
 )
 from .persistence import (
     Diagram,
@@ -44,10 +37,8 @@ from .persistence import (
 )
 from .plane_graph import (
     PlaneGraph,
-    connected_components,
     graph_from_json,
     graph_to_json,
-    indegree_direct,
     load_graph,
     random_plane_graph,
     save_graph,
@@ -57,7 +48,6 @@ from .render import render_svg
 from .vertex_recon import (
     LineFamily,
     lines_from_dgm0,
-    locate_point,
     match_and_intersect,
     reconstruct_vertices,
     third_direction,

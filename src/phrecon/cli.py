@@ -110,8 +110,22 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
+def _load_indexed_graph(path) -> PlaneGraph | None:
+    """The graph in `path`, or None after reporting an edge index outside
+    [0, n), which `PlaneGraph.arrays` refuses and `validate` lists."""
+    g = load_graph(path)
+    try:
+        g.arrays
+    except ValueError as err:
+        print(f"invalid graph: {err}", file=sys.stderr)
+        return None
+    return g
+
+
 def cmd_diagrams(args) -> int:
-    g = load_graph(args.graph)
+    g = _load_indexed_graph(args.graph)
+    if g is None:
+        return EXIT_INVALID_GRAPH
     try:
         d = lower_star_diagrams(g, args.direction, args.tolerance)
     except DegenerateDirection as err:
@@ -169,11 +183,13 @@ def cmd_reconstruct(args) -> int:
 
 def cmd_verify(args) -> int:
     try:
-        ga = load_graph(args.a)
-        gb = load_graph(args.b)
-    except (OSError, ValueError, KeyError, TypeError) as err:
-        print(f"cannot parse graphs: {err}", file=sys.stderr)
+        ga = _load_indexed_graph(args.a)
+        gb = _load_indexed_graph(args.b)
+    except (OSError, ValueError) as err:
+        print(f"error: cannot parse graphs: {err}", file=sys.stderr)
         return EXIT_USAGE
+    if ga is None or gb is None:
+        return EXIT_INVALID_GRAPH
     matching = _match_vertices(list(ga.vertices), list(gb.vertices), args.eps)
     if matching is None:
         print(
@@ -195,7 +211,9 @@ def cmd_verify(args) -> int:
 
 
 def cmd_render(args) -> int:
-    g = load_graph(args.graph)
+    g = _load_indexed_graph(args.graph)
+    if g is None:
+        return EXIT_INVALID_GRAPH
     bowtie = None
     if args.bowtie:
         try:

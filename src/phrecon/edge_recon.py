@@ -9,74 +9,28 @@ pairs costs at most n(n-1) oracle queries.
 
 Each pair's bow tie has its own width (`bowtie_widths`), both ends are
 tried as its centre, and the better one is certified once, with no retry.
-
-`enumerate_compatible_graphs` is the independent brute-force oracle: it
-builds every edge set whose filtration events match a given diagram.
+`reconstruct_edges_detail` decides every pair, a batch of whole rows at a
+time; `pair_directions` is the certifier's one-pair call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain, combinations
-from typing import Iterator, NamedTuple, Sequence
+from itertools import chain
+from typing import Iterator, Sequence
 
 import numpy as np
 
-from .errors import (
-    CoincidentPoints,
-    DegenerateDirection,
-    DegeneratePoints,
-    EnumerationOverflow,
-    UncertifiedPair,
-)
+from .errors import CoincidentPoints, DegeneratePoints, UncertifiedPair
 from .geometry import TOLERANCE, Direction, Point2, height
-from .persistence import Diagram, DiagramOracle, events_at_many, lower_star_diagrams
-from .plane_graph import PlaneGraph, _UnionFind
+from .persistence import Diagram, DiagramOracle, events_at_many
 
 Edge = tuple[int, int]
 
 #: Directions times 4n (a bound on the simplices per direction) that one
 #: edge-phase batch may hold; the oracle kernel's arrays grow with it.
 _BATCH_CELLS = 1 << 15
-
-#: Largest vertex count the compatible-graph enumerator accepts; the row
-#: table is exponential in the worst case.
-MAX_ENUMERATION_VERTICES = 12
-
-
-@dataclass(frozen=True)
-class BowTie:
-    """Double wedge at `center`: symmetric difference of the closed
-    half-planes below the center in directions s1 and s2."""
-
-    center: Point2
-    s1: Direction
-    s2: Direction
-    half_width: float
-
-    def __post_init__(self):
-        dot = self.s1.dx * self.s2.dx + self.s1.dy * self.s2.dy
-        cross = self.s1.dx * self.s2.dy - self.s1.dy * self.s2.dx
-        angle = math.atan2(abs(cross), dot)
-        if abs(angle - 2.0 * self.half_width) > 1e-12:
-            raise ValueError(
-                f"directions span {angle} rad, expected {2.0 * self.half_width}"
-            )
-
-    def contains(self, p: Point2) -> bool:
-        below1 = height(p, self.s1) <= height(self.center, self.s1)
-        below2 = height(p, self.s2) <= height(self.center, self.s2)
-        return below1 != below2
-
-
-class IndegreeQuery(NamedTuple):
-    """One resolved indegree probe: how many edges at `vertex` lie at or
-    below it in `direction`."""
-
-    vertex: Point2
-    direction: Direction
-    count: int
 
 
 def bowtie_widths(V: Sequence[Point2], tol: float = TOLERANCE) -> np.ndarray:
@@ -203,37 +157,6 @@ def indegree_from_diagrams(d: Diagram, v: Point2, tol: float = TOLERANCE) -> int
 
 
 @dataclass(frozen=True)
-class EdgeProbe:
-    """Outcome of one pair decision, which costs two oracle queries."""
-
-    exists: bool
-    indegrees: tuple[IndegreeQuery, IndegreeQuery]
-
-
-def probe_edge(
-    o: DiagramOracle,
-    v: Point2,
-    v2: Point2,
-    theta: float,
-    V: Sequence[Point2],
-    tol: float = TOLERANCE,
-) -> EdgeProbe:
-    """Decide (v, v2) from the two diagrams of its certified bow tie at v,
-    asked in one `query_many`. A degenerate entry is raised as the
-    oracle's DegenerateDirection; nothing is asked again."""
-    directions = pair_directions(v, v2, theta, V, tol)
-    answers = o.query_many(list(directions))
-    for d in answers:
-        if isinstance(d, DegenerateDirection):
-            raise d
-    i1, i2 = (indegree_from_diagrams(d, v, tol) for d in answers)
-    return EdgeProbe(
-        exists=abs(i1 - i2) == 1,
-        indegrees=(IndegreeQuery(v, directions[0], i1), IndegreeQuery(v, directions[1], i2)),
-    )
-
-
-@dataclass(frozen=True)
 class EdgeReconResult:
     edges: frozenset[Edge]
     queries: int
@@ -303,73 +226,3 @@ def _row_batches(n: int) -> Iterator[np.ndarray]:
             stop += 1
         yield np.arange(start, stop)
         start = stop
-
-
-def enumerate_compatible_graphs(
-    V: Sequence[Point2],
-    s: Direction,
-    d: Diagram,
-    tol: float = TOLERANCE,
-) -> set[frozenset[Edge]]:
-    """Every edge set over V whose filtration along s reproduces d.
-
-    Sweeps the vertices from least to greatest height, extending each
-    surviving partial edge set with every subset of edges back to the
-    already-seen vertices whose merge/cycle counts at that height match
-    the diagram's dim-0 deaths and dim-1 births there; complete rows are
-    re-checked against the full diagram. Brute-force test oracle, capped
-    at 12 vertices.
-    """
-    n = len(V)
-    if n > MAX_ENUMERATION_VERTICES:
-        raise EnumerationOverflow(
-            f"{n} vertices exceeds the enumeration safeguard of {MAX_ENUMERATION_VERTICES}"
-        )
-    u = Direction(*s).normalized()
-    heights = [height(p, u) for p in V]
-    order = sorted(range(n), key=heights.__getitem__)
-    for a, b in zip(order, order[1:]):
-        if abs(heights[a] - heights[b]) <= tol:
-            raise DegenerateDirection(min(a, b), max(a, b), u)
-
-    finite_deaths = [p.death for p in d.dim0 if not p.is_infinite]
-    cycle_births = [p.birth for p in d.dim1]
-
-    rows: set[frozenset[Edge]] = {frozenset()}
-    seen: list[int] = []
-    for v in order:
-        h = heights[v]
-        k0 = sum(1 for death in finite_deaths if abs(death - h) <= tol)
-        k1 = sum(1 for birth in cycle_births if abs(birth - h) <= tol)
-        need = k0 + k1
-        new_rows: set[frozenset[Edge]] = set()
-        for row in rows:
-            comp = _UnionFind(n)
-            for a, b in row:
-                comp.union(a, b)
-            for subset in combinations(seen, need):
-                if len({comp.find(x) for x in subset}) != k0:
-                    continue
-                extension = {(min(v, x), max(v, x)) for x in subset}
-                new_rows.add(row | extension)
-        rows = new_rows
-        seen.append(v)
-        if not rows:
-            return set()
-
-    return {row for row in rows if _diagram_matches(V, row, u, d, tol)}
-
-
-def _diagram_matches(V, edges, u, expected: Diagram, tol: float) -> bool:
-    candidate = lower_star_diagrams(PlaneGraph(V, edges), u, tol)
-    for got, want in ((candidate.dim0, expected.dim0), (candidate.dim1, expected.dim1)):
-        if len(got) != len(want):
-            return False
-        for a, b in zip(sorted(got), sorted(want)):
-            if abs(a.birth - b.birth) > tol:
-                return False
-            if a.is_infinite != math.isinf(b.death):
-                return False
-            if not a.is_infinite and abs(a.death - b.death) > tol:
-                return False
-    return True

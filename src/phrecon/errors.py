@@ -45,10 +45,6 @@ class DuplicateHeights(PhreconError):
     """Two diagram births coincide, so filtration lines are not distinct."""
 
 
-class WrongCardinality(PhreconError):
-    """A diagram does not contain the expected number of features."""
-
-
 class UncertifiedPair(PhreconError):
     """No bow tie at vertex i towards vertex j can be certified.
 
@@ -67,7 +63,3 @@ class UncertifiedPair(PhreconError):
             f"no certified bow tie at vertex {i} towards vertex {j}: "
             f"headroom {headroom:.3g} (vertex {k} sets the smallest height gap)"
         )
-
-
-class EnumerationOverflow(PhreconError):
-    """Compatible-graph enumeration refused to run above its size safeguard."""

@@ -13,7 +13,7 @@ import os
 from dataclasses import dataclass
 from typing import NamedTuple
 
-from .errors import CoincidentPoints, ParallelLines
+from .errors import ParallelLines
 
 
 def _tolerance_from_env() -> float:
@@ -121,27 +121,3 @@ def intersect_lines(a: Line, b: Line) -> Point2:
     x = (a.offset * b.normal.dy - b.offset * a.normal.dy) / det
     y = (a.normal.dx * b.offset - b.normal.dx * a.offset) / det
     return Point2(x, y)
-
-
-def rotate(s: Direction, angle: float) -> Direction:
-    """Rotate s counter-clockwise by angle (radians)."""
-    u = Direction(*s).normalized()
-    c, sn = math.cos(angle), math.sin(angle)
-    return Direction(u.dx * c - u.dy * sn, u.dx * sn + u.dy * c)
-
-
-def line_angle_mod_pi(u: Point2, v: Point2) -> float:
-    """Angle in [0, pi) of the undirected line through u and v.
-
-    Symmetric in its arguments exactly: the chord is canonicalized to point
-    into the right half-plane before atan2.
-    """
-    dx, dy = v[0] - u[0], v[1] - u[1]
-    if dx == 0.0 and dy == 0.0:
-        raise CoincidentPoints(f"points {u} and {v} coincide")
-    if dx < 0.0 or (dx == 0.0 and dy < 0.0):
-        dx, dy = -dx, -dy
-    a = math.atan2(dy, dx)
-    if a < 0.0:
-        a += math.pi
-    return a

@@ -4,7 +4,9 @@ A PlaneGraph is a straight-line embedded graph whose vertices are assumed
 to be in general position (pairwise distinct x- and y-coordinates, no three
 collinear) and whose edges do not cross. `validate` reports violations of
 those assumptions as data; `random_plane_graph` produces instances that
-satisfy them by construction.
+satisfy them by construction. `PlaneGraph.arrays`, the form the oracle
+reads, refuses an edge index outside [0, n), and `graph_from_json` raises
+ValueError for any malformed entry.
 """
 
 from __future__ import annotations
@@ -18,7 +20,7 @@ from typing import Iterator
 import numpy as np
 
 from .errors import GenerationFailed
-from .geometry import TOLERANCE, Point2, height
+from .geometry import TOLERANCE, Point2
 
 Edge = tuple[int, int]
 
@@ -55,9 +57,6 @@ class PlaneGraph:
     def n(self) -> int:
         return len(self.vertices)
 
-    def degree(self, v: int) -> int:
-        return sum(1 for e in self.edges if v in e)
-
     def sorted_edges(self) -> list[Edge]:
         return sorted(self.edges)
 
@@ -66,10 +65,19 @@ class PlaneGraph:
         """Read-only array form, built on first use and kept: the float64
         x and y coordinate columns and the (m, 2) integer array of
         `sorted_edges()`. Not a dataclass field, so equality, hashing and
-        JSON see only `vertices` and `edges`."""
+        JSON see only `vertices` and `edges`. Raises ValueError naming the
+        first edge, in sorted order, with an index outside [0, n)."""
         xy = np.fromiter(chain.from_iterable(self.vertices), np.float64, 2 * self.n)
         x, y = xy[0::2].copy(), xy[1::2].copy()
-        e = np.array(self.sorted_edges(), dtype=np.intp).reshape(-1, 2)
+        edges = self.sorted_edges()
+        try:
+            e = np.array(edges, dtype=np.intp).reshape(-1, 2)
+            inside = bool(((e >= 0) & (e < self.n)).all())
+        except OverflowError:  # an index beyond intp is outside too
+            inside = False
+        if not inside:
+            i, j = next((i, j) for i, j in edges if i < 0 or j >= self.n)
+            raise ValueError(f"edge ({i}, {j}) out of range")
         for a in (x, y, e):
             a.flags.writeable = False
         return x, y, e
@@ -322,57 +330,6 @@ def random_plane_graph(
     return PlaneGraph(((float(x), float(y)) for x, y in pts), chosen)
 
 
-def indegree_direct(g: PlaneGraph, v: int, s) -> int:
-    """Number of edges at vertex v whose other endpoint lies at or below
-    v's height in direction s (ties count as below)."""
-    if not 0 <= v < g.n:
-        raise IndexError(f"vertex index {v} out of range for n={g.n}")
-    hv = height(g.vertices[v], s)
-    count = 0
-    for a, b in g.edges:
-        if a == v or b == v:
-            other = b if a == v else a
-            if height(g.vertices[other], s) <= hv:
-                count += 1
-    return count
-
-
-class _UnionFind:
-    """Union by size with path compression over indices 0..n-1."""
-
-    def __init__(self, n: int):
-        self.parent = list(range(n))
-        self.size = [1] * n
-
-    def find(self, x: int) -> int:
-        root = x
-        while self.parent[root] != root:
-            root = self.parent[root]
-        while self.parent[x] != root:
-            self.parent[x], x = root, self.parent[x]
-        return root
-
-    def union(self, a: int, b: int) -> bool:
-        ra, rb = self.find(a), self.find(b)
-        if ra == rb:
-            return False
-        if self.size[ra] < self.size[rb]:
-            ra, rb = rb, ra
-        self.parent[rb] = ra
-        self.size[ra] += self.size[rb]
-        return True
-
-
-def connected_components(g: PlaneGraph) -> int:
-    """Number of connected components."""
-    uf = _UnionFind(g.n)
-    count = g.n
-    for a, b in g.edges:
-        if uf.union(a, b):
-            count -= 1
-    return count
-
-
 def graph_to_json(g: PlaneGraph) -> str:
     """Canonical Graph JSON: vertex order preserved, edges sorted, numbers
     in shortest round-trip decimal form."""
@@ -387,8 +344,11 @@ def graph_from_json(text: str) -> PlaneGraph:
     data = json.loads(text)
     if not isinstance(data, dict) or "vertices" not in data or "edges" not in data:
         raise ValueError("graph JSON must contain 'vertices' and 'edges'")
-    vertices = [(float(x), float(y)) for x, y in data["vertices"]]
-    edges = [(int(i), int(j)) for i, j in data["edges"]]
+    try:
+        vertices = [(float(x), float(y)) for x, y in data["vertices"]]
+        edges = [(int(i), int(j)) for i, j in data["edges"]]
+    except (TypeError, ValueError, OverflowError) as err:
+        raise ValueError(f"malformed vertex or edge entry in graph JSON: {err}") from err
     return PlaneGraph(vertices, edges)
 
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateHeights, ParallelLines, WrongCardinality
+from .errors import DuplicateHeights, ParallelLines
 from .geometry import (
     PARALLEL_EPS,
     TOLERANCE,
@@ -24,7 +24,6 @@ from .geometry import (
     Line,
     Point2,
     filtration_line,
-    intersect_lines,
 )
 from .persistence import Diagram, DiagramOracle
 
@@ -164,22 +163,13 @@ def _det(a: Direction, b: Direction) -> float:
     return det
 
 
-def locate_point(dgm0_a: Diagram, dgm0_b: Diagram) -> Point2:
-    """Position of the sole vertex from two single-feature diagrams."""
-    for d in (dgm0_a, dgm0_b):
-        count = len(d.births0())
-        if count != 1:
-            raise WrongCardinality(f"expected exactly one dim-0 feature, got {count}")
-    la = filtration_line(dgm0_a.direction, float(dgm0_a.births0()[0]))
-    lb = filtration_line(dgm0_b.direction, float(dgm0_b.births0()[0]))
-    return intersect_lines(la, lb)
-
-
 def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point2]:
     """Recover all vertex coordinates using exactly three oracle queries.
 
     Queries (1, 0), (0, 1), and the derived third direction, in that
-    order. Returns the vertices sorted by ascending y-coordinate.
+    order. Returns the vertices sorted by ascending y-coordinate. A single
+    vertex is read off the two axis families: its x and y are their offsets,
+    the floats that intersecting their lines gives.
     """
     d1 = o.query(AXIS_X)
     d2 = o.query(AXIS_Y)
@@ -188,6 +178,6 @@ def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point
     s3 = third_direction(f1, f2)
     d3 = o.query(s3)
     if len(f1) == 1:
-        return [locate_point(d1, d2)]
+        return [Point2(float(f1.offsets[0]), float(f2.offsets[0]))]
     f3 = lines_from_dgm0(d3, tol)
     return match_and_intersect(f2, f3, f1.line(0))

@@ -1,0 +1,180 @@
+"""One-pair references for the edge phase: the probe, the bow tie and the
+line angles that the batched phase is checked against, and criterion 7's
+brute-force enumerator of compatible edge sets.
+
+`reference_probe_edge` applies the pipeline's rule to one pair at a chosen
+width: the two certified directions of `pair_directions`, asked in one
+`query_many`, read by `indegree_from_diagrams`, an edge iff the indegrees
+differ by exactly one.
+"""
+
+from __future__ import annotations
+
+import math
+from dataclasses import dataclass
+from itertools import combinations
+from typing import Sequence
+
+from phrecon import (
+    DegenerateDirection,
+    Diagram,
+    Direction,
+    PlaneGraph,
+    Point2,
+    height,
+    indegree_from_diagrams,
+    lower_star_diagrams,
+    pair_directions,
+)
+from phrecon.errors import CoincidentPoints, PhreconError
+from phrecon.geometry import TOLERANCE
+
+from graph_reference import UnionFind
+
+Edge = tuple[int, int]
+
+#: Largest vertex count the compatible-graph enumerator accepts; the row
+#: table is exponential in the worst case.
+MAX_ENUMERATION_VERTICES = 12
+
+
+class EnumerationOverflow(PhreconError):
+    """Compatible-graph enumeration refused to run above its size safeguard."""
+
+
+def reference_probe_edge(
+    o,
+    v: Point2,
+    v2: Point2,
+    theta: float,
+    V: Sequence[Point2],
+    tol: float = TOLERANCE,
+) -> bool:
+    """Whether (v, v2) is an edge, decided from the two diagrams of its
+    certified bow tie at v of half-width theta. Raises UncertifiedPair
+    before asking when `pair_directions` does, and a degenerate entry as
+    the oracle's DegenerateDirection."""
+    answers = o.query_many(list(pair_directions(v, v2, theta, V, tol)))
+    for d in answers:
+        if isinstance(d, DegenerateDirection):
+            raise d
+    i1, i2 = (indegree_from_diagrams(d, v, tol) for d in answers)
+    return abs(i1 - i2) == 1
+
+
+@dataclass(frozen=True)
+class BowTie:
+    """Double wedge at `center`: symmetric difference of the closed
+    half-planes below the center in directions s1 and s2."""
+
+    center: Point2
+    s1: Direction
+    s2: Direction
+    half_width: float
+
+    def __post_init__(self):
+        dot = self.s1.dx * self.s2.dx + self.s1.dy * self.s2.dy
+        cross = self.s1.dx * self.s2.dy - self.s1.dy * self.s2.dx
+        angle = math.atan2(abs(cross), dot)
+        if abs(angle - 2.0 * self.half_width) > 1e-12:
+            raise ValueError(
+                f"directions span {angle} rad, expected {2.0 * self.half_width}"
+            )
+
+    def contains(self, p: Point2) -> bool:
+        below1 = height(p, self.s1) <= height(self.center, self.s1)
+        below2 = height(p, self.s2) <= height(self.center, self.s2)
+        return below1 != below2
+
+
+def rotate(s: Direction, angle: float) -> Direction:
+    """Rotate s counter-clockwise by angle (radians)."""
+    u = Direction(*s).normalized()
+    c, sn = math.cos(angle), math.sin(angle)
+    return Direction(u.dx * c - u.dy * sn, u.dx * sn + u.dy * c)
+
+
+def line_angle_mod_pi(u: Point2, v: Point2) -> float:
+    """Angle in [0, pi) of the undirected line through u and v.
+
+    Symmetric in its arguments exactly: the chord is canonicalized to point
+    into the right half-plane before atan2.
+    """
+    dx, dy = v[0] - u[0], v[1] - u[1]
+    if dx == 0.0 and dy == 0.0:
+        raise CoincidentPoints(f"points {u} and {v} coincide")
+    if dx < 0.0 or (dx == 0.0 and dy < 0.0):
+        dx, dy = -dx, -dy
+    a = math.atan2(dy, dx)
+    if a < 0.0:
+        a += math.pi
+    return a
+
+
+def enumerate_compatible_graphs(
+    V: Sequence[Point2],
+    s: Direction,
+    d: Diagram,
+    tol: float = TOLERANCE,
+) -> set[frozenset[Edge]]:
+    """Every edge set over V whose filtration along s reproduces d.
+
+    Sweeps the vertices from least to greatest height, extending each
+    surviving partial edge set with every subset of edges back to the
+    already-seen vertices whose merge/cycle counts at that height match
+    the diagram's dim-0 deaths and dim-1 births there; complete rows are
+    re-checked against the full diagram. Capped at 12 vertices.
+    """
+    n = len(V)
+    if n > MAX_ENUMERATION_VERTICES:
+        raise EnumerationOverflow(
+            f"{n} vertices exceeds the enumeration safeguard of {MAX_ENUMERATION_VERTICES}"
+        )
+    u = Direction(*s).normalized()
+    heights = [height(p, u) for p in V]
+    order = sorted(range(n), key=heights.__getitem__)
+    for a, b in zip(order, order[1:]):
+        if abs(heights[a] - heights[b]) <= tol:
+            raise DegenerateDirection(min(a, b), max(a, b), u)
+
+    finite_deaths = [p.death for p in d.dim0 if not p.is_infinite]
+    cycle_births = [p.birth for p in d.dim1]
+
+    rows: set[frozenset[Edge]] = {frozenset()}
+    seen: list[int] = []
+    for v in order:
+        h = heights[v]
+        k0 = sum(1 for death in finite_deaths if abs(death - h) <= tol)
+        k1 = sum(1 for birth in cycle_births if abs(birth - h) <= tol)
+        need = k0 + k1
+        new_rows: set[frozenset[Edge]] = set()
+        for row in rows:
+            comp = UnionFind(n)
+            for a, b in row:
+                comp.union(a, b)
+            for subset in combinations(seen, need):
+                if len({comp.find(x) for x in subset}) != k0:
+                    continue
+                extension = {(min(v, x), max(v, x)) for x in subset}
+                new_rows.add(row | extension)
+        rows = new_rows
+        seen.append(v)
+        if not rows:
+            return set()
+
+    return {row for row in rows if _diagram_matches(V, row, u, d, tol)}
+
+
+def _diagram_matches(V, edges, u, expected: Diagram, tol: float) -> bool:
+    candidate = lower_star_diagrams(PlaneGraph(V, edges), u, tol)
+    for got, want in ((candidate.dim0, expected.dim0), (candidate.dim1, expected.dim1)):
+        if len(got) != len(want):
+            return False
+        for a, b in zip(sorted(got), sorted(want)):
+            if abs(a.birth - b.birth) > tol:
+                return False
+            if a.is_infinite != math.isinf(b.death):
+                return False
+            if not a.is_infinite and abs(a.death - b.death) > tol:
+                return False
+    return True

@@ -13,9 +13,6 @@ from phrecon import (
     DiagramOracle,
     Direction,
     PlaneGraph,
-    connected_components,
-    enumerate_compatible_graphs,
-    indegree_direct,
     indegree_from_diagrams,
     lines_from_dgm0,
     lower_star_diagrams,
@@ -29,6 +26,8 @@ from phrecon.cli import main
 from phrecon.vertex_recon import AXIS_X, AXIS_Y
 
 from conftest import match_to_hidden, remap_edges, tie_free_direction
+from edge_reference import enumerate_compatible_graphs
+from graph_reference import connected_components, indegree_direct
 from vertex_reference import triple_intersections
 
 VERTEX_TOL = 1e-6

@@ -211,3 +211,32 @@ def test_golden_diagrams_and_reconstruct_outputs(tmp_path, instance):
     assert run("reconstruct", graph, "-o", recon) == 0
     assert diagrams.read_bytes() == (DATA / f"{instance}.diagrams.json").read_bytes()
     assert recon.read_bytes() == (DATA / f"{instance}.recon.json").read_bytes()
+
+
+@pytest.mark.parametrize("edge", [[-1, 1], [0, 5]])
+@pytest.mark.parametrize("command", ["diagrams", "render"])
+def test_edge_index_out_of_range_exit4_writes_nothing(tmp_path, capsys, command, edge):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"vertices": [[0.1, 0.2], [0.5, 0.9], [0.8, 0.4]], "edges": [edge]}))
+    out = tmp_path / "out"
+    extra = ["--direction", "1,0.3"] if command == "diagrams" else []
+    assert run(command, gpath, *extra, "-o", out) == 4
+    assert capsys.readouterr().err == f"invalid graph: edge ({edge[0]}, {edge[1]}) out of range\n"
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["diagrams", "reconstruct", "render", "verify"])
+def test_malformed_graph_file_exit64_with_one_error_line(tmp_path, capsys, command):
+    gpath = tmp_path / "g.json"
+    gpath.write_text('{"vertices": [1, 2], "edges": []}\n')
+    out = tmp_path / "out"
+    argv = {
+        "diagrams": [gpath, "--direction", "1,0", "-o", out],
+        "reconstruct": [gpath, "-o", out],
+        "render": [gpath, "-o", out],
+        "verify": [gpath, gpath],
+    }[command]
+    assert run(command, *argv) == 64
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert not out.exists()

@@ -13,9 +13,9 @@ from phrecon import (
     filtration_line,
     height,
     intersect_lines,
-    line_angle_mod_pi,
-    rotate,
 )
+
+from edge_reference import line_angle_mod_pi, rotate
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
 nonzero_pair = st.tuples(coord, coord).filter(lambda t: abs(t[0]) + abs(t[1]) > 1e-6)

@@ -13,7 +13,6 @@ from phrecon import (
     PersistencePair,
     PlaneGraph,
     Point2,
-    connected_components,
     diagram_from_json,
     diagram_to_json,
     height,
@@ -22,10 +21,12 @@ from phrecon import (
     reconstruct_edges_detail,
     reconstruct_vertices,
 )
-from phrecon.edge_recon import global_bowtie_width, probe_edge
+from phrecon.edge_recon import global_bowtie_width
 from phrecon.persistence import events_at_many, lower_star_many
 
 from conftest import match_to_hidden, tie_free_direction
+from edge_reference import reference_probe_edge
+from graph_reference import connected_components
 from sweep_reference import reference_lower_star_diagrams
 
 INF = math.inf
@@ -492,8 +493,8 @@ def test_vertex_phase_and_probe_build_no_pair(monkeypatch):
     o = DiagramOracle(g)
     V = reconstruct_vertices(o)
     a, b = match_to_hidden(V[:2], g).values()
-    probe = probe_edge(o, V[0], V[1], global_bowtie_width(V), V)
-    assert probe.exists == ((min(a, b), max(a, b)) in g.edges)
+    exists = reference_probe_edge(o, V[0], V[1], global_bowtie_width(V), V)
+    assert exists == ((min(a, b), max(a, b)) in g.edges)
     assert len(reconstruct_edges_detail(o, V).edges) == len(g.edges)
     with pytest.raises(AssertionError, match="pair was built"):
         lower_star_diagrams(g, Direction(1.0, 0.0)).dim0

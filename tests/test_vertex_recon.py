@@ -13,11 +13,9 @@ from phrecon import (
     PersistencePair,
     PlaneGraph,
     Point2,
-    WrongCardinality,
     height,
     intersect_lines,
     lines_from_dgm0,
-    locate_point,
     match_and_intersect,
     random_plane_graph,
     reconstruct_vertices,
@@ -26,7 +24,13 @@ from phrecon import (
 from phrecon.errors import PhreconError
 from phrecon.vertex_recon import AXIS_X, AXIS_Y
 
-from vertex_reference import reference_lines, reference_reconstruct_vertices, triple_intersections
+from vertex_reference import (
+    WrongCardinality,
+    locate_point,
+    reference_lines,
+    reference_reconstruct_vertices,
+    triple_intersections,
+)
 
 from conftest import assert_points_close
 
@@ -260,6 +264,14 @@ def test_vertex_phase_equals_line_reference_on_negative_clouds():
             n = int(rng.integers(1, 40))
             pts = rng.normal(loc=-0.5 * scale, scale=scale, size=(n, 2))
             _same_as_reference(PlaneGraph([tuple(p) for p in pts.tolist()], []))
+    # a single vertex is read off the axis offsets: the floats locate_point
+    # gets by intersecting the two axis lines
+    extremes = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, -0.37, 0.81)
+    for p in [(x, y) for x in extremes for y in extremes]:
+        g = PlaneGraph([p], [])
+        _same_as_reference(g)
+        want = locate_point(*DiagramOracle(g).query_many([AXIS_X, AXIS_Y]))
+        assert _hex(reconstruct_vertices(DiagramOracle(g))) == _hex([want])
 
 
 def test_vertex_phase_equals_line_reference_on_jittered_grid():

@@ -3,7 +3,9 @@ checked against, bit for bit.
 
 It builds one `Line` per dim-0 birth, sorts the lines in Python and
 intersects them one pair at a time with `intersect_lines`. It also keeps
-`triple_intersections`, the brute-force reference for the matching.
+`triple_intersections`, the brute-force reference for the matching, and
+`locate_point`, the line intersection the single-vertex case reads off the
+axis offsets.
 """
 
 from __future__ import annotations
@@ -20,8 +22,13 @@ from phrecon import (
     filtration_line,
     intersect_lines,
 )
+from phrecon.errors import PhreconError
 from phrecon.geometry import TOLERANCE
 from phrecon.vertex_recon import AXIS_X, AXIS_Y, LineFamily
+
+
+class WrongCardinality(PhreconError):
+    """A diagram does not contain the expected number of features."""
 
 
 def reference_lines(d, tol: float = TOLERANCE) -> tuple[Line, ...]:
@@ -58,6 +65,17 @@ def reference_reconstruct_vertices(o, tol: float = TOLERANCE) -> list[Point2]:
     if len(lines1) == 1:
         return [intersect_lines(lines1[0], lines2[0])]
     return reference_match_and_intersect(lines2, reference_lines(d3, tol), lines1[0])
+
+
+def locate_point(dgm0_a, dgm0_b) -> Point2:
+    """Position of the sole vertex from two single-feature diagrams."""
+    for d in (dgm0_a, dgm0_b):
+        count = len(d.births0())
+        if count != 1:
+            raise WrongCardinality(f"expected exactly one dim-0 feature, got {count}")
+    la = filtration_line(dgm0_a.direction, float(dgm0_a.births0()[0]))
+    lb = filtration_line(dgm0_b.direction, float(dgm0_b.births0()[0]))
+    return intersect_lines(la, lb)
 
 
 def triple_intersections(
