@@ -12,6 +12,7 @@ from .errors import (
     CoincidentPoints,
     DegenerateDirection,
     DegeneratePoints,
+    DegreeConflict,
     DuplicateHeights,
     GenerationFailed,
     ParallelLines,

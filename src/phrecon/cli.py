@@ -112,7 +112,8 @@ def cmd_gen(args) -> int:
 
 def _load_indexed_graph(path) -> PlaneGraph | None:
     """The graph in `path`, or None after reporting an edge index outside
-    [0, n), which `PlaneGraph.arrays` refuses and `validate` lists."""
+    [0, n) or a self-loop, which `PlaneGraph.arrays` refuses and `validate`
+    lists."""
     g = load_graph(path)
     try:
         g.arrays

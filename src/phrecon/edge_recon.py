@@ -1,16 +1,18 @@
 """Edge recovery by bow-tie indegree differencing.
 
-For each candidate pair (v, v') a bow tie at v — the symmetric difference
-of the half-planes below v in two directions straddling the perpendicular
-of v' - v — isolates v' from every other vertex. The indegrees of v seen
-from the two directions then differ by exactly one iff the edge exists, and
-each indegree is read off a single persistence diagram, so deciding all
-pairs costs at most n(n-1) oracle queries.
+For a candidate pair (v, v') a bow tie at v — the symmetric difference of
+the half-planes below v in two directions straddling the perpendicular of
+v' - v — isolates v' from every other vertex. The indegrees of v seen from
+the two directions then differ by exactly one iff the edge exists, and each
+indegree is read off a single persistence diagram, so deciding a pair costs
+2 oracle queries.
 
-Each pair's bow tie has its own width (`bowtie_widths`), both ends are
-tried as its centre, and the better one is certified once, with no retry.
-`reconstruct_edges_detail` decides every pair, a batch of whole rows at a
-time; `pair_directions` is the certifier's one-pair call.
+`reconstruct_edges_detail` reads every degree off two axis diagrams first
+and then asks only the pairs that counting cannot settle, nearest first, in
+batched rounds; it stays within the paper's n(n-1) queries. Each asked
+pair's bow tie has its own width (`bowtie_widths`), both ends are tried as
+its centre, and the better one is certified once, with no retry;
+`pair_directions` is the certifier's one-pair call.
 """
 
 from __future__ import annotations
@@ -18,18 +20,24 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import chain
-from typing import Iterator, Sequence
+from typing import Sequence
 
 import numpy as np
 
-from .errors import CoincidentPoints, DegeneratePoints, UncertifiedPair
+from .errors import (
+    CoincidentPoints,
+    DegenerateDirection,
+    DegeneratePoints,
+    DegreeConflict,
+    UncertifiedPair,
+)
 from .geometry import TOLERANCE, Direction, Point2, height
-from .persistence import Diagram, DiagramOracle, events_at_many
+from .persistence import Diagram, DiagramOracle, events_at_heights, events_at_many
 
 Edge = tuple[int, int]
 
 #: Directions times 4n (a bound on the simplices per direction) that one
-#: edge-phase batch may hold; the oracle kernel's arrays grow with it.
+#: edge-phase chunk may hold; the oracle kernel's arrays grow with it.
 _BATCH_CELLS = 1 << 15
 
 
@@ -166,63 +174,138 @@ class EdgeReconResult:
 def reconstruct_edges_detail(
     o: DiagramOracle, V: Sequence[Point2], tol: float = TOLERANCE
 ) -> EdgeReconResult:
-    """Decide every unordered pair (i, j > i), lexicographic by index, with
-    exactly 2 queries each.
+    """Decide every unordered pair (i, j), asking the oracle only about the
+    pairs that counting cannot settle.
 
-    The pairs go in batches of whole rows, see `_row_batches`. One array
-    pass certifies both ends of every pair of a batch, each with its own
-    `bowtie_widths` entry; a pair keeps the end with the larger headroom
-    (V[i] on a tie) and raises UncertifiedPair before the batch is queried
-    if that is at most 1. The kept directions, [s1, s2] per pair, are asked
-    in one `query_many` call, one `events_at_many` read gives the kept end's
-    indegrees, and a pair exists iff they differ by exactly one. A
-    degenerate entry raises UncertifiedPair from its DegenerateDirection."""
+    Degrees first: indeg(v, s) + indeg(v, -s) = deg(v), so the diagrams of
+    (1, 0) and (-1, 0), asked in one `query_many`, give every degree
+    (`_degrees`); this needs V's x-coordinates more than tol apart, as the
+    vertex phase does. Then, before every round, `_close` settles pairs by
+    counting alone, to a fixpoint: with r(v) the degree v has left and
+    open(v) its undecided pairs, r(v) = 0 closes v's pairs as non-edges and
+    r(v) = open(v) closes them as edges; r(v) < 0 or r(v) > open(v) raises
+    DegreeConflict naming v. In a round each vertex with pairs left proposes
+    its r(v) nearest open pairs, by one global key (squared length, then
+    (i, j)). The round's pairs, in (i, j) order, are decided by `_decide` in
+    chunks of at most max(1, _BATCH_CELLS // 8n) pairs, so that a chunk's k
+    directions keep k * 4n within _BATCH_CELLS (4n bounds the n + m
+    simplices of a direction, since a plane graph has m <= 3n - 6). A pair
+    is certified only if it is asked.
+
+    The budget: each asked pair is closed at once, so it is asked once, for
+    2 queries. After `_close` every vertex with open pairs has
+    0 < r(v) < open(v), so it proposes at least one pair and not its last
+    one. The longest open pair is last in both of its ends' orders, as the
+    key is global, so no round asks it; after the final round `_close`
+    settles it without a query. With P = n(n - 1)/2 pairs, at most P - 1
+    are asked, and the queries number at most 2 + 2(P - 1) = n(n - 1)."""
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
-    width = bowtie_widths(V, tol)
     X, Y = np.array(V, dtype=np.float64).T
     start = o.query_count
+    left = _degrees(o, X, Y, tol)
+    undecided = ~np.eye(n, dtype=bool)
     edges: set[Edge] = set()
-    for rows in _row_batches(n):
-        src = np.repeat(rows, n - 1 - rows)
-        cols = np.concatenate([np.arange(i + 1, n) for i in rows.tolist()])
-        k = len(src)
-        centre, far = np.concatenate([src, cols]), np.concatenate([cols, src])
-        S, headroom = _certified_directions(
-            X[centre], Y[centre], X, Y, far, width[centre, far], tol
+    width = nearest = None
+    rows = np.arange(n)[:, None]
+    chunk = max(1, _BATCH_CELLS // (8 * n))
+    while _close(undecided, left, edges):
+        if nearest is None:  # only rounds need the geometry
+            width, nearest = bowtie_widths(V, tol), _nearest_first(X, Y)
+        ranked = undecided[rows, nearest]
+        pick = ranked & (ranked.cumsum(axis=1) <= left[:, None])
+        ask = np.zeros_like(undecided)
+        ask[pick.nonzero()[0], nearest[pick]] = True
+        src, cols = np.triu(ask | ask.T).nonzero()
+        exists = np.concatenate(
+            [
+                _decide(o, X, Y, width, src[a : a + chunk], cols[a : a + chunk], tol)
+                for a in range(0, len(src), chunk)
+            ]
         )
-        kept = np.arange(k) + k * (headroom[k:] > headroom[:k])
-        certified = headroom[kept] > 1.0
-        if not certified.all():
-            r = int(kept[certified.argmin()])
-            raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r])
-        answers = o.query_many(list(map(Direction._make, S[kept].reshape(-1, 2).tolist())))
-        # each entry's own direction, as `height(v, d.direction)` reads it
-        U = [a.direction for a in answers]
-        U = np.fromiter(chain.from_iterable(U), np.float64, 2 * len(U))
-        at = centre[kept].repeat(2)
-        counts, degenerate = events_at_many(answers, X[at] * U[0::2] + Y[at] * U[1::2], tol)
-        if degenerate.any():
-            e = int(degenerate.argmax())
-            r = int(kept[e // 2])
-            raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r]) from answers[e]
-        exists = np.abs(counts[0::2] - counts[1::2]) == 1
-        edges.update(zip(src[exists].tolist(), cols[exists].tolist()))
+        undecided[src, cols] = undecided[cols, src] = False
+        src, cols = src[exists], cols[exists]
+        edges.update(zip(src.tolist(), cols.tolist()))
+        left -= np.bincount(src, minlength=n) + np.bincount(cols, minlength=n)
     return EdgeReconResult(frozenset(edges), o.query_count - start, 0)
 
 
-def _row_batches(n: int) -> Iterator[np.ndarray]:
-    """The sources i of consecutive whole rows (i, j > i), one array per
-    batch. A row adds 2(n - 1 - i) directions, and rows join a batch while
-    its k directions keep k * 4n within _BATCH_CELLS (4n bounds the n + m
-    simplices of a direction, since a plane graph has m <= 3n - 6); a row
-    larger than that is a batch of its own."""
-    start = 0
-    while start < n - 1:
-        stop, k = start + 1, 2 * (n - 1 - start)
-        while stop < n - 1 and (k + 2 * (n - 1 - stop)) * 4 * n <= _BATCH_CELLS:
-            k += 2 * (n - 1 - stop)
-            stop += 1
-        yield np.arange(start, stop)
-        start = stop
+def _degrees(o: DiagramOracle, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
+    """Every vertex's degree, indeg(v, s) + indeg(v, -s) for s = (1, 0),
+    from the two diagrams asked in one `query_many` and one
+    `events_at_heights` read each, at the heights x*dx + y*dy along each
+    entry's own direction. The first degenerate entry is raised."""
+    answers = o.query_many([Direction(1.0, 0.0), Direction(-1.0, 0.0)])
+    for d in answers:
+        if isinstance(d, DegenerateDirection):
+            raise d
+    return sum(events_at_heights(d, X * d.direction.dx + Y * d.direction.dy, tol) for d in answers)
+
+
+def _nearest_first(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Row v: the vertices in the order of the pairs (v, u) under the global
+    key (squared length, then (i, j) with i < j); v itself comes last."""
+    n = len(X)
+    i, j = np.triu_indices(n, 1)
+    rank = np.full((n, n), len(i))
+    length2 = (X[j] - X[i]) ** 2 + (Y[j] - Y[i]) ** 2
+    rank[i, j] = rank[j, i] = length2.argsort(kind="stable").argsort()
+    return rank.argsort(axis=1)
+
+
+def _close(undecided: np.ndarray, left: np.ndarray, edges: set[Edge]) -> bool:
+    """Settle pairs by counting, to a fixpoint, and say whether any stay
+    undecided. A vertex with no degree left closes its pairs as non-edges;
+    then one whose degree left equals its undecided pairs closes them as
+    edges, added to `edges` and taken off `left` at both ends. A pair that
+    both rules would close shows up as r(v) > open(v) at the vertex that
+    needed it as an edge, once the non-edges are closed."""
+    while True:
+        count = undecided.sum(axis=1)
+        bad = (left < 0) | (left > count)
+        if bad.any():
+            v = int(bad.argmax())
+            raise DegreeConflict(v, int(left[v]), int(count[v]))
+        shut = undecided & (left == 0)[:, None]
+        if shut.any():
+            undecided &= ~(shut | shut.T)
+            continue
+        take = undecided & (left == count)[:, None]
+        if not take.any():
+            return bool(count.any())
+        take |= take.T
+        edges.update(zip(*(a.tolist() for a in np.triu(take).nonzero())))
+        left -= take.sum(axis=1)
+        undecided &= ~take
+
+
+def _decide(o, X, Y, width, src: np.ndarray, cols: np.ndarray, tol: float) -> np.ndarray:
+    """Whether each pair (src[p], cols[p]) is an edge; one chunk of a round.
+
+    One array pass certifies both ends of every pair, each with its own
+    `width` entry, and a pair keeps the end with the larger headroom (V[i]
+    on a tie); UncertifiedPair is raised before the chunk is queried if that
+    is at most 1. The kept directions, [s1, s2] per pair, are asked in one
+    `query_many`, one `events_at_many` read gives the kept end's indegrees,
+    and a pair is an edge iff they differ by exactly one. A degenerate entry
+    raises UncertifiedPair from its DegenerateDirection."""
+    k = len(src)
+    centre, far = np.concatenate([src, cols]), np.concatenate([cols, src])
+    S, headroom = _certified_directions(X[centre], Y[centre], X, Y, far, width[centre, far], tol)
+    kept = np.arange(k) + k * (headroom[k:] > headroom[:k])
+    certified = headroom[kept] > 1.0
+    if not certified.all():
+        r = int(kept[certified.argmin()])
+        raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r])
+    answers = o.query_many(list(map(Direction._make, S[kept].reshape(-1, 2).tolist())))
+    # each entry's own direction, as `height(v, d.direction)` reads it
+    U = [a.direction for a in answers]
+    U = np.fromiter(chain.from_iterable(U), np.float64, 2 * len(U))
+    at = centre[kept].repeat(2)
+    counts, degenerate = events_at_many(answers, X[at] * U[0::2] + Y[at] * U[1::2], tol)
+    if degenerate.any():
+        e = int(degenerate.argmax())
+        r = int(kept[e // 2])
+        raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r]) from answers[e]
+    return np.abs(counts[0::2] - counts[1::2]) == 1

@@ -63,3 +63,19 @@ class UncertifiedPair(PhreconError):
             f"no certified bow tie at vertex {i} towards vertex {j}: "
             f"headroom {headroom:.3g} (vertex {k} sets the smallest height gap)"
         )
+
+
+class DegreeConflict(PhreconError):
+    """Vertex v's degree cannot be met by its open pairs.
+
+    `remaining` is v's degree from the oracle less the edges decided at v
+    so far, and `open` is the number of v's pairs still undecided; the edge
+    phase needs 0 <= remaining <= open. Raised when the oracle's diagrams,
+    or the vertices they are read at, disagree with each other.
+    """
+
+    def __init__(self, v: int, remaining: int, open: int):
+        self.v, self.remaining, self.open = v, remaining, open
+        super().__init__(
+            f"vertex {v} has {remaining} edges left to find among {open} open pairs"
+        )

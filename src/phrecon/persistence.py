@@ -12,7 +12,8 @@ indegree machinery downstream counts. Only edges between the basins of two
 local minima need an elder-rule union-find, and a triangulation has none.
 `lower_star_diagrams` is the batch of one. `events_at_many` reads the
 indegree events of a whole batch of diagrams in one array pass, and
-`Diagram.events_at` is its batch of one.
+`Diagram.events_at` is its batch of one; `events_at_heights` reads one
+diagram at many heights.
 
 `DiagramOracle` wraps a hidden graph and meters every diagram request; the
 reconstruction modules are written against its interface only: `query`,
@@ -147,6 +148,37 @@ def events_at_many(
     near = np.abs(gap, out=gap) <= tol
     near &= ~np.isinf(values)
     return np.bincount(np.repeat(np.arange(k), sizes)[near], minlength=k), degenerate
+
+
+def events_at_heights(d: Diagram, heights, tol: float = TOLERANCE) -> np.ndarray:
+    """`d.events_at(h, tol)` for every h in heights, from one search of the
+    diagram's events into the sorted heights.
+
+    The count for h is the number of finite dim-0 deaths and dim-1 births x
+    with abs(x - h) <= tol, as `events_at_many` on [d] * len(heights) would
+    give it, without repeating the diagram per height. x - h rounds
+    monotonically in h, so the heights that pass the test are a run next to
+    x's place in the sorted heights: the test walks out from that place on
+    each side until it fails, one step per side for heights more than tol
+    apart.
+    """
+    heights = np.asarray(heights, dtype=np.float64)
+    order = heights.argsort(kind="stable")
+    ascending = heights[order]
+    # pad[at - 1] < x <= pad[at]; the NaN ends fail every test, so stop every walk
+    pad = np.concatenate([[math.nan], ascending, [math.nan]])
+    x = np.concatenate(d._raw())
+    x = x[~np.isinf(x)]
+    at = ascending.searchsorted(x) + 1
+    hits = [at[:0]]
+    for step in (-1, 1):
+        i, xs = at - (step < 0), x
+        while len(i):
+            near = np.abs(xs - pad[i]) <= tol
+            i, xs = i[near], xs[near]
+            hits.append(i)
+            i = i + step
+    return np.bincount(order[np.concatenate(hits) - 1], minlength=len(heights))
 
 
 def lower_star_many(

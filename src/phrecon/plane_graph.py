@@ -5,8 +5,8 @@ to be in general position (pairwise distinct x- and y-coordinates, no three
 collinear) and whose edges do not cross. `validate` reports violations of
 those assumptions as data; `random_plane_graph` produces instances that
 satisfy them by construction. `PlaneGraph.arrays`, the form the oracle
-reads, refuses an edge index outside [0, n), and `graph_from_json` raises
-ValueError for any malformed entry.
+reads, refuses an edge index outside [0, n) and a self-loop, and
+`graph_from_json` raises ValueError for any malformed entry.
 """
 
 from __future__ import annotations
@@ -66,7 +66,8 @@ class PlaneGraph:
         x and y coordinate columns and the (m, 2) integer array of
         `sorted_edges()`. Not a dataclass field, so equality, hashing and
         JSON see only `vertices` and `edges`. Raises ValueError naming the
-        first edge, in sorted order, with an index outside [0, n)."""
+        first edge, in sorted order, with an index outside [0, n), or else
+        the first self-loop (i, i)."""
         xy = np.fromiter(chain.from_iterable(self.vertices), np.float64, 2 * self.n)
         x, y = xy[0::2].copy(), xy[1::2].copy()
         edges = self.sorted_edges()
@@ -78,6 +79,10 @@ class PlaneGraph:
         if not inside:
             i, j = next((i, j) for i, j in edges if i < 0 or j >= self.n)
             raise ValueError(f"edge ({i}, {j}) out of range")
+        loops = e[:, 0] == e[:, 1]
+        if loops.any():
+            i = int(e[loops.argmax(), 0])
+            raise ValueError(f"self-loop edge ({i}, {i})")
         for a in (x, y, e):
             a.flags.writeable = False
         return x, y, e

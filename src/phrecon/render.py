@@ -61,9 +61,12 @@ def render_svg(
     bowtie: tuple[int, int] | None = None,
 ) -> str:
     """Render the graph, optionally overlaying the three filtration-line
-    families or shading the bow tie probing one vertex pair."""
+    families or shading the bow tie probing one vertex pair. Raises
+    ValueError, as `PlaneGraph.arrays` does, for an edge index outside
+    [0, n) or a self-loop."""
     if g.n == 0:
         raise ValueError("cannot render an empty graph")
+    g.arrays
     if bowtie is not None:
         i, j = bowtie
         if not (0 <= i < g.n and 0 <= j < g.n) or i == j:

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import DuplicateHeights, ParallelLines
+from .errors import DegenerateDirection, DuplicateHeights, ParallelLines
 from .geometry import (
     PARALLEL_EPS,
     TOLERANCE,
@@ -166,13 +166,17 @@ def _det(a: Direction, b: Direction) -> float:
 def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point2]:
     """Recover all vertex coordinates using exactly three oracle queries.
 
-    Queries (1, 0), (0, 1), and the derived third direction, in that
-    order. Returns the vertices sorted by ascending y-coordinate. A single
-    vertex is read off the two axis families: its x and y are their offsets,
-    the floats that intersecting their lines gives.
+    Queries (1, 0) and (0, 1) in one `query_many`, raising the first
+    degenerate entry, then the derived third direction. Returns the
+    vertices sorted by ascending y-coordinate. A single vertex is read off
+    the two axis families: its x and y are their offsets, the floats that
+    intersecting their lines gives.
     """
-    d1 = o.query(AXIS_X)
-    d2 = o.query(AXIS_Y)
+    axes = o.query_many([AXIS_X, AXIS_Y])
+    for d in axes:
+        if isinstance(d, DegenerateDirection):
+            raise d
+    d1, d2 = axes
     f1 = lines_from_dgm0(d1, tol)
     f2 = lines_from_dgm0(d2, tol)
     s3 = third_direction(f1, f2)

@@ -1,6 +1,12 @@
-"""One-pair references for the edge phase: the probe, the bow tie and the
-line angles that the batched phase is checked against, and criterion 7's
-brute-force enumerator of compatible edge sets.
+"""References for the edge phase: the paper's exhaustive schedule, the
+one-pair probe, the bow tie and the line angles that the pipeline is
+checked against, and criterion 7's brute-force enumerator of compatible
+edge sets.
+
+`reference_reconstruct_edges` asks every pair (i, j > i), lexicographic by
+index, with exactly 2 queries each, a batch of whole rows at a time
+(`_row_batches`); each batch is decided by the pipeline's own chunk step,
+so a pair it shares with the pipeline is asked with the same directions.
 
 `reference_probe_edge` applies the pipeline's rule to one pair at a chosen
 width: the two certified directions of `pair_directions`, asked in one
@@ -13,7 +19,9 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from itertools import combinations
-from typing import Sequence
+from typing import Iterator, Sequence
+
+import numpy as np
 
 from phrecon import (
     DegenerateDirection,
@@ -26,6 +34,8 @@ from phrecon import (
     lower_star_diagrams,
     pair_directions,
 )
+from phrecon import edge_recon
+from phrecon.edge_recon import EdgeReconResult
 from phrecon.errors import CoincidentPoints, PhreconError
 from phrecon.geometry import TOLERANCE
 
@@ -40,6 +50,44 @@ MAX_ENUMERATION_VERTICES = 12
 
 class EnumerationOverflow(PhreconError):
     """Compatible-graph enumeration refused to run above its size safeguard."""
+
+
+def reference_reconstruct_edges(o, V: Sequence[Point2], tol: float = TOLERANCE) -> EdgeReconResult:
+    """The paper's schedule: every pair (i, j > i) in lexicographic order,
+    2 queries each, in batches of whole rows (`_row_batches`). Each batch
+    goes through `edge_recon._decide`, which certifies both ends, keeps the
+    better one, asks, reads and decides; the widths and the cell budget are
+    read from `edge_recon` at call time."""
+    n = len(V)
+    if n < 2:
+        return EdgeReconResult(frozenset(), 0, 0)
+    width = edge_recon.bowtie_widths(V, tol)
+    X, Y = np.array(V, dtype=np.float64).T
+    start = o.query_count
+    edges: set[Edge] = set()
+    for rows in _row_batches(n):
+        src = np.repeat(rows, n - 1 - rows)
+        cols = np.concatenate([np.arange(i + 1, n) for i in rows.tolist()])
+        exists = edge_recon._decide(o, X, Y, width, src, cols, tol)
+        edges.update(zip(src[exists].tolist(), cols[exists].tolist()))
+    return EdgeReconResult(frozenset(edges), o.query_count - start, 0)
+
+
+def _row_batches(n: int) -> Iterator[np.ndarray]:
+    """The sources i of consecutive whole rows (i, j > i), one array per
+    batch. A row adds 2(n - 1 - i) directions, and rows join a batch while
+    its k directions keep k * 4n within edge_recon._BATCH_CELLS (4n bounds
+    the n + m simplices of a direction, since a plane graph has
+    m <= 3n - 6); a row larger than that is a batch of its own."""
+    cells = edge_recon._BATCH_CELLS
+    start = 0
+    while start < n - 1:
+        stop, k = start + 1, 2 * (n - 1 - start)
+        while stop < n - 1 and (k + 2 * (n - 1 - stop)) * 4 * n <= cells:
+            k += 2 * (n - 1 - stop)
+            stop += 1
+        yield np.arange(start, stop)
+        start = stop
 
 
 def reference_probe_edge(

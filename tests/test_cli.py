@@ -3,7 +3,7 @@ from pathlib import Path
 
 import pytest
 
-from phrecon import load_graph, save_graph
+from phrecon import PlaneGraph, load_graph, render_svg, save_graph
 from phrecon.cli import main
 
 
@@ -223,6 +223,26 @@ def test_edge_index_out_of_range_exit4_writes_nothing(tmp_path, capsys, command,
     assert run(command, gpath, *extra, "-o", out) == 4
     assert capsys.readouterr().err == f"invalid graph: edge ({edge[0]}, {edge[1]}) out of range\n"
     assert not out.exists()
+
+
+@pytest.mark.parametrize("command", ["diagrams", "render"])
+def test_self_loop_exit4_writes_nothing(tmp_path, capsys, command):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(json.dumps({"vertices": [[0.1, 0.2], [0.5, 0.9], [0.8, 0.4]], "edges": [[1, 1]]}))
+    out = tmp_path / "out"
+    extra = ["--direction", "1,0.3"] if command == "diagrams" else []
+    assert run(command, gpath, *extra, "-o", out) == 4
+    assert capsys.readouterr().err == "invalid graph: self-loop edge (1, 1)\n"
+    assert not out.exists()
+
+
+def test_render_svg_refuses_an_edge_index_out_of_range():
+    V = [(0.1, 0.2), (0.5, 0.9), (0.8, 0.4)]
+    with pytest.raises(ValueError, match=r"edge \(-1, 1\) out of range"):
+        render_svg(PlaneGraph(V, [(-1, 1)]))
+    with pytest.raises(ValueError, match=r"self-loop edge \(2, 2\)"):
+        render_svg(PlaneGraph(V, [(0, 1), (2, 2)]), lines=True)
+    assert render_svg(PlaneGraph(V, [(0, 1)])).count('class="edge"') == 1
 
 
 @pytest.mark.parametrize("command", ["diagrams", "reconstruct", "render", "verify"])

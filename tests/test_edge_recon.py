@@ -3,11 +3,15 @@ from itertools import combinations
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from phrecon import (
     bowtie_widths,
     DegenerateDirection,
     DegeneratePoints,
+    DegreeConflict,
+    Diagram,
     DiagramOracle,
     Direction,
     PlaneGraph,
@@ -18,9 +22,11 @@ from phrecon import (
     indegree_from_diagrams,
     lower_star_diagrams,
     pair_directions,
+    PersistencePair,
     random_plane_graph,
     reconstruct_edges_detail,
     reconstruct_vertices,
+    validate,
 )
 from phrecon import edge_recon
 
@@ -31,6 +37,7 @@ from edge_reference import (
     enumerate_compatible_graphs,
     line_angle_mod_pi,
     reference_probe_edge,
+    reference_reconstruct_edges,
     rotate,
 )
 from graph_reference import indegree_direct
@@ -203,11 +210,13 @@ class RecordingOracle:
 
 
 def test_edge_phase_directions_are_certified_per_pair():
+    # the reference asks every pair, the pipeline a subset, each pair with
+    # the very same couple of directions
     for n, seed, margin in ((2, 1, 1e-3), (7, 2, 1e-3), (12, 3, 1e-3), (30, 4, 1e-6)):
         g = random_plane_graph(n, 0.7, seed, margin=margin)
         V = list(g.vertices)
         o = RecordingOracle(g)
-        detail = reconstruct_edges_detail(o, V)
+        detail = reference_reconstruct_edges(o, V)
         assert detail.edges == g.edges
         assert detail.queries == n * (n - 1) and detail.retries == 0
         W = bowtie_widths(V)
@@ -231,6 +240,13 @@ def test_edge_phase_directions_are_certified_per_pair():
             assert [u for u in V if u != V[centre] and bt.contains(u)] == [V[far]]
             assert _halfangle(s1, s2) == pytest.approx(W[centre, far], abs=1e-12)
             assert gaps[centre] / 1e-9 > 1.0  # headroom
+        reference = {couple: pair for pair, couple in zip(pairs, zip(o.asked[::2], o.asked[1::2]))}
+        piped = RecordingOracle(g)
+        assert reconstruct_edges_detail(piped, V).edges == g.edges
+        assert piped.asked[:2] == [Direction(1.0, 0.0), Direction(-1.0, 0.0)]
+        couples = list(zip(piped.asked[2::2], piped.asked[3::2]))
+        asked = [reference[couple] for couple in couples]  # KeyError: a couple of its own
+        assert len(set(asked)) == len(asked) < max(len(pairs), 1)
 
 
 def _smallest_gap(V, directions):
@@ -244,18 +260,20 @@ def _smallest_gap(V, directions):
 def test_edge_phase_raises_on_height_tie(monkeypatch):
     # the geometry of test_pair_directions_raise_on_height_tie, run through
     # the edge phase with every bow-tie width pinned to theta: the bow tie
-    # at V[1] towards V[0] has the opposite directions, so both ends tie
+    # at V[1] towards V[0] has the opposite directions, so both ends tie.
+    # Every vertex has degree 1 and (0, 1) is the nearest pair of V[0], so
+    # the first round asks it.
     theta = math.pi / 8.0
     V = _height_tie(theta)
     monkeypatch.setattr(edge_recon, "bowtie_widths", lambda V, tol: np.full((4, 4), theta))
-    o = RecordingOracle(PlaneGraph(V, [(0, 1), (1, 2)]))
+    o = RecordingOracle(PlaneGraph(V, [(0, 3), (1, 2)]))
     with pytest.raises(UncertifiedPair) as err:
         reconstruct_edges_detail(o, V)
     assert (err.value.i, err.value.j, err.value.k) == (0, 1, 2)
     assert abs(err.value.headroom) <= 1.0
-    assert o.query_count == 0 and o.asked == []
+    assert o.query_count == 2 and o.calls == [2]  # only the degrees were asked
     monkeypatch.undo()
-    assert reconstruct_edges_detail(o, V).edges == {(0, 1), (1, 2)}
+    assert reconstruct_edges_detail(o, V).edges == {(0, 3), (1, 2)}
 
 
 class OneDegenerateOracle(RecordingOracle):
@@ -277,24 +295,26 @@ class OneDegenerateOracle(RecordingOracle):
 def test_degenerate_batch_entry_raises_uncertified_pair():
     g = random_plane_graph(30, 0.7, 14, margin=1e-6)
     V = list(g.vertices)
+    clean = RecordingOracle(g)
+    assert reconstruct_edges_detail(clean, V).edges == g.edges
+    degrees, batch = clean.calls[:2]  # the two axis diagrams, then a chunk
+    assert degrees == 2 and batch >= 4 and len(clean.calls) > 2
     o = OneDegenerateOracle(g)
     with pytest.raises(UncertifiedPair) as err:
         reconstruct_edges_detail(o, V)
-    # the tie names pair (0, 2) at the end its certified bow tie was asked
-    # from, with that bow tie's headroom; the DegenerateDirection is the cause
+    # the tie names the chunk's second pair at the end its certified bow tie
+    # was asked from, with that bow tie's headroom; the DegenerateDirection
+    # is the cause
     e = err.value
-    assert {e.i, e.j} == {0, 2} and e.k not in (0, 2, None) and e.headroom > 1.0
+    assert e.k not in (e.i, e.j, None) and e.headroom > 1.0
     assert isinstance(e.__cause__, DegenerateDirection)
-    assert list(pair_directions(V[e.i], V[e.j], bowtie_widths(V)[e.i, e.j], V)) == o.asked[2:4]
-    # the first batch was asked whole, as without the fault, and nothing after it
-    clean = RecordingOracle(g)
-    assert reconstruct_edges_detail(clean, V).edges == g.edges
-    batch = clean.calls[0]
-    assert batch > 2 * 29 and len(clean.calls) > 1  # several rows, then more batches
-    assert o.query_count == batch and o.asked == clean.asked[:batch]
+    assert list(pair_directions(V[e.i], V[e.j], bowtie_widths(V)[e.i, e.j], V)) == clean.asked[4:6]
+    # the chunk was asked whole, as without the fault, and nothing after it
+    assert o.query_count == 2 + batch and o.asked == clean.asked[: 2 + batch]
 
 
 def test_edge_phase_batches_whole_rows_within_the_cell_budget(monkeypatch):
+    # the reference schedule: batches of whole rows
     default = edge_recon._BATCH_CELLS
     for n, seed, margin in ((2, 1, 1e-3), (12, 3, 1e-3), (30, 4, 1e-6)):
         g = random_plane_graph(n, 0.7, seed, margin=margin)
@@ -302,7 +322,7 @@ def test_edge_phase_batches_whole_rows_within_the_cell_budget(monkeypatch):
         for cells in (default, 600, 4000):
             monkeypatch.setattr(edge_recon, "_BATCH_CELLS", cells)
             o = RecordingOracle(g)
-            assert reconstruct_edges_detail(o, list(g.vertices)).edges == g.edges
+            assert reference_reconstruct_edges(o, list(g.vertices)).edges == g.edges
             logs.append(o.asked)
             rows = [2 * (n - 1 - i) for i in range(n - 1)]  # directions per row
             row_at = {int(b): i for i, b in enumerate(np.cumsum([0] + rows)[:-1])}
@@ -319,29 +339,54 @@ def test_edge_phase_batches_whole_rows_within_the_cell_budget(monkeypatch):
         assert logs[0] == logs[1] == logs[2]
 
 
+def test_edge_phase_chunks_never_change_the_query_log(monkeypatch):
+    default = edge_recon._BATCH_CELLS
+    for n, seed, margin in ((2, 1, 1e-3), (12, 3, 1e-3), (30, 4, 1e-6), (60, 3, 1e-5)):
+        g = random_plane_graph(n, 1.0, seed, margin=margin)
+        logs = []
+        for cells in (default, 600, 4000):
+            monkeypatch.setattr(edge_recon, "_BATCH_CELLS", cells)
+            o = RecordingOracle(g)
+            assert reconstruct_edges_detail(o, list(g.vertices)).edges == g.edges
+            logs.append(o.asked)
+            chunk = max(1, cells // (8 * n))
+            assert o.calls[0] == 2 and all(k <= 2 * chunk for k in o.calls[1:])
+        assert logs[0] == logs[1] == logs[2]
+
+
 def test_uncertifiable_pair_raises_before_its_row_is_queried():
-    # (0, 1) certifies but (0, 2) cannot: V[3] lies on the line through
-    # V[0] and V[2], so the bow tie has width 0 at both ends
-    V = [Point2(0.0, 0.0), Point2(1.0, 0.3), Point2(1.0, 1.0), Point2(2.0, 2.0)]
+    # (1, 2) certifies but (0, 2) cannot: V[2] lies on the line through
+    # V[0] and V[3], so the bow tie has width 0 at both ends. Every vertex
+    # has degree 1, and (0, 2) is the nearest pair of V[0], so the first
+    # round asks it and raises before its chunk is queried.
+    V = [Point2(0.0, 0.0), Point2(1.0, 0.3), Point2(0.4, 0.4), Point2(2.0, 2.0)]
     W = bowtie_widths(V)
-    pair_directions(V[0], V[1], W[0, 1], V)
+    pair_directions(V[1], V[2], W[1, 2], V)
     assert W[0, 2] == W[2, 0] == 0.0
-    o = DiagramOracle(PlaneGraph(V, [(0, 1)]))
+    o = RecordingOracle(PlaneGraph(V, [(0, 2), (1, 3)]))
     with pytest.raises(UncertifiedPair) as err:
         reconstruct_edges_detail(o, V)
     assert (err.value.i, err.value.j, err.value.k, err.value.headroom) == (0, 2, 3, 0.0)
-    assert o.query_count == 0
+    assert o.query_count == 2 and o.calls == [2]
 
 
 def test_collinear_vertices_raise_retry_exhausted():
-    V = [Point2(0.0, 0.0), Point2(1.0, 0.5), Point2(2.0, 1.0)]
-    o = DiagramOracle(PlaneGraph(V, [(0, 1)]))
+    # V[0], V[1] and V[2] are collinear, so no pair among them certifies;
+    # three vertices alone settle by counting without a round, so V[3]
+    # joins, and the first round asks (0, 1)
+    V = [Point2(0.0, 0.0), Point2(1.0, 0.5), Point2(2.0, 1.0), Point2(0.5, 2.0)]
+    o = DiagramOracle(PlaneGraph(V, [(0, 1), (2, 3)]))
     with pytest.raises(UncertifiedPair) as err:
         reconstruct_edges_detail(o, V)
     assert (err.value.i, err.value.j, err.value.k) == (0, 1, 2)
-    assert o.query_count == 0  # the first pair fails before it is queried
+    assert o.query_count == 2  # the degrees; the pair fails before it is queried
     with pytest.raises(UncertifiedPair):
         pair_directions(V[0], V[2], global_bowtie_width(V), V)
+    # counting alone settles collinear vertices when no pair is in doubt
+    for edges in ([], [(0, 1)], [(0, 1), (1, 2)]):
+        o = DiagramOracle(PlaneGraph(V[:3], edges))
+        detail = reconstruct_edges_detail(o, V[:3])
+        assert detail.edges == set(edges) and detail.queries == 2
 
 
 def test_near_collinear_triple_names_its_third_vertex():
@@ -381,6 +426,12 @@ def test_frontier_n300_certifies_every_pair_at_its_better_end():
         want = (int(src[p]), int(dst[p])) in g.edges
         assert reference_probe_edge(o, V[c], V[f], W[c, f], V) == want
     assert o.query_count == 4 * len(g.edges)
+    # and the pipeline round-trips the instance from its own vertices
+    o = DiagramOracle(g)
+    vs = reconstruct_vertices(o)
+    detail = reconstruct_edges_detail(o, vs)
+    assert remap_edges(detail.edges, match_to_hidden(vs, g)) == set(g.edges)
+    assert detail.queries <= n * (n - 1) and detail.retries == 0
 
 
 def test_indegree_from_diagrams_appendix(appendix_graph):
@@ -458,6 +509,82 @@ def test_reconstruct_edges_delaunay_roundtrip():
     assert detail.retries == 0
     mapping = match_to_hidden(V, g)
     assert remap_edges(detail.edges, mapping) == set(g.edges)
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 14), st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 10_000))
+def test_pipeline_matches_the_exhaustive_reference(n, density, seed):
+    g = random_plane_graph(n, density, seed)
+    V = list(g.vertices)
+    o, ref = DiagramOracle(g), DiagramOracle(g)
+    detail = reconstruct_edges_detail(o, V)
+    assert detail.edges == reference_reconstruct_edges(ref, V).edges == g.edges
+    assert detail.queries == o.query_count <= n * (n - 1)
+
+
+def _star(n, seed):
+    # a centre joined to n - 1 random leaves: straight spokes never cross
+    pts = np.random.default_rng(seed).random((n, 2)).tolist()
+    return PlaneGraph(pts, [(0, k) for k in range(1, n)])
+
+
+def _path(n, seed):
+    # the points in x order, joined one after another: an x-monotone path
+    pts = sorted(np.random.default_rng(seed).random((n, 2)).tolist())
+    return PlaneGraph(pts, [(k, k + 1) for k in range(n - 1)])
+
+
+@pytest.mark.parametrize(
+    "shape",
+    [
+        _star,
+        _path,
+        lambda n, seed: random_plane_graph(n, 0.0, seed, margin=1e-5),
+        lambda n, seed: random_plane_graph(n, 1.0, seed, margin=1e-5),
+    ],
+    ids=["star", "path", "edgeless", "triangulation"],
+)
+def test_edge_queries_stay_within_the_budget(shape):
+    for n in (2, 3, 4, 5, 8, 13, 21, 40):
+        g = shape(n, n)
+        assert not validate(g)
+        o = DiagramOracle(g)
+        vs = reconstruct_vertices(o)
+        detail = reconstruct_edges_detail(o, vs)
+        assert remap_edges(detail.edges, match_to_hidden(vs, g)) == set(g.edges)
+        assert detail.queries <= n * (n - 1) and detail.retries == 0
+        if shape is _star or not g.edges:  # counting settles every pair
+            assert detail.queries == 2
+
+
+class LyingOracle(DiagramOracle):
+    """Adds one dim-1 birth at vertex v's height to the (-1, 0) diagram, so
+    v's degree reads one too high."""
+
+    def __init__(self, graph, v):
+        super().__init__(graph)
+        self.v = v
+
+    def query_many(self, S):
+        out = super().query_many(S)
+        for e, d in enumerate(out):
+            if d.direction == Direction(-1.0, 0.0):
+                cycle = PersistencePair(height(self._graph.vertices[self.v], d.direction), math.inf)
+                out[e] = Diagram(d.direction, d.dim0, tuple(sorted(d.dim1 + (cycle,))))
+        return out
+
+
+def test_a_wrong_degree_raises_degree_conflict():
+    g = PlaneGraph([(0.1, 0.2), (0.6, 0.9), (0.9, 0.4)], [])
+    with pytest.raises(DegreeConflict, match="vertex 0 has 1 edges left to find among 0") as err:
+        reconstruct_edges_detail(LyingOracle(g, 0), list(g.vertices))
+    assert (err.value.v, err.value.remaining, err.value.open) == (0, 1, 0)
+    # an odd degree sum can never be met, whichever vertex it shows at
+    for n, seed in ((7, 2), (12, 3), (30, 4)):
+        g = random_plane_graph(n, 0.7, seed, margin=1e-6)
+        for v in (0, n // 2, n - 1):
+            with pytest.raises(DegreeConflict):
+                reconstruct_edges_detail(LyingOracle(g, v), list(g.vertices))
 
 
 def test_indegree_difference_decides_every_pair():

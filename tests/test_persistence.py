@@ -22,7 +22,7 @@ from phrecon import (
     reconstruct_vertices,
 )
 from phrecon.edge_recon import global_bowtie_width
-from phrecon.persistence import events_at_many, lower_star_many
+from phrecon.persistence import events_at_heights, events_at_many, lower_star_many
 
 from conftest import match_to_hidden, tie_free_direction
 from edge_reference import reference_probe_edge
@@ -481,6 +481,25 @@ def test_events_at_many_equals_a_scan_per_diagram():
             assert degenerate[2] and not degenerate[[0, 1, 3, 4]].any()
     counts, degenerate = events_at_many([], [], 1e-9)
     assert counts.shape == degenerate.shape == (0,)
+
+
+def test_events_at_heights_equals_events_at_many_per_height():
+    rng = np.random.default_rng(23)
+    for seed in range(24):
+        n = 1 + seed % 12
+        g = random_plane_graph(n, (0.0, 0.5, 1.0)[seed % 3], seed)
+        for d in lower_star_many(g, [Direction(1.0, 0.0), Direction(-1.0, 0.0), tie_free_direction(g, rng)]):
+            exact = [height(v, d.direction) for v in g.vertices]
+            # heights at the vertices, nudged, repeated and clustered within tol
+            crowd = exact + [h + e for h in exact for e in rng.choice([0.0, 0.7e-9, -2e-9, 5e-4], 2)]
+            for heights in (exact, rng.permutation(crowd)):
+                for tol in (0.0, 1e-9, 1e-3, INF):
+                    want, _ = events_at_many([d] * len(heights), heights, tol)
+                    assert events_at_heights(d, heights, tol).tolist() == want.tolist(), (seed, tol)
+    pairs = (PersistencePair(0.5, 0.5), PersistencePair(0.0, INF), PersistencePair(0.2, 0.5))
+    d = Diagram(Direction(1.0, 0.0), pairs, (PersistencePair(0.9, INF),))
+    assert events_at_heights(d, [0.5, 0.9, 0.0, 0.5 + 1e-10], 1e-9).tolist() == [2, 1, 0, 2]
+    assert events_at_heights(d, [], 1e-9).tolist() == []
 
 
 def test_vertex_phase_and_probe_build_no_pair(monkeypatch):

@@ -412,6 +412,23 @@ def test_arrays_refuse_edge_index_out_of_range():
         assert f"edge {named} out of range" in validate(g)
 
 
+def test_arrays_refuse_self_loops():
+    V = [(0.1, 0.2), (0.5, 0.9), (0.8, 0.4)]
+    for edges, message in (
+        ([(1, 1)], "self-loop edge (1, 1)"),
+        ([(0, 1), (2, 2), (0, 0)], "self-loop edge (0, 0)"),  # the first in sorted order
+        ([(1, 1), (0, 5)], "edge (0, 5) out of range"),  # a range error comes first
+    ):
+        g = PlaneGraph(V, edges)
+        with pytest.raises(ValueError, match=re.escape(message)):
+            g.arrays
+        # the oracle kernel reads the arrays, so no loop is dropped silently
+        with pytest.raises(ValueError, match=re.escape(message)):
+            lower_star_many(g, [Direction(1.0, 0.3)])
+    # validate still reports the loop as data
+    assert "self-loop edge (1, 1)" in validate(PlaneGraph(V, [(1, 1)]))
+
+
 def test_arrays_cached_read_only_and_outside_equality():
     g = PlaneGraph([(0.5, 0.1), (0.2, 0.9), (0.8, 0.7)], [(2, 0), (1, 0)])
     twin = PlaneGraph(g.vertices, g.edges)

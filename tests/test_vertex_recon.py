@@ -21,7 +21,7 @@ from phrecon import (
     reconstruct_vertices,
     third_direction,
 )
-from phrecon.errors import PhreconError
+from phrecon.errors import DegenerateDirection, PhreconError
 from phrecon.vertex_recon import AXIS_X, AXIS_Y
 
 from vertex_reference import (
@@ -193,6 +193,29 @@ def test_reconstruct_rejects_degenerate_hidden_graph():
     o = DiagramOracle(PlaneGraph([(0.0, 0.0), (0.0, 1.0)], []))  # shared x
     with pytest.raises(PhreconError):
         reconstruct_vertices(o)
+
+
+def test_axis_queries_are_one_batch_and_the_first_tie_is_raised():
+    calls = []
+
+    class Counting(DiagramOracle):
+        def query_many(self, S):
+            calls.append(len(S))
+            return super().query_many(S)
+
+    o = Counting(PlaneGraph([(0.1, 0.7), (0.6, 0.2), (0.9, 0.5)], []))
+    reconstruct_vertices(o)
+    assert calls == [2, 1] and o.query_log[:2] == (Direction(1.0, 0.0), Direction(0.0, 1.0))
+    # both axes tie: the (1, 0) entry comes first; then the (0, 1) one alone
+    for points, direction, pair in (
+        ([(0.0, 0.0), (0.0, 0.5), (1.0, 0.5)], Direction(1.0, 0.0), (0, 1)),
+        ([(0.0, 0.0), (0.3, 0.5), (1.0, 0.5)], Direction(0.0, 1.0), (1, 2)),
+    ):
+        o = DiagramOracle(PlaneGraph(points, []))
+        with pytest.raises(DegenerateDirection) as err:
+            reconstruct_vertices(o)
+        assert err.value.direction == direction and (err.value.i, err.value.j) == pair
+        assert o.query_count == 2
 
 
 def test_vertex_existence_part_two_on_instances():
