@@ -19,15 +19,7 @@ from .errors import (
     PhreconError,
     UncertifiedPair,
 )
-from .geometry import (
-    TOLERANCE,
-    Direction,
-    Line,
-    Point2,
-    filtration_line,
-    height,
-    intersect_lines,
-)
+from .geometry import TOLERANCE, Direction, Point2, height
 from .persistence import (
     Diagram,
     DiagramOracle,
@@ -47,7 +39,6 @@ from .plane_graph import (
 )
 from .render import render_svg
 from .vertex_recon import (
-    LineFamily,
     lines_from_dgm0,
     match_and_intersect,
     reconstruct_vertices,

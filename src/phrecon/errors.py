@@ -10,7 +10,12 @@ class PhreconError(Exception):
 
 
 class ParallelLines(PhreconError):
-    """Two lines have (numerically) parallel normals and do not intersect."""
+    """The vertex phase's third direction s3 is (numerically) (0, 1).
+
+    Its filtration lines are then parallel to the horizontal lines through
+    the vertices and pin no x-coordinate: |s3.dx| is at most
+    `PARALLEL_EPS`.
+    """
 
 
 class CoincidentPoints(PhreconError):

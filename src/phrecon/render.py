@@ -11,9 +11,9 @@ from __future__ import annotations
 import numpy as np
 
 from .edge_recon import bowtie_widths, pair_directions
-from .geometry import Direction, Line, Point2, height
+from .geometry import Direction, Point2, height
 from .plane_graph import PlaneGraph
-from .vertex_recon import AXIS_X, AXIS_Y, LineFamily, line_family, third_direction
+from .vertex_recon import AXIS_X, AXIS_Y, third_direction
 
 _FAMILY_STROKES = ("#000000", "#1f77b4", "#d62728")
 
@@ -32,20 +32,22 @@ def _bounds(g: PlaneGraph) -> tuple[float, float, float, float]:
     return x0 - pad, x1 + pad, y0 - pad, y1 + pad
 
 
-def _axis_families(g: PlaneGraph) -> list[LineFamily]:
-    def through_vertices(direction: Direction) -> LineFamily:
-        heights = np.array([height(v, direction) for v in g.vertices], dtype=np.float64)
-        return line_family(direction, np.sort(heights, kind="stable"))
+def _axis_families(g: PlaneGraph) -> list[tuple[Direction, np.ndarray]]:
+    """(unit direction, ascending vertex heights) of each family."""
 
-    f1, f2 = through_vertices(AXIS_X), through_vertices(AXIS_Y)
-    return [f1, f2, through_vertices(third_direction(f1, f2))]
+    def heights(direction: Direction) -> np.ndarray:
+        h = np.array([height(v, direction) for v in g.vertices], dtype=np.float64)
+        return np.sort(h, kind="stable")
+
+    xs, ys = heights(AXIS_X), heights(AXIS_Y)
+    s3 = third_direction(xs, ys)
+    return [(AXIS_X, xs), (AXIS_Y, ys), (s3, heights(s3))]
 
 
-def _line_segment(line: Line, cx: float, cy: float, reach: float):
-    # chord of the infinite line centered near (cx, cy); the viewBox clips it
-    px = line.normal.dx * line.offset
-    py = line.normal.dy * line.offset
-    dx, dy = -line.normal.dy, line.normal.dx
+def _line_segment(s: Direction, h: float, cx: float, cy: float, reach: float):
+    # chord of the line {p : p . s = h} centered near (cx, cy); the viewBox clips it
+    px, py = s.dx * h, s.dy * h
+    dx, dy = -s.dy, s.dx
     t0 = (cx - px) * dx + (cy - py) * dy
     return (
         px + (t0 - reach) * dx,
@@ -108,9 +110,9 @@ def render_svg(
             )
 
     if lines:
-        for family, stroke in zip(_axis_families(g), _FAMILY_STROKES):
-            for line in family.lines:
-                ax, ay, bx, by = _line_segment(line, cx, cy, reach)
+        for (direction, heights), stroke in zip(_axis_families(g), _FAMILY_STROKES):
+            for birth in heights.tolist():
+                ax, ay, bx, by = _line_segment(direction, birth, cx, cy, reach)
                 (sx, sy), (ex, ey) = pt(Point2(ax, ay)), pt(Point2(bx, by))
                 out.append(
                     f'<line class="filtration" x1="{sx}" y1="{sy}" x2="{ex}" y2="{ey}" '

@@ -166,12 +166,11 @@ def test_criterion_6_vertex_oracle_equivalence(sweep):
     ok = True
     for rec in records:
         o = DiagramOracle(rec.graph)
-        f1 = lines_from_dgm0(o.query(AXIS_X))
-        f2 = lines_from_dgm0(o.query(AXIS_Y))
-        s3 = third_direction(f1, f2)
-        f3 = lines_from_dgm0(o.query(s3))
-        matched = match_and_intersect(f2, f3, f1.lines[0])
-        brute = triple_intersections(f1, f2, f3)
+        d1, d2 = o.query(AXIS_X), o.query(AXIS_Y)
+        ys = lines_from_dgm0(d2)
+        d3 = o.query(third_direction(lines_from_dgm0(d1), ys))
+        matched = match_and_intersect(ys, d3.direction, lines_from_dgm0(d3))
+        brute = triple_intersections(d1, d2, d3)
         ok = ok and len(matched) == len(brute)
         for p in matched:
             ok = ok and any(

@@ -202,8 +202,8 @@ def test_golden_diagrams_and_reconstruct_outputs(tmp_path, instance):
     """`<instance>.graph.json` is `phrecon gen --n 12 --density 1.0 --seed 7`
     (and `--n 18 --density 0.6 --seed 3`); the `.diagrams.json` and
     `.recon.json` files are the outputs of `phrecon diagrams --direction 3,-4`
-    and `phrecon reconstruct` on it, written by the pure-Python sweep that
-    the array kernel replaced."""
+    and `phrecon reconstruct` on it. Every vertex's y is the hidden y, read
+    off the (0, 1) births; its x comes from the third diagram."""
     graph = DATA / f"{instance}.graph.json"
     diagrams = tmp_path / "d.json"
     recon = tmp_path / "r.json"

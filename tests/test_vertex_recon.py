@@ -8,25 +8,27 @@ from phrecon import (
     DiagramOracle,
     Direction,
     DuplicateHeights,
-    Line,
     ParallelLines,
     PersistencePair,
     PlaneGraph,
     Point2,
     height,
-    intersect_lines,
     lines_from_dgm0,
     match_and_intersect,
     random_plane_graph,
     reconstruct_vertices,
     third_direction,
+    validate,
 )
 from phrecon.errors import DegenerateDirection, PhreconError
 from phrecon.vertex_recon import AXIS_X, AXIS_Y
 
 from vertex_reference import (
+    Line,
     WrongCardinality,
+    intersect_lines,
     locate_point,
+    reference_formula_vertices,
     reference_lines,
     reference_reconstruct_vertices,
     triple_intersections,
@@ -50,9 +52,7 @@ def family(direction, births):
 
 
 def test_lines_from_single_birth():
-    f = family((1.0, 0.0), [0.25])
-    assert len(f) == 1
-    assert f.lines[0].contains(Point2(0.25, 123.0))
+    assert family((1.0, 0.0), [0.25]).tolist() == [0.25]
 
 
 def test_lines_from_empty_diagram():
@@ -60,10 +60,16 @@ def test_lines_from_empty_diagram():
 
 
 def test_lines_sorted_by_offset():
-    f = family((0.0, 1.0), [2.0, 0.0, 1.0])
-    assert f.offsets.tolist() == [0.0, 1.0, 2.0]
-    for off in (0.0, 1.0, 2.0):
-        assert any(l.contains(Point2(-5.0, off)) for l in f.lines)
+    assert family((0.0, 1.0), [2.0, 0.0, 1.0]).tolist() == [0.0, 1.0, 2.0]
+
+
+def test_lines_from_dgm0_returns_the_ascending_read_only_births():
+    # along any direction, unflipped: the births float for float, -0.0 kept
+    for direction in (AXIS_X, AXIS_Y, Direction(-0.3, 0.8), Direction(0.6, -0.2)):
+        births = [3.0, -2.5, 0.75, -0.0, 1e-3]
+        f = family(direction, births)
+        assert f.dtype == np.float64 and not f.flags.writeable
+        assert [x.hex() for x in f.tolist()] == [x.hex() for x in sorted(births)]
 
 
 def test_lines_duplicate_births_rejected():
@@ -98,52 +104,42 @@ def test_third_direction_single_vertex_fallback():
     assert s3 == Direction(math.sqrt(0.5), math.sqrt(0.5))
 
 
-def test_third_direction_checks_axes():
-    with pytest.raises(ValueError):
-        third_direction(family((0, 1), [0.0, 1.0]), family((0, 1), [0.0, 1.0]))
-
-
 def test_match_and_intersect_single():
     target = Point2(0.3, 0.7)
     s3 = Direction(math.sqrt(0.5), math.sqrt(0.5))
-    f2 = family((0, 1), [0.7])
-    f3 = family(s3, [height(target, s3)])
-    left = family((1, 0), [0.3]).lines[0]
-    pts = match_and_intersect(f2, f3, left)
+    pts = match_and_intersect(family((0, 1), [0.7]), s3, family(s3, [height(target, s3)]))
     assert_points_close(pts, [target], tol=1e-12)
 
 
 def test_match_and_intersect_2x2_grid():
     # true vertices (0,0) and (2,1) on the grid x in {0,2}, y in {0,1}
     truth = [Point2(0.0, 0.0), Point2(2.0, 1.0)]
-    f1 = family((1, 0), [0.0, 2.0])
-    f2 = family((0, 1), [0.0, 1.0])
-    s3 = third_direction(f1, f2)
-    f3 = family(s3, [height(p, s3) for p in truth])
-    got = match_and_intersect(f2, f3, f1.lines[0])
+    d1, d2 = dgm0((1, 0), [0.0, 2.0]), dgm0((0, 1), [0.0, 1.0])
+    s3 = third_direction(lines_from_dgm0(d1), lines_from_dgm0(d2))
+    d3 = dgm0(s3, [height(p, s3) for p in truth])
+    got = match_and_intersect(lines_from_dgm0(d2), d3.direction, lines_from_dgm0(d3))
     assert_points_close(got, truth)
-    assert triple_intersections(f1, f2, f3) == set(got)
+    assert triple_intersections(d1, d2, d3) == set(got)
 
 
 def test_match_equals_triple_intersections_on_random_instance():
     g = random_plane_graph(4, 0.5, 18)
     o = DiagramOracle(g)
-    f1 = lines_from_dgm0(o.query(AXIS_X))
-    f2 = lines_from_dgm0(o.query(AXIS_Y))
-    s3 = third_direction(f1, f2)
-    f3 = lines_from_dgm0(o.query(s3))
-    matched = match_and_intersect(f2, f3, f1.lines[0])
-    brute = triple_intersections(f1, f2, f3)
+    d1, d2 = o.query(AXIS_X), o.query(AXIS_Y)
+    ys = lines_from_dgm0(d2)
+    d3 = o.query(third_direction(lines_from_dgm0(d1), ys))
+    matched = match_and_intersect(ys, d3.direction, lines_from_dgm0(d3))
+    brute = triple_intersections(d1, d2, d3)
     assert len(matched) == len(brute) == 4
     for p in matched:
         assert any(abs(p.x - q.x) <= 1e-9 and abs(p.y - q.y) <= 1e-9 for q in brute)
 
 
 def test_triple_intersections_disjoint_families():
-    f1 = family((1, 0), [0.0])
-    f2 = family((0, 1), [0.0])
-    f3 = family((math.sqrt(0.5), math.sqrt(0.5)), [5.0])  # misses the origin
-    assert triple_intersections(f1, f2, f3) == set()
+    d1 = dgm0((1, 0), [0.0])
+    d2 = dgm0((0, 1), [0.0])
+    d3 = dgm0((math.sqrt(0.5), math.sqrt(0.5)), [5.0])  # misses the origin
+    assert triple_intersections(d1, d2, d3) == set()
 
 
 def test_locate_point_examples():
@@ -195,6 +191,17 @@ def test_reconstruct_rejects_degenerate_hidden_graph():
         reconstruct_vertices(o)
 
 
+def test_reconstruct_raises_parallel_lines_on_a_flat_wide_box():
+    # w = 1e4 and h = 2e-9 give |s3.dx| = 1e-13 <= PARALLEL_EPS: the third
+    # family's lines are horizontal to working precision
+    g = PlaneGraph([(0.0, 0.5), (1e4, 0.5 + 2e-9)], [])
+    assert validate(g) == []
+    o = DiagramOracle(g)
+    with pytest.raises(ParallelLines):
+        reconstruct_vertices(o)
+    assert o.query_count == 3
+
+
 def test_axis_queries_are_one_batch_and_the_first_tie_is_raised():
     calls = []
 
@@ -223,12 +230,10 @@ def test_vertex_existence_part_two_on_instances():
     for seed in range(8):
         g = random_plane_graph(2 + seed, 0.5, seed)
         o = DiagramOracle(g)
-        f1 = lines_from_dgm0(o.query(AXIS_X))
-        f2 = lines_from_dgm0(o.query(AXIS_Y))
-        s3 = third_direction(f1, f2)
-        f3 = lines_from_dgm0(o.query(s3))
-        grid = [intersect_lines(a, b) for a in f1.lines for b in f2.lines]
-        for line in f3.lines:
+        d1, d2 = o.query(AXIS_X), o.query(AXIS_Y)
+        d3 = o.query(third_direction(lines_from_dgm0(d1), lines_from_dgm0(d2)))
+        grid = [intersect_lines(a, b) for a in reference_lines(d1) for b in reference_lines(d2)]
+        for line in reference_lines(d3):
             assert any(line.contains(p) for p in grid)
 
 
@@ -238,12 +243,9 @@ def test_vertex_localization_inside_box():
     for seed in range(8):
         g = random_plane_graph(3 + seed, 0.0, seed + 50)
         o = DiagramOracle(g)
-        f1 = lines_from_dgm0(o.query(AXIS_X))
-        f2 = lines_from_dgm0(o.query(AXIS_Y))
-        s3 = third_direction(f1, f2)
-        xs, ys = f1.offsets.tolist(), f2.offsets.tolist()
-        f3 = lines_from_dgm0(o.query(s3))
-        for line in f3.lines:
+        xs = lines_from_dgm0(o.query(AXIS_X)).tolist()
+        ys = lines_from_dgm0(o.query(AXIS_Y)).tolist()
+        for line in reference_lines(o.query(third_direction(np.array(xs), np.array(ys)))):
             hits = 0
             for y in ys:
                 p = intersect_lines(line, Line(Direction(0.0, 1.0), y))
@@ -257,13 +259,18 @@ def _hex(points):
 
 
 def _same_as_reference(g):
-    o, ref = DiagramOracle(g), DiagramOracle(g)
-    want = reference_reconstruct_vertices(ref)
+    o, lines, loop = DiagramOracle(g), DiagramOracle(g), DiagramOracle(g)
     got = reconstruct_vertices(o)
+    want = reference_reconstruct_vertices(lines)
+    formula = reference_formula_vertices(loop)
     assert all(type(p) is Point2 and type(p.x) is float and type(p.y) is float for p in got)
     # float.hex tells signed zeros and every last bit apart
-    assert _hex(got) == _hex(want)
-    assert _hex(o.query_log) == _hex(ref.query_log)
+    assert _hex(o.query_log) == _hex(lines.query_log) == _hex(loop.query_log)
+    # y is the hidden y of the same rank; x is the formula's, bit for bit
+    assert [p.y for p in got] == sorted(v.y for v in g.vertices)
+    assert [p.x.hex() for p in got] == [p.x.hex() for p in formula]
+    assert all(math.isclose(p.x, q.x, rel_tol=1e-12) for p, q in zip(got, want))
+    assert len(got) == len(want) == g.n
 
 
 def test_vertex_phase_equals_line_reference_bit_for_bit():
@@ -273,8 +280,7 @@ def test_vertex_phase_equals_line_reference_bit_for_bit():
 
 
 def test_vertex_phase_equals_line_reference_on_negative_clouds():
-    # a vertex on y = 0 gets its y from 0.0 * offset - n3x * 0.0, whose sign
-    # follows the sign of its third-family offset
+    # vertices on the axes, at -0.0 and in every quadrant
     for pts in (
         [(0.0, 0.0), (0.7, 0.4), (-0.5, 0.9)],
         [(-0.3, 0.0), (0.2, -0.6), (0.9, 0.5)],
@@ -287,7 +293,7 @@ def test_vertex_phase_equals_line_reference_on_negative_clouds():
             n = int(rng.integers(1, 40))
             pts = rng.normal(loc=-0.5 * scale, scale=scale, size=(n, 2))
             _same_as_reference(PlaneGraph([tuple(p) for p in pts.tolist()], []))
-    # a single vertex is read off the axis offsets: the floats locate_point
+    # a single vertex is read off the axis births: the floats locate_point
     # gets by intersecting the two axis lines
     extremes = (0.0, -0.0, 5e-324, -5e-324, 1e300, -1e300, -0.37, 0.81)
     for p in [(x, y) for x in extremes for y in extremes]:
@@ -304,15 +310,3 @@ def test_vertex_phase_equals_line_reference_on_jittered_grid():
     ys = (np.arange(n) + 0.1 + 0.8 * rng.random(n)) / n
     _same_as_reference(PlaneGraph(list(zip(xs.tolist(), rng.permutation(ys).tolist())), []))
 
-
-def test_family_fields_are_the_floats_of_its_lines():
-    # (-0.3, 0.8) has nx < 0, so the family flips: births descend, offsets ascend
-    for direction in (AXIS_X, AXIS_Y, Direction(-0.3, 0.8), Direction(0.6, -0.2)):
-        d = dgm0(direction, [-2.5, -0.0, 0.0 + 1e-3, 0.75, 3.0])
-        f = lines_from_dgm0(d)
-        lines = reference_lines(d)
-        assert f.lines == lines
-        assert f.normal == lines[0].normal
-        assert [x.hex() for x in f.offsets.tolist()] == [l.offset.hex() for l in lines]
-        assert f.line(0) == lines[0]
-        assert not f.offsets.flags.writeable
