@@ -9,15 +9,18 @@ from .edge_recon import (
     reconstruct_edges_detail,
 )
 from .errors import (
+    BowTieConflict,
     CoincidentPoints,
     DegenerateDirection,
     DegeneratePoints,
     DegreeConflict,
+    DiagramMismatch,
     DuplicateHeights,
     GenerationFailed,
     ParallelLines,
     PhreconError,
     UncertifiedPair,
+    UncertifiedVertices,
 )
 from .geometry import TOLERANCE, Direction, Point2, height
 from .persistence import (

@@ -7,32 +7,42 @@ the two directions then differ by exactly one iff the edge exists, and each
 indegree is read off a single persistence diagram, so deciding a pair costs
 2 oracle queries.
 
-`reconstruct_edges_detail` reads every degree off two axis diagrams first
-and then asks only the pairs that counting cannot settle, nearest first, in
-batched rounds; it stays within the paper's n(n-1) queries. Each asked
-pair's bow tie has its own width (`bowtie_widths`), both ends are tried as
-its centre, and the better one is certified once, with no retry;
-`pair_directions` is the certifier's one-pair call.
+The two diagrams of a probe pair hold the indegree of every vertex u, and
+the same two directions make a bow tie at every u: the vertices w whose
+line through u lies within the half-angle of the probed line, mod pi. So
+indeg(u, s1) - indeg(u, s2) sums +1 for each edge of u to a w below u
+along s1 only and -1 for each to a w below u along s2 only, and it settles
+every pair in the bow tie that it pins down.
+
+`reconstruct_edges_detail` reads every degree off two axis diagrams first,
+then asks, nearest first and in batched rounds, only pairs that counting
+and the reads of earlier probe pairs leave open; it stays within the
+paper's n(n-1) queries. Each asked pair's bow tie has its own width
+(`bowtie_widths`), both ends are tried as its centre, and the better one is
+certified once, with no retry; `pair_directions` is the certifier's
+one-pair call.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import chain
-from typing import Sequence
+from itertools import accumulate
+from typing import NamedTuple, Sequence
 
 import numpy as np
 
 from .errors import (
+    BowTieConflict,
     CoincidentPoints,
     DegenerateDirection,
     DegeneratePoints,
     DegreeConflict,
+    DiagramMismatch,
     UncertifiedPair,
 )
 from .geometry import TOLERANCE, Direction, Point2, height
-from .persistence import Diagram, DiagramOracle, events_at_heights, events_at_many
+from .persistence import Diagram, DiagramOracle, events_at_heights, events_at_ranks
 
 Edge = tuple[int, int]
 
@@ -46,13 +56,20 @@ def bowtie_widths(V: Sequence[Point2], tol: float = TOLERANCE) -> np.ndarray:
     angular gaps next to line (V[i], V[j]) among the lines through V[i],
     taken mod pi; the diagonal is inf.
 
-    The line angles come from one (n, n) arctan2 and are sorted around each
-    vertex by one argsort. A bow tie at V[i] of half-angle below width[i, j]
-    about line (V[i], V[j]) holds V[j] and no other vertex. Two vertices
-    impose no constraint, so n = 2 gives pi/8. Raises DegeneratePoints when
-    two vertices coincide within tol.
+    The line angles come from one (n, n) arctan2 (`_line_angles`) and are
+    sorted around each vertex by one argsort. A bow tie at V[i] of
+    half-angle below width[i, j] about line (V[i], V[j]) holds V[j] and no
+    other vertex. Two vertices impose no constraint, so n = 2 gives pi/8.
+    Raises DegeneratePoints when two vertices coincide within tol.
     """
     X, Y = np.array(V, dtype=np.float64).reshape(-1, 2).T
+    return _widths(_line_angles(X, Y, tol))
+
+
+def _line_angles(X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
+    """angle[i, j]: the angle of the line through V[i] and V[j], mod pi, from
+    one (n, n) arctan2 of the chords from each V[i]; the diagonal is inf.
+    Raises DegeneratePoints when two vertices coincide within tol."""
     n = len(X)
     dx, dy = X - X[:, None], Y - Y[:, None]  # row i: chords from V[i]
     same = np.maximum(np.abs(dx), np.abs(dy)) <= tol
@@ -60,12 +77,18 @@ def bowtie_widths(V: Sequence[Point2], tol: float = TOLERANCE) -> np.ndarray:
         same.flat[:: n + 1] = False
         i, j = np.argwhere(same)[0].tolist()
         raise DegeneratePoints(f"vertices {i} and {j} coincide")
+    angle = np.arctan2(dy, dx) % math.pi
+    angle.flat[:: n + 1] = math.inf
+    return angle
+
+
+def _widths(angle: np.ndarray) -> np.ndarray:
+    """`bowtie_widths` from the line angles of `_line_angles`."""
+    n = len(angle)
     if n == 2:
         return np.array([[math.inf, math.pi / 8.0], [math.pi / 8.0, math.inf]])
-    angle = np.arctan2(dy, dx) % math.pi
-    angle.flat[:: n + 1] = math.inf  # a vertex's own column sorts last
     rows = np.arange(n)[:, None]
-    order = angle.argsort(axis=1)[:, :-1]
+    order = angle.argsort(axis=1)[:, :-1]  # a vertex's own column sorts last
     lines = angle[rows, order]
     # gap[:, p] lies between lines p - 1 and p, cyclically: n gaps round n - 1 lines
     lines = np.concatenate([lines[:, -1:] - math.pi, lines, lines[:, :1] + math.pi], axis=1)
@@ -106,7 +129,7 @@ def pair_directions(
         raise UncertifiedPair(i, j, None, 0.0)
     X, Y = np.array(V, dtype=np.float64).reshape(-1, 2).T
     vx, vy = np.array(v, dtype=np.float64).reshape(2, 1)
-    S, headroom = _certified_directions(vx, vy, X, Y, np.array([j]), np.array([theta]), tol)
+    S, headroom, _ = _certified_directions(vx, vy, X, Y, np.array([j]), np.array([theta]), tol)
     if not headroom[0] > 1.0:
         raise _uncertified(X, Y, i, j, S[0], headroom[0])
     (x1, y1), (x2, y2) = S[0].tolist()
@@ -121,11 +144,12 @@ def _certified_directions(
     cols: np.ndarray,
     theta: np.ndarray,
     tol: float,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Probe directions at (vx[r], vy[r]) towards vertex (X[c], Y[c]),
     c = cols[r]: the perpendicular of the chord turned by +theta[r] and
-    -theta[r], as a (len(cols), 2, 2) array of unit [s1, s2] per row, and
-    each row's headroom.
+    -theta[r], as a (len(cols), 2, 2) array of unit [s1, s2] per row; each
+    row's headroom; and the (2, len(cols), n) vertex heights along s1 and
+    s2.
 
     The headroom is the smallest gap between the heights of all vertices
     along s1 and s2, divided by tol, and 0 where the bow tie at the row's
@@ -140,9 +164,10 @@ def _certified_directions(
     below = H <= (vx * sx + vy * sy)[..., None]
     inside = below[0] != below[1]
     holds = (inside.sum(axis=1) == 1) & inside[np.arange(len(cols)), cols]
-    H.sort(axis=2)
-    gap = (H[..., 1:] - H[..., :-1]).min(axis=(0, 2), initial=math.inf)
-    return np.array([sx, sy]).transpose(2, 1, 0), np.where(holds, gap / tol, 0.0)
+    ascending = np.sort(H, axis=2)
+    gap = (ascending[..., 1:] - ascending[..., :-1]).min(axis=(0, 2), initial=math.inf)
+    S = np.array([sx, sy]).transpose(2, 1, 0)
+    return S, np.where(holds, gap / tol, 0.0), H
 
 
 def _uncertified(X, Y, i, j, s: np.ndarray, headroom) -> UncertifiedPair:
@@ -175,7 +200,10 @@ def reconstruct_edges_detail(
     o: DiagramOracle, V: Sequence[Point2], tol: float = TOLERANCE
 ) -> EdgeReconResult:
     """Decide every unordered pair (i, j), asking the oracle only about the
-    pairs that counting cannot settle.
+    pairs that counting and the reads of earlier probe pairs cannot settle.
+
+    V must be the vertices exactly, as `reconstruct_vertices` returns them:
+    each probe diagram is checked against V's heights.
 
     Degrees first: indeg(v, s) + indeg(v, -s) = deg(v), so the diagrams of
     (1, 0) and (-1, 0), asked in one `query_many`, give every degree
@@ -184,51 +212,56 @@ def reconstruct_edges_detail(
     counting alone, to a fixpoint: with r(v) the degree v has left and
     open(v) its undecided pairs, r(v) = 0 closes v's pairs as non-edges and
     r(v) = open(v) closes them as edges; r(v) < 0 or r(v) > open(v) raises
-    DegreeConflict naming v. In a round each vertex with pairs left proposes
-    its r(v) nearest open pairs, by one global key (squared length, then
-    (i, j)). The round's pairs, in (i, j) order, are decided by `_decide` in
-    chunks of at most max(1, _BATCH_CELLS // 8n) pairs, so that a chunk's k
+    DegreeConflict naming v.
+
+    In a round each vertex with pairs left proposes its min(r(v), 2)
+    nearest open pairs, by one global key (squared length, then (i, j)).
+    The round's pairs, in (i, j) order, are asked by `_probe` in chunks of
+    at most max(1, _BATCH_CELLS // 8n) pairs, so that a chunk's k
     directions keep k * 4n within _BATCH_CELLS (4n bounds the n + m
     simplices of a direction, since a plane graph has m <= 3n - 6). A pair
-    is certified only if it is asked.
+    is certified only if it is asked. After the round's last chunk,
+    `_Reads.settle` reads every asked probe pair at every vertex, this
+    round's and the earlier ones', to a fixpoint; an asked pair is settled
+    by the read at its own centre, whose bow tie holds it alone. Reading
+    once per round, not per chunk, keeps the query log independent of the
+    chunk size.
 
-    The budget: each asked pair is closed at once, so it is asked once, for
-    2 queries. After `_close` every vertex with open pairs has
+    The budget: each asked pair is settled in its own round, so it is asked
+    once, for 2 queries, and reads only settle pairs that would otherwise be
+    asked. After `_close` every vertex with open pairs has
     0 < r(v) < open(v), so it proposes at least one pair and not its last
     one. The longest open pair is last in both of its ends' orders, as the
-    key is global, so no round asks it; after the final round `_close`
-    settles it without a query. With P = n(n - 1)/2 pairs, at most P - 1
-    are asked, and the queries number at most 2 + 2(P - 1) = n(n - 1)."""
+    key is global, so no round asks it; after the final round it is settled
+    without a query. With P = n(n - 1)/2 pairs, at most P - 1 are asked, and
+    the queries number at most 2 + 2(P - 1) = n(n - 1)."""
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
     X, Y = np.array(V, dtype=np.float64).T
     start = o.query_count
-    left = _degrees(o, X, Y, tol)
+    degree = _degrees(o, X, Y, tol)
+    left = degree.copy()
     undecided = ~np.eye(n, dtype=bool)
-    edges: set[Edge] = set()
-    width = nearest = None
+    edge = np.zeros((n, n), dtype=bool)
+    geometry = reads = None
     rows = np.arange(n)[:, None]
     chunk = max(1, _BATCH_CELLS // (8 * n))
-    while _close(undecided, left, edges):
-        if nearest is None:  # only rounds need the geometry
-            width, nearest = bowtie_widths(V, tol), _nearest_first(X, Y)
+    while _close(undecided, left, edge):
+        if geometry is None:  # only rounds need the geometry
+            geometry, reads = _geometry(X, Y, tol), _Reads(n)
+        nearest = geometry.nearest
         ranked = undecided[rows, nearest]
-        pick = ranked & (ranked.cumsum(axis=1) <= left[:, None])
+        pick = ranked & (ranked.cumsum(axis=1) <= np.minimum(left, 2)[:, None])
         ask = np.zeros_like(undecided)
         ask[pick.nonzero()[0], nearest[pick]] = True
         src, cols = np.triu(ask | ask.T).nonzero()
-        exists = np.concatenate(
-            [
-                _decide(o, X, Y, width, src[a : a + chunk], cols[a : a + chunk], tol)
-                for a in range(0, len(src), chunk)
-            ]
-        )
-        undecided[src, cols] = undecided[cols, src] = False
-        src, cols = src[exists], cols[exists]
-        edges.update(zip(src.tolist(), cols.tolist()))
-        left -= np.bincount(src, minlength=n) + np.bincount(cols, minlength=n)
-    return EdgeReconResult(frozenset(edges), o.query_count - start, 0)
+        for a in range(0, len(src), chunk):
+            reads.add(*_probe(o, X, Y, geometry, src[a : a + chunk], cols[a : a + chunk], tol))
+        reads.settle(undecided, edge)
+        left[:] = degree - edge.sum(axis=1)
+    i, j = np.triu(edge).nonzero()
+    return EdgeReconResult(frozenset(zip(i.tolist(), j.tolist())), o.query_count - start, 0)
 
 
 def _degrees(o: DiagramOracle, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
@@ -243,24 +276,13 @@ def _degrees(o: DiagramOracle, X: np.ndarray, Y: np.ndarray, tol: float) -> np.n
     return sum(events_at_heights(d, X * d.direction.dx + Y * d.direction.dy, tol) for d in answers)
 
 
-def _nearest_first(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Row v: the vertices in the order of the pairs (v, u) under the global
-    key (squared length, then (i, j) with i < j); v itself comes last."""
-    n = len(X)
-    i, j = np.triu_indices(n, 1)
-    rank = np.full((n, n), len(i))
-    length2 = (X[j] - X[i]) ** 2 + (Y[j] - Y[i]) ** 2
-    rank[i, j] = rank[j, i] = length2.argsort(kind="stable").argsort()
-    return rank.argsort(axis=1)
-
-
-def _close(undecided: np.ndarray, left: np.ndarray, edges: set[Edge]) -> bool:
+def _close(undecided: np.ndarray, left: np.ndarray, edge: np.ndarray) -> bool:
     """Settle pairs by counting, to a fixpoint, and say whether any stay
-    undecided. A vertex with no degree left closes its pairs as non-edges;
-    then one whose degree left equals its undecided pairs closes them as
-    edges, added to `edges` and taken off `left` at both ends. A pair that
-    both rules would close shows up as r(v) > open(v) at the vertex that
-    needed it as an edge, once the non-edges are closed."""
+    undecided. A vertex with no degree left closes its pairs as non-edges,
+    and one whose degree left equals its undecided pairs closes them as
+    edges, marked in the symmetric `edge` and taken off `left` at both ends.
+    A pair that both rules would close is closed as a non-edge, and shows
+    up as r(v) > open(v) at the vertex that needed it as an edge."""
     while True:
         count = undecided.sum(axis=1)
         bad = (left < 0) | (left > count)
@@ -268,44 +290,243 @@ def _close(undecided: np.ndarray, left: np.ndarray, edges: set[Edge]) -> bool:
             v = int(bad.argmax())
             raise DegreeConflict(v, int(left[v]), int(count[v]))
         shut = undecided & (left == 0)[:, None]
-        if shut.any():
-            undecided &= ~(shut | shut.T)
-            continue
         take = undecided & (left == count)[:, None]
-        if not take.any():
+        if not (shut.any() or take.any()):
             return bool(count.any())
+        shut |= shut.T
         take |= take.T
-        edges.update(zip(*(a.tolist() for a in np.triu(take).nonzero())))
+        take &= ~shut
+        edge |= take
         left -= take.sum(axis=1)
-        undecided &= ~take
+        undecided &= ~(shut | take)
 
 
-def _decide(o, X, Y, width, src: np.ndarray, cols: np.ndarray, tol: float) -> np.ndarray:
-    """Whether each pair (src[p], cols[p]) is an edge; one chunk of a round.
+#: How far past the bow tie's half-angle the chord window reaches, in
+#: radians: the angles of the window and of the probe directions come from
+#: different arctan2 calls. Members are decided by height, not by angle.
+_WINDOW_PAD = 64 * math.ulp(math.pi)
+
+
+class _Geometry(NamedTuple):
+    """What the rounds need of V, computed once.
+
+    - `width`: the bow-tie widths, as `bowtie_widths`.
+    - `nearest`: row v lists the vertices in the order of the pairs (v, u)
+      under the global key (squared length, then (i, j) with i < j); v
+      itself comes last.
+    - `line`: the line angle of every pair {i, j}, `_line_angles`' angle[i, j]
+      for i < j, the same both ways round.
+    - `table`: all n(n - 1)/2 line angles sorted, then extended by the
+      upper half shifted down by pi and the lower half shifted up by pi, so
+      that any window of half-width at most pi/2 about an angle in [0, pi)
+      is one range of it; `chord` holds each entry's i * n + j, i < j. A
+      bow-tie width is at most pi/4, half the smaller of two gaps that
+      share pi, so every window fits.
+    """
+
+    width: np.ndarray
+    nearest: np.ndarray
+    line: np.ndarray
+    table: np.ndarray
+    chord: np.ndarray
+
+
+def _geometry(X: np.ndarray, Y: np.ndarray, tol: float) -> _Geometry:
+    n = len(X)
+    angle = _line_angles(X, Y, tol)
+    upper = np.arange(n)[:, None] < np.arange(n)
+    i, j = upper.nonzero()
+    rank = np.full((n, n), len(i))
+    length2 = (X[j] - X[i]) ** 2 + (Y[j] - Y[i]) ** 2
+    rank[i, j] = rank[j, i] = length2.argsort(kind="stable").argsort()
+    line = np.where(upper, angle, angle.T)
+    order = line[upper].argsort()
+    ascending = line[upper][order]
+    half = int(ascending.searchsorted(0.5 * math.pi))
+    table = np.concatenate([ascending[half:] - math.pi, ascending, ascending[:half] + math.pi])
+    chord = (i * n + j)[np.concatenate([order[half:], order, order[:half]])]
+    return _Geometry(_widths(angle), rank.argsort(axis=1), line, table, chord)
+
+
+def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol: float):
+    """Ask the pairs (src[p], cols[p]) of one chunk and read each asked
+    probe pair at every vertex; returns the chunk for `_Reads.add`.
 
     One array pass certifies both ends of every pair, each with its own
-    `width` entry, and a pair keeps the end with the larger headroom (V[i]
-    on a tie); UncertifiedPair is raised before the chunk is queried if that
-    is at most 1. The kept directions, [s1, s2] per pair, are asked in one
-    `query_many`, one `events_at_many` read gives the kept end's indegrees,
-    and a pair is an edge iff they differ by exactly one. A degenerate entry
-    raises UncertifiedPair from its DegenerateDirection."""
-    k = len(src)
+    width, and a pair keeps the end with the larger headroom (V[i] on a
+    tie); UncertifiedPair is raised before the chunk is queried if that is
+    at most 1. The kept directions, [s1, s2] per pair, are asked in one
+    `query_many`; a degenerate entry raises UncertifiedPair from its
+    DegenerateDirection.
+
+    The certificate's heights along s1 and s2 are more than tol apart, so
+    they fix every vertex's side of every other along both directions and
+    give each diagram event one vertex. `events_at_ranks` reads the
+    diagrams at those heights, sorted by one argsort of the kept rows, and
+    DiagramMismatch is raised where they disagree; D(u) = indeg(u, s1) -
+    indeg(u, s2) follows for every u. The bow tie at u holds the w whose
+    line through u is within the kept width of the pair's line: one range
+    of the chord table per pair, padded by `_WINDOW_PAD`, with each
+    member's side decided by the heights. A group is one pair read at one
+    vertex u, numbered p * n + u: its D(u) and its members, each a pair
+    index i * n + j with sign +1 where the other end lies below u along s1
+    only and -1 where along s2 only. A vertex with an empty bow tie has a
+    group with no member, whose D(u) must be 0: `_Reads.settle` raises
+    BowTieConflict otherwise.
+
+    Returns (probe, D, group, pair, sign): per pair c * n + f for its kept
+    centre c and far end f; per group its D(u); per member its group, its
+    pair and its sign."""
+    k, n = len(src), len(X)
     centre, far = np.concatenate([src, cols]), np.concatenate([cols, src])
-    S, headroom = _certified_directions(X[centre], Y[centre], X, Y, far, width[centre, far], tol)
+    S, headroom, H = _certified_directions(
+        X[centre], Y[centre], X, Y, far, geometry.width[centre, far], tol
+    )
     kept = np.arange(k) + k * (headroom[k:] > headroom[:k])
     certified = headroom[kept] > 1.0
     if not certified.all():
         r = int(kept[certified.argmin()])
         raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r])
     answers = o.query_many(list(map(Direction._make, S[kept].reshape(-1, 2).tolist())))
-    # each entry's own direction, as `height(v, d.direction)` reads it
-    U = [a.direction for a in answers]
-    U = np.fromiter(chain.from_iterable(U), np.float64, 2 * len(U))
-    at = centre[kept].repeat(2)
-    counts, degenerate = events_at_many(answers, X[at] * U[0::2] + Y[at] * U[1::2], tol)
-    if degenerate.any():
-        e = int(degenerate.argmax())
-        r = int(kept[e // 2])
-        raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r]) from answers[e]
-    return np.abs(counts[0::2] - counts[1::2]) == 1
+    for e, d in enumerate(answers):
+        if isinstance(d, DegenerateDirection):
+            r = int(kept[e // 2])
+            raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r]) from d
+    centre, far = centre[kept], far[kept]
+    # rows p along s1, then rows k + p along s2: the diagrams in that order
+    H = H[:, kept].reshape(2 * k, n)
+    at = (H.argsort(axis=1) + np.arange(0, 2 * k * n, n)[:, None]).ravel()
+    H = H.ravel()
+    counts, mismatched = events_at_ranks(answers[0::2] + answers[1::2], H[at].reshape(2 * k, n), tol)
+    if mismatched.any():
+        e = int(mismatched.argmax())
+        raise DiagramMismatch(int(centre[e % k]), int(far[e % k]), answers[2 * (e % k) + e // k].direction)
+    indegree = np.empty(2 * k * n, np.intp)
+    indegree[at] = counts.ravel()
+    D = indegree[: k * n] - indegree[k * n :]
+
+    # the chords within each pair's window, then their sides by height
+    line, reach = geometry.line[centre, far], geometry.width[centre, far] + _WINDOW_PAD
+    first = geometry.table.searchsorted(line - reach)
+    size = geometry.table.searchsorted(line + reach) - first
+    p = np.repeat(np.arange(0, k * n, n), size)
+    pair = geometry.chord[np.arange(len(p)) + np.repeat(first - size.cumsum() + size, size)]
+    a, b = np.divmod(pair, n)
+    ka, kb = p + a, p + b
+    h1, h2 = H[: k * n], H[k * n :]
+    below1 = h1[kb] < h1[ka]
+    inside = below1 != (h2[kb] < h2[ka])
+    sign = np.where(below1[inside], 1.0, -1.0)
+    pair = pair[inside]
+    return (
+        centre * n + far,
+        D,
+        np.concatenate([ka[inside], kb[inside]]),
+        np.concatenate([pair, pair]),
+        np.concatenate([sign, -sign]),
+    )
+
+
+class _Reads:
+    """The reads of the asked probe pairs, kept across rounds while they
+    still hold an undecided pair.
+
+    A group is one probe pair read at one vertex u (see `_probe`). With the
+    pairs already decided, its residual is D(u) less the sign of every known
+    edge among its members, and with p and q its undecided members of sign
+    +1 and -1 the residual must lie in [-q, p]; outside it raises
+    BowTieConflict. A residual of p makes the + members edges and the -
+    members non-edges, and a residual of -q the reverse; the centre read of
+    an asked pair is the case p + q = 1. Both conclusions only grow more
+    certain as pairs get decided, so applying them to a fixpoint settles
+    the same pairs in any order.
+    """
+
+    def __init__(self, n: int):
+        self.n = n
+        self.probes = np.empty(0, np.intp)  # per asked pair: c * n + f
+        self.tag = np.empty(0, np.intp)  # per group: its pair's place in probes * n + u
+        self.D = np.empty(0, np.intp)
+        self.group = np.empty(0, np.intp)  # per member: its group, pair and sign
+        self.pair = np.empty(0, np.intp)
+        self.sign = np.empty(0)
+        self.pending: list = []  # chunks added since the last settle
+        self.seen = None  # the undecided pairs after the last settle
+
+    def add(self, probe, D, group, pair, sign) -> None:
+        """Take one chunk, as `_probe` returns it."""
+        self.pending.append((probe, D, group, pair, sign))
+
+    def settle(self, undecided: np.ndarray, edge: np.ndarray) -> None:
+        """Apply every read to a fixpoint, as a worklist. Groups that the
+        previous settle left with no undecided pair, and new groups with no
+        member, are dropped first; a new group with no member and D(u) != 0
+        raises BowTieConflict. The first pass takes the groups added since
+        the last settle and those holding a pair decided since then; each
+        later pass, those holding a pair the previous pass decided, except a
+        group whose own read decided it so. Decided pairs leave `undecided`,
+        and edges join `edge`.
+
+        With A the group's undecided members, B the sum of their signs (so
+        p = (A + B)/2 and q = (A - B)/2) and r the residual, t = 2r - B must
+        lie in [-A, A]; t = A is r = p and t = -A is r = -q."""
+        n, chunks, self.pending = self.n, self.pending, []
+        fresh = len(self.D)
+        start = list(accumulate([fresh, *(len(chunk[1]) for chunk in chunks)]))
+        probes = np.concatenate([self.probes, *(chunk[0] for chunk in chunks)])
+        tag = np.concatenate([self.tag, np.arange(len(self.probes) * n, len(probes) * n)])
+        D = np.concatenate([self.D, *(chunk[1] for chunk in chunks)])
+        group = np.concatenate([self.group, *(chunk[2] + at for chunk, at in zip(chunks, start))])
+        pair = np.concatenate([self.pair, *(chunk[3] for chunk in chunks)])
+        sign = np.concatenate([self.sign, *(chunk[4] for chunk in chunks)])
+        held = np.ones(len(pair))
+        if self.seen is not None:
+            held[: len(self.pair)] = self.seen.ravel()[self.pair]
+        keep = np.bincount(group, weights=held, minlength=len(D)) > 0
+        empty = ~keep & (D != 0)
+        empty[:fresh] = False
+        if empty.any():
+            at, u = divmod(int(tag[empty.argmax()]), n)
+            raise BowTieConflict(*divmod(int(probes[at]), n), u, int(D[empty.argmax()]), 0, 0)
+        on = keep[group]
+        fresh = int(keep[:fresh].sum())
+        tag, D, group, pair, sign = tag[keep], D[keep], (keep.cumsum() - 1)[group[on]], pair[on], sign[on]
+        self.probes, self.tag, self.D, self.group, self.pair, self.sign = probes, tag, D, group, pair, sign
+        und, known, G = undecided.ravel(), edge.ravel(), len(D)
+        active = np.zeros(G, dtype=bool)
+        active[fresh:] = True
+        if self.seen is not None:
+            active[group[(self.seen ^ undecided).ravel()[pair]]] = True
+        while True:
+            on = active[group].nonzero()[0]
+            if not len(on):
+                break
+            g, q, s = group[on], pair[on], sign[on]
+            so = s * und[q]
+            A = np.bincount(g, weights=np.abs(so), minlength=G)
+            B = np.bincount(g, weights=so, minlength=G)
+            t = 2.0 * (D - np.bincount(g, weights=s * known[q], minlength=G)) - B
+            size = np.abs(t)
+            bad = active & (size > A)
+            if bad.any():
+                e = int(bad.argmax())
+                at, u = divmod(int(tag[e]), n)
+                r, p, m = (int(v // 2) for v in (t[e] + B[e], A[e] + B[e], A[e] - B[e]))
+                raise BowTieConflict(*divmod(int(probes[at]), n), u, r, p, m)
+            # +1: the + members are edges and the - members are not; -1: the reverse
+            vote = (np.sign(t) * (size == A))[g] * so
+            voted = vote != 0
+            if not voted.any():
+                break
+            was = und[pair]
+            decided = q[voted]
+            und[decided] = und[decided % n * n + decided // n] = False
+            # an edge wins a pair also read as a non-edge; the group that read
+            # it so is active in the next pass and raises there
+            new = q[vote > 0]
+            known[new] = known[new % n * n + new // n] = True
+            touched = was & ~und[pair]
+            touched[on[voted & ((vote > 0) == known[q])]] = False
+            active = np.zeros(G, dtype=bool)
+            active[group[touched]] = True
+        self.seen = undecided.copy()

@@ -18,6 +18,24 @@ class ParallelLines(PhreconError):
     """
 
 
+class UncertifiedVertices(PhreconError):
+    """The vertex phase cannot certify which (1, 0) birth is vertex i's x.
+
+    `f` is the x the third diagram gives vertex i, `birth` the (1, 0) birth
+    of f's rank and `bound` f's forward-error bound. The snap needs
+    |f - birth| <= bound < `half_gap`, half the smallest gap between the
+    births. Raised before any edge query.
+    """
+
+    def __init__(self, i: int, f: float, birth: float, bound: float, half_gap: float):
+        self.i, self.f, self.birth, self.bound, self.half_gap = i, f, birth, bound, half_gap
+        super().__init__(
+            f"vertex {i}: x {f!r} from the third diagram is {abs(f - birth):.3g} from the "
+            f"(1, 0) birth {birth!r}; its error bound is {bound:.3g} and half the "
+            f"smallest birth gap {half_gap:.3g}"
+        )
+
+
 class CoincidentPoints(PhreconError):
     """An operation needing two distinct points received equal ones."""
 
@@ -83,4 +101,37 @@ class DegreeConflict(PhreconError):
         self.v, self.remaining, self.open = v, remaining, open
         super().__init__(
             f"vertex {v} has {remaining} edges left to find among {open} open pairs"
+        )
+
+
+class BowTieConflict(PhreconError):
+    """The read of the probe pair asked for pair (i, j) at vertex u
+    contradicts itself or the pairs already decided.
+
+    The residual is indeg(u, s1) - indeg(u, s2) less the sign of every
+    known edge in the bow tie at u; it must lie in [-minus, plus], where
+    plus and minus count the bow tie's undecided pairs below u along only
+    s1 and only s2. A vertex with an empty bow tie needs a residual of 0.
+    """
+
+    def __init__(self, i: int, j: int, u: int, residual: int, plus: int, minus: int):
+        self.i, self.j, self.u = i, j, u
+        self.residual, self.plus, self.minus = residual, plus, minus
+        super().__init__(
+            f"the probe of pair ({i}, {j}) reads {residual} at vertex {u}, "
+            f"outside [-{minus}, {plus}]"
+        )
+
+
+class DiagramMismatch(PhreconError):
+    """A probe diagram asked for pair (i, j) does not fit the known vertices:
+    its dim-0 births are not within the tolerance of the vertex heights
+    along its direction, rank by rank, or one of its events lies at no
+    vertex height."""
+
+    def __init__(self, i: int, j: int, direction=None):
+        self.i, self.j, self.direction = i, j, direction
+        super().__init__(
+            f"the probe diagram of pair ({i}, {j}) along {direction} does not match "
+            f"the vertex heights"
         )

@@ -13,7 +13,8 @@ local minima need an elder-rule union-find, and a triangulation has none.
 `lower_star_diagrams` is the batch of one. `events_at_many` reads the
 indegree events of a whole batch of diagrams in one array pass, and
 `Diagram.events_at` is its batch of one; `events_at_heights` reads one
-diagram at many heights.
+diagram at many heights, and `events_at_ranks` reads a batch of diagrams
+at all of their own vertex heights.
 
 `DiagramOracle` wraps a hidden graph and meters every diagram request; the
 reconstruction modules are written against its interface only: `query`,
@@ -25,6 +26,7 @@ from __future__ import annotations
 import json
 import math
 import threading
+from itertools import accumulate
 from dataclasses import dataclass
 from typing import NamedTuple, Sequence
 
@@ -179,6 +181,54 @@ def events_at_heights(d: Diagram, heights, tol: float = TOLERANCE) -> np.ndarray
             hits.append(i)
             i = i + step
     return np.bincount(order[np.concatenate(hits) - 1], minlength=len(heights))
+
+
+def events_at_ranks(
+    entries: Sequence[Diagram], ascending: np.ndarray, tol: float = TOLERANCE
+) -> tuple[np.ndarray, np.ndarray]:
+    """Every entry's indegree events, counted at every height of its own row
+    of `ascending`, aligned by rank.
+
+    ascending is (len(entries), n): row e holds entry e's n vertex heights,
+    ascending and more than tol apart. Returns (counts, mismatched):
+    counts[e, r] is the number of finite dim-0 deaths and dim-1 births x of
+    entry e with abs(x - ascending[e, r]) <= tol, as `events_at_heights`
+    would count them; mismatched[e] flags an entry whose dim-0 births are
+    not within tol of its row rank by rank, or with an event within tol of
+    no height of its row.
+
+    The births check lines each dim-0 pair up with the height of its birth's
+    rank, so the common diagonal death is counted by one elementwise test.
+    Only the other finite deaths and the dim-1 births are located in their
+    own row: the former by comparison with the whole row, the latter, which
+    are sorted, by one search per row.
+    """
+    k, n = ascending.shape
+    raw = [d._raw() for d in entries]
+    births = np.array([d.births0() for d in entries]).reshape(k, n)
+    death = np.array([r[0] for r in raw]).reshape(k, n)
+    mismatched = (np.abs(births - ascending) > tol).any(axis=1)
+    own = np.abs(death - ascending) <= tol
+    # the other finite deaths, few on a connected graph: their rank is the
+    # number of heights of their row below x - tol, by one comparison each
+    row, at = (~own & (death < INFINITY)).nonzero()
+    x = death[row, at]
+    at = (ascending[row] < (x - tol)[:, None]).sum(axis=1)
+    # the dim-1 births, ascending in each row: one search per row
+    sizes = [len(r[1]) for r in raw]
+    cycles = np.concatenate([r[1] for r in raw])
+    low, ends = cycles - tol, list(accumulate(sizes))
+    found = [a.searchsorted(low[e - size : e]) for a, size, e in zip(ascending, sizes, ends)]
+    row = np.concatenate([row, np.repeat(np.arange(k), sizes)])
+    x = np.concatenate([x, cycles])
+    at = np.concatenate([at, *found])
+    # the event is at the height found iff that height is at most x + tol
+    hit = at < n
+    at += row * n
+    hit[hit] = ascending.ravel()[at[hit]] <= x[hit] + tol
+    mismatched[row[~hit]] = True
+    counts = own.ravel() + np.bincount(at[hit], minlength=k * n)
+    return counts.reshape(k, n), mismatched
 
 
 def lower_star_many(

@@ -6,9 +6,11 @@ vertices' x- and y-coordinates, an n-by-n grid of candidate locations; a
 third direction s3, chosen from the grid's box geometry so that each of its
 lines can meet the grid in at most one point, singles out the true vertices.
 Since s3 points upward, its lines cross every vertical line in the order of
-their heights, so the i-th lowest height pairs with the i-th lowest y and
-the vertex is (x, y) with x = (h3 - s3.dy * y) / s3.dx. The phase is
-O(n log n) after the three oracle queries.
+their heights, so the i-th lowest height pairs with the i-th lowest y, and
+x = (h3 - s3.dy * y) / s3.dx says which (1, 0) birth is the vertex's x. The
+returned x is that birth, the hidden x bit for bit, once the formula's
+forward error is certified to single it out. The phase is O(n log n) after
+the three oracle queries.
 """
 
 from __future__ import annotations
@@ -17,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDirection, DuplicateHeights, ParallelLines
+from .errors import DegenerateDirection, DuplicateHeights, ParallelLines, UncertifiedVertices
 from .geometry import PARALLEL_EPS, TOLERANCE, Direction, Point2
 from .persistence import Diagram, DiagramOracle
 
@@ -27,6 +29,9 @@ AXIS_Y = Direction(0.0, 1.0)
 #: Third direction used when a single vertex leaves no box geometry to
 #: exploit; any direction independent of both axes works.
 _SINGLE_VERTEX_DIRECTION = Direction(math.sqrt(0.5), math.sqrt(0.5))
+
+#: The spacing of floats at 1.0, twice the unit roundoff.
+_EPS = float(np.finfo(np.float64).eps)
 
 
 def lines_from_dgm0(d: Diagram, tol: float = TOLERANCE) -> np.ndarray:
@@ -66,22 +71,47 @@ def third_direction(xs: np.ndarray, ys: np.ndarray) -> Direction:
     return Direction(w, h / 2.0).perp().normalized()
 
 
-def match_and_intersect(ys: np.ndarray, s3: Direction, h3: np.ndarray) -> list[Point2]:
-    """Pair the i-th lowest y with the i-th lowest height h3 along s3.
+def match_and_intersect(
+    xs: np.ndarray, ys: np.ndarray, s3: Direction, h3: np.ndarray
+) -> list[Point2]:
+    """Pair the i-th lowest y with the i-th lowest height h3 along s3, and
+    snap each vertex's x onto the (1, 0) birth in xs it stands for.
 
     s3 is the third diagram's unit direction, with s3.dy > 0, so ascending
     h3 is the order in which its lines cross any vertical line. Under the
     third-direction guarantee that order agrees with the vertices' y-order,
-    so vertex i is (x, ys[i]) with x = (h3[i] - s3.dy * ys[i]) / s3.dx.
-    Raises ParallelLines when |s3.dx| <= PARALLEL_EPS, where the lines of
-    s3 are numerically horizontal.
+    so vertex i lies at (f[i], ys[i]) with f = (h3 - s3.dy * ys) / s3.dx, up
+    to rounding. The r-th lowest f is snapped onto xs[r], so the x's come
+    out as a permutation of the births.
+
+    The snap is certified: every f may differ from its birth by at most a
+    bound on the forward error of the oracle's heights and the formula,
+    4 eps (max|h3| + max|s3.dy * y|) / |s3.dx|, which exceeds their
+    first-order rounding error of at most eps (2|h3| + 2.5|s3.dy * y|) /
+    |s3.dx| per vertex; and that bound must stay below half the
+    smallest gap of xs. Then the birth within the bound is the only one
+    near f, and it is the birth of f's rank. Otherwise raises
+    UncertifiedVertices, naming the farthest f or, when the bound is too
+    wide, the lowest. Raises ParallelLines when |s3.dx| <= PARALLEL_EPS,
+    where the lines of s3 are numerically horizontal.
     """
-    if len(ys) != len(h3):
-        raise ValueError(f"family sizes differ: {len(ys)} vs {len(h3)}")
+    if not len(xs) == len(ys) == len(h3):
+        raise ValueError(f"family sizes differ: {len(xs)}, {len(ys)}, {len(h3)}")
     if abs(s3.dx) <= PARALLEL_EPS:
         raise ParallelLines(f"direction {s3} is parallel to the horizontal lines")
-    xs = (h3 - s3.dy * ys) / s3.dx
-    return list(map(Point2._make, zip(xs.tolist(), ys.tolist())))
+    f = (h3 - s3.dy * ys) / s3.dx
+    # h3 and ys ascend and s3.dy > 0: the largest magnitudes are at the ends
+    top = max(-h3[0], h3[-1]) + s3.dy * max(-ys[0], ys[-1]) if len(ys) else 0.0
+    bound = 4.0 * _EPS * float(top) / abs(s3.dx)
+    half_gap = 0.5 * (xs[1:] - xs[:-1]).min(initial=math.inf)
+    rank = f.argsort(kind="stable")
+    off = np.abs(f[rank] - xs)
+    if not (bound < half_gap and off.max(initial=0.0) <= bound):
+        r = int(off.argmax()) if bound < half_gap else 0
+        raise UncertifiedVertices(int(rank[r]), float(f[rank[r]]), float(xs[r]), bound, half_gap)
+    x = np.empty_like(f)
+    x[rank] = xs
+    return list(map(Point2._make, zip(x.tolist(), ys.tolist())))
 
 
 def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point2]:
@@ -89,8 +119,9 @@ def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point
 
     Queries (1, 0) and (0, 1) in one `query_many`, raising the first
     degenerate entry, then the derived third direction. Returns the
-    vertices sorted by ascending y-coordinate. A single vertex is read off
-    the two axis births, with any -0.0 made 0.0.
+    vertices sorted by ascending y-coordinate, each coordinate an axis
+    birth. A single vertex is read off the two axis births, with any -0.0
+    made 0.0.
     """
     axes = o.query_many([AXIS_X, AXIS_Y])
     for d in axes:
@@ -102,4 +133,4 @@ def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point
     d3 = o.query(third_direction(xs, ys))
     if len(xs) == 1:
         return [Point2(float(xs[0]) + 0.0, float(ys[0]) + 0.0)]
-    return match_and_intersect(ys, d3.direction, lines_from_dgm0(d3, tol))
+    return match_and_intersect(xs, ys, d3.direction, lines_from_dgm0(d3, tol))

@@ -5,8 +5,9 @@ edge sets.
 
 `reference_reconstruct_edges` asks every pair (i, j > i), lexicographic by
 index, with exactly 2 queries each, a batch of whole rows at a time
-(`_row_batches`); each batch is decided by the pipeline's own chunk step,
-so a pair it shares with the pipeline is asked with the same directions.
+(`_row_batches`); each batch is asked by the pipeline's own chunk step,
+so a pair it shares with the pipeline is asked with the same directions,
+and each pair is decided by the paper's rule alone, at its centre.
 
 `reference_probe_edge` applies the pipeline's rule to one pair at a chosen
 width: the two certified directions of `pair_directions`, asked in one
@@ -55,20 +56,25 @@ class EnumerationOverflow(PhreconError):
 def reference_reconstruct_edges(o, V: Sequence[Point2], tol: float = TOLERANCE) -> EdgeReconResult:
     """The paper's schedule: every pair (i, j > i) in lexicographic order,
     2 queries each, in batches of whole rows (`_row_batches`). Each batch
-    goes through `edge_recon._decide`, which certifies both ends, keeps the
-    better one, asks, reads and decides; the widths and the cell budget are
-    read from `edge_recon` at call time."""
+    goes through `edge_recon._probe`, which certifies both ends, keeps the
+    better one, asks and reads; a pair is an edge iff the indegrees at its
+    kept centre differ by exactly one, and the reads elsewhere are unused.
+    The geometry and the cell budget are read from `edge_recon` at call
+    time."""
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
-    width = edge_recon.bowtie_widths(V, tol)
     X, Y = np.array(V, dtype=np.float64).T
+    geometry = edge_recon._geometry(X, Y, tol)
     start = o.query_count
     edges: set[Edge] = set()
     for rows in _row_batches(n):
         src = np.repeat(rows, n - 1 - rows)
         cols = np.concatenate([np.arange(i + 1, n) for i in rows.tolist()])
-        exists = edge_recon._decide(o, X, Y, width, src, cols, tol)
+        probe, D, *_ = edge_recon._probe(o, X, Y, geometry, src, cols, tol)
+        # D(u) for every pair p and vertex u at p * n + u: each pair's read at
+        # its own kept centre c, the first of probe = c * n + f
+        exists = np.abs(D.reshape(-1, n)[np.arange(len(probe)), probe // n]) == 1
         edges.update(zip(src[exists].tolist(), cols[exists].tolist()))
     return EdgeReconResult(frozenset(edges), o.query_count - start, 0)
 

@@ -167,9 +167,9 @@ def test_criterion_6_vertex_oracle_equivalence(sweep):
     for rec in records:
         o = DiagramOracle(rec.graph)
         d1, d2 = o.query(AXIS_X), o.query(AXIS_Y)
-        ys = lines_from_dgm0(d2)
-        d3 = o.query(third_direction(lines_from_dgm0(d1), ys))
-        matched = match_and_intersect(ys, d3.direction, lines_from_dgm0(d3))
+        xs, ys = lines_from_dgm0(d1), lines_from_dgm0(d2)
+        d3 = o.query(third_direction(xs, ys))
+        matched = match_and_intersect(xs, ys, d3.direction, lines_from_dgm0(d3))
         brute = triple_intersections(d1, d2, d3)
         ok = ok and len(matched) == len(brute)
         for p in matched:

@@ -202,8 +202,9 @@ def test_golden_diagrams_and_reconstruct_outputs(tmp_path, instance):
     """`<instance>.graph.json` is `phrecon gen --n 12 --density 1.0 --seed 7`
     (and `--n 18 --density 0.6 --seed 3`); the `.diagrams.json` and
     `.recon.json` files are the outputs of `phrecon diagrams --direction 3,-4`
-    and `phrecon reconstruct` on it. Every vertex's y is the hidden y, read
-    off the (0, 1) births; its x comes from the third diagram."""
+    and `phrecon reconstruct` on it. Every vertex is the hidden vertex: its
+    y is read off the (0, 1) births, and its x is the (1, 0) birth the third
+    diagram names."""
     graph = DATA / f"{instance}.graph.json"
     diagrams = tmp_path / "d.json"
     recon = tmp_path / "r.json"

@@ -7,6 +7,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phrecon import (
+    BowTieConflict,
+    DiagramMismatch,
+    PhreconError,
+    save_graph,
     bowtie_widths,
     DegenerateDirection,
     DegeneratePoints,
@@ -28,7 +32,7 @@ from phrecon import (
     reconstruct_vertices,
     validate,
 )
-from phrecon import edge_recon
+from phrecon import cli, edge_recon
 
 from conftest import match_to_hidden, remap_edges, tie_free_direction
 from edge_reference import (
@@ -265,7 +269,7 @@ def test_edge_phase_raises_on_height_tie(monkeypatch):
     # the first round asks it.
     theta = math.pi / 8.0
     V = _height_tie(theta)
-    monkeypatch.setattr(edge_recon, "bowtie_widths", lambda V, tol: np.full((4, 4), theta))
+    monkeypatch.setattr(edge_recon, "_widths", lambda angle: np.full((4, 4), theta))
     o = RecordingOracle(PlaneGraph(V, [(0, 3), (1, 2)]))
     with pytest.raises(UncertifiedPair) as err:
         reconstruct_edges_detail(o, V)
@@ -354,6 +358,52 @@ def test_edge_phase_chunks_never_change_the_query_log(monkeypatch):
         assert logs[0] == logs[1] == logs[2]
 
 
+def test_reads_settle_pairs_that_are_then_never_asked(monkeypatch):
+    # every round's asked pairs, and the pairs each round's reads settle:
+    # a pair is asked once, and never after a read or counting settled it
+    rounds = []
+    probe, settle = edge_recon._probe, edge_recon._Reads.settle
+
+    def recording_probe(o, X, Y, geometry, src, cols, tol):
+        rounds[-1][0].update(zip(src.tolist(), cols.tolist()))
+        return probe(o, X, Y, geometry, src, cols, tol)
+
+    def recording_settle(self, undecided, edge):
+        before = np.triu(undecided).copy()
+        settle(self, undecided, edge)
+        rounds[-1][1].update(zip(*(a.tolist() for a in (before & ~undecided).nonzero())))
+        rounds[-1][2].update(zip(*(a.tolist() for a in np.triu(undecided).nonzero())))
+        rounds.append((set(), set(), set()))
+
+    monkeypatch.setattr(edge_recon, "_probe", recording_probe)
+    monkeypatch.setattr(edge_recon._Reads, "settle", recording_settle)
+    for n, density, seed, margin in ((12, 0.7, 3, 1e-3), (30, 0.7, 4, 1e-6), (60, 1.0, 3, 1e-5)):
+        g = random_plane_graph(n, density, seed, margin=margin)
+        rounds[:] = [(set(), set(), set())]
+        detail = reconstruct_edges_detail(DiagramOracle(g), list(g.vertices))
+        assert detail.edges == g.edges
+        rounds.pop()
+        asked = [pair for round_asked, _, _ in rounds for pair in round_asked]
+        assert len(asked) == len(set(asked)) and detail.queries == 2 + 2 * len(asked)
+        # each asked pair is settled by its own round's reads, which also
+        # settle pairs nobody asked
+        assert sum(len(settled) for _, settled, _ in rounds) > len(asked)
+        open_before = None  # what the reads left open before each round
+        for round_asked, settled, left_open in rounds:
+            assert round_asked <= settled
+            if open_before is not None:
+                assert round_asked <= open_before
+            open_before = left_open
+
+
+def test_edge_query_counts_are_pinned():
+    # reads of every vertex off every asked probe pair, min(r(v), 2)
+    # proposals per vertex and round: 268 queries here, 490 with the centre
+    # read alone and r(v) proposals
+    g = random_plane_graph(60, 1.0, 3, margin=1e-5)
+    assert reconstruct_edges_detail(DiagramOracle(g), list(g.vertices)).queries == 268
+
+
 def test_uncertifiable_pair_raises_before_its_row_is_queried():
     # (1, 2) certifies but (0, 2) cannot: V[2] lies on the line through
     # V[0] and V[3], so the bow tie has width 0 at both ends. Every vertex
@@ -410,7 +460,7 @@ def test_frontier_n300_certifies_every_pair_at_its_better_end():
     for a in range(0, len(src), 128):  # both ends of 128 pairs at a time
         i, j = src[a : a + 128], dst[a : a + 128]
         ends, far = np.concatenate([i, j]), np.concatenate([j, i])
-        _, headroom = edge_recon._certified_directions(X[ends], Y[ends], X, Y, far, W[ends, far], 1e-9)
+        _, headroom, _ = edge_recon._certified_directions(X[ends], Y[ends], X, Y, far, W[ends, far], 1e-9)
         at_j = headroom[len(i) :] > headroom[: len(i)]
         best[a : a + 128] = np.where(at_j, headroom[len(i) :], headroom[: len(i)])
         centre[a : a + 128] = np.where(at_j, j, i)
@@ -432,6 +482,9 @@ def test_frontier_n300_certifies_every_pair_at_its_better_end():
     detail = reconstruct_edges_detail(o, vs)
     assert remap_edges(detail.edges, match_to_hidden(vs, g)) == set(g.edges)
     assert detail.queries <= n * (n - 1) and detail.retries == 0
+    # the reads keep the edge phase output-sensitive: 2 776 queries with
+    # the centre read alone
+    assert detail.queries == 1220 <= 1300
 
 
 def test_indegree_from_diagrams_appendix(appendix_graph):
@@ -585,6 +638,94 @@ def test_a_wrong_degree_raises_degree_conflict():
         for v in (0, n // 2, n - 1):
             with pytest.raises(DegreeConflict):
                 reconstruct_edges_detail(LyingOracle(g, v), list(g.vertices))
+
+
+class ProbeLyingOracle(DiagramOracle):
+    """Answers the first probe pair truthfully but for `lie`, which gets the
+    pair's two diagrams and the hidden heights along them, in the order of
+    the vertices, and returns the two diagrams to send instead."""
+
+    def __init__(self, graph, lie):
+        super().__init__(graph)
+        self.lie = lie
+        self.lied = False
+
+    def query_many(self, S):
+        out = super().query_many(S)
+        if not self.lied and len(out) >= 2 and out[0].direction != Direction(1.0, 0.0):
+            self.lied = True
+            X, Y = np.array(self._graph.vertices).T
+            H = [X * d.direction.dx + Y * d.direction.dy for d in out[:2]]
+            out[:2] = self.lie(out[0], out[1], H)
+        return out
+
+
+def _with_cycles(d, heights):
+    """d with one more dim-1 birth at every height given."""
+    extra = tuple(PersistencePair(float(h), math.inf) for h in heights)
+    return Diagram(d.direction, d.dim0, tuple(sorted(d.dim1 + extra)))
+
+
+def _bowtie_sizes(H):
+    """How many vertices the bow tie of the directions with heights H
+    holds at each vertex."""
+    h1, h2 = H
+    return ((h1[None, :] < h1[:, None]) != (h2[None, :] < h2[:, None])).sum(axis=1)
+
+
+def _lying_reconstruction(lie):
+    g = random_plane_graph(30, 0.7, 4, margin=1e-6)
+    o = ProbeLyingOracle(g, lie)
+    return o, lambda: reconstruct_edges_detail(o, list(g.vertices))
+
+
+def test_a_read_outside_its_range_raises_bow_tie_conflict(monkeypatch, tmp_path):
+    # two extra events along s1 at every vertex whose bow tie is not empty:
+    # the centre of the first pair holds one pair, so its read of +2 or more
+    # lies outside [-1, 1]
+    def lie(d1, d2, H):
+        h1 = H[0][_bowtie_sizes(H) > 0]
+        return _with_cycles(d1, np.repeat(h1, 2)), d2
+
+    o, run = _lying_reconstruction(lie)
+    with pytest.raises(BowTieConflict) as err:
+        run()
+    e = err.value
+    assert isinstance(e, PhreconError) and o.lied
+    assert not -e.minus <= e.residual <= e.plus and e.plus + e.minus >= 1
+    # the CLI maps it to its fixed exit code for a failed reconstruction,
+    # and writes no edge set
+    save_graph(random_plane_graph(30, 0.7, 4, margin=1e-6), tmp_path / "g.json")
+    monkeypatch.setattr(cli, "DiagramOracle", lambda g, tol: ProbeLyingOracle(g, lie))
+    assert cli.main(["reconstruct", str(tmp_path / "g.json"), "-o", str(tmp_path / "r.json")]) == 64
+    assert not (tmp_path / "r.json").exists()
+
+
+def test_a_read_at_an_empty_bow_tie_raises_bow_tie_conflict():
+    def lie(d1, d2, H):
+        u = int(np.flatnonzero(_bowtie_sizes(H) == 0)[0])
+        return d1, _with_cycles(d2, [H[1][u]])
+
+    o, run = _lying_reconstruction(lie)
+    with pytest.raises(BowTieConflict) as err:
+        run()
+    e = err.value
+    assert (e.residual, e.plus, e.minus) == (-1, 0, 0) and o.lied
+
+
+def test_births_off_the_certified_heights_raise_diagram_mismatch():
+    # one dim-0 birth of the s2 diagram moved by 10 tol
+    def lie(d1, d2, H):
+        dim0 = list(d2.dim0)
+        b, dead = dim0[3]
+        dim0[3] = PersistencePair(b + 1e-8, dead + 1e-8 if dead == b else dead)
+        return d1, Diagram(d2.direction, tuple(sorted(dim0)), d2.dim1)
+
+    o, run = _lying_reconstruction(lie)
+    with pytest.raises(DiagramMismatch) as err:
+        run()
+    assert isinstance(err.value, PhreconError) and o.lied
+    assert err.value.direction == o.query_log[3]
 
 
 def test_indegree_difference_decides_every_pair():

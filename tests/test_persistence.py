@@ -22,7 +22,7 @@ from phrecon import (
     reconstruct_vertices,
 )
 from phrecon.edge_recon import global_bowtie_width
-from phrecon.persistence import events_at_heights, events_at_many, lower_star_many
+from phrecon.persistence import events_at_heights, events_at_many, events_at_ranks, lower_star_many
 
 from conftest import match_to_hidden, tie_free_direction
 from edge_reference import reference_probe_edge
@@ -500,6 +500,30 @@ def test_events_at_heights_equals_events_at_many_per_height():
     d = Diagram(Direction(1.0, 0.0), pairs, (PersistencePair(0.9, INF),))
     assert events_at_heights(d, [0.5, 0.9, 0.0, 0.5 + 1e-10], 1e-9).tolist() == [2, 1, 0, 2]
     assert events_at_heights(d, [], 1e-9).tolist() == []
+
+
+def test_events_at_ranks_equals_events_at_heights_per_row():
+    rng = np.random.default_rng(29)
+    for seed in range(24):
+        n = 1 + seed % 12
+        g = random_plane_graph(n, (0.0, 0.5, 1.0)[seed % 3], seed)  # density 0: no cycles
+        swept = lower_star_many(g, [tie_free_direction(g, rng) for _ in range(3)])
+        entries = swept + [Diagram(d.direction, d.dim0, d.dim1) for d in swept]
+        exact = np.sort([[height(v, d.direction) for v in g.vertices] for d in entries], axis=1)
+        # heights a little off the diagram's own, as another rounding gives them
+        near = exact + rng.choice([0.0, 0.4e-9, -0.4e-9], size=exact.shape)
+        for ascending in (exact, near):
+            counts, mismatched = events_at_ranks(entries, ascending, 1e-9)
+            want = [events_at_heights(d, h, 1e-9).tolist() for d, h in zip(entries, ascending)]
+            assert counts.tolist() == want and not mismatched.any(), seed
+            assert counts.sum(axis=1).tolist() == [len(g.edges)] * len(entries)
+    # a height off its birth, or an event at no height, flags its entry alone
+    pairs = (PersistencePair(0.5, 0.5), PersistencePair(0.0, INF), PersistencePair(0.2, 0.5))
+    d = Diagram(Direction(1.0, 0.0), pairs, (PersistencePair(0.5, INF),))
+    stray = Diagram(Direction(1.0, 0.0), pairs, (PersistencePair(0.7, INF),))
+    ascending = np.array([[0.0, 0.2, 0.5]] * 3) + [[0.0, 0.0, 0.0], [0.0, 2e-9, 0.0], [0.0, 0.0, 0.0]]
+    counts, mismatched = events_at_ranks([d, d, stray], ascending, 1e-9)
+    assert counts[0].tolist() == [0, 0, 3] and mismatched.tolist() == [False, True, True]
 
 
 def test_vertex_phase_and_probe_build_no_pair(monkeypatch):

@@ -20,7 +20,7 @@ from phrecon import (
     third_direction,
     validate,
 )
-from phrecon.errors import DegenerateDirection, PhreconError
+from phrecon.errors import DegenerateDirection, PhreconError, UncertifiedVertices
 from phrecon.vertex_recon import AXIS_X, AXIS_Y
 
 from vertex_reference import (
@@ -107,8 +107,9 @@ def test_third_direction_single_vertex_fallback():
 def test_match_and_intersect_single():
     target = Point2(0.3, 0.7)
     s3 = Direction(math.sqrt(0.5), math.sqrt(0.5))
-    pts = match_and_intersect(family((0, 1), [0.7]), s3, family(s3, [height(target, s3)]))
-    assert_points_close(pts, [target], tol=1e-12)
+    xs, ys = family((1, 0), [0.3]), family((0, 1), [0.7])
+    pts = match_and_intersect(xs, ys, s3, family(s3, [height(target, s3)]))
+    assert pts == [target]
 
 
 def test_match_and_intersect_2x2_grid():
@@ -117,8 +118,8 @@ def test_match_and_intersect_2x2_grid():
     d1, d2 = dgm0((1, 0), [0.0, 2.0]), dgm0((0, 1), [0.0, 1.0])
     s3 = third_direction(lines_from_dgm0(d1), lines_from_dgm0(d2))
     d3 = dgm0(s3, [height(p, s3) for p in truth])
-    got = match_and_intersect(lines_from_dgm0(d2), d3.direction, lines_from_dgm0(d3))
-    assert_points_close(got, truth)
+    got = match_and_intersect(lines_from_dgm0(d1), lines_from_dgm0(d2), d3.direction, lines_from_dgm0(d3))
+    assert got == truth
     assert triple_intersections(d1, d2, d3) == set(got)
 
 
@@ -126,9 +127,9 @@ def test_match_equals_triple_intersections_on_random_instance():
     g = random_plane_graph(4, 0.5, 18)
     o = DiagramOracle(g)
     d1, d2 = o.query(AXIS_X), o.query(AXIS_Y)
-    ys = lines_from_dgm0(d2)
-    d3 = o.query(third_direction(lines_from_dgm0(d1), ys))
-    matched = match_and_intersect(ys, d3.direction, lines_from_dgm0(d3))
+    xs, ys = lines_from_dgm0(d1), lines_from_dgm0(d2)
+    d3 = o.query(third_direction(xs, ys))
+    matched = match_and_intersect(xs, ys, d3.direction, lines_from_dgm0(d3))
     brute = triple_intersections(d1, d2, d3)
     assert len(matched) == len(brute) == 4
     for p in matched:
@@ -202,6 +203,50 @@ def test_reconstruct_raises_parallel_lines_on_a_flat_wide_box():
     assert o.query_count == 3
 
 
+def test_a_wide_flat_pair_comes_back_bit_for_bit():
+    # the third diagram's x is 5.6e-5 off for the second vertex and -0.0 for
+    # the first; the snap returns the (1, 0) births, the hidden x's
+    g = PlaneGraph([(0.0, 0.5), (1000.0, 0.500000002)], [])
+    assert validate(g) == []
+    got = reconstruct_vertices(DiagramOracle(g))
+    assert _hex(got) == _hex(g.vertices)
+
+
+class ShiftedThirdOracle(DiagramOracle):
+    """Moves one third-diagram birth by `shift`, as an oracle whose third
+    diagram disagrees with its axis diagrams would."""
+
+    def __init__(self, graph, shift):
+        super().__init__(graph)
+        self.shift = shift
+
+    def query_many(self, S):
+        out = super().query_many(S)
+        if len(S) == 1:
+            (d,) = out
+            births = sorted(d.births0().tolist())
+            births[-1] += self.shift
+            out = [Diagram(d.direction, tuple(PersistencePair(b, INF) for b in births), ())]
+        return out
+
+
+def test_an_x_off_every_birth_raises_before_any_edge_query():
+    g = PlaneGraph([(0.1, 0.2), (0.5, 0.9), (0.8, 0.4)], [])
+    assert len(reconstruct_vertices(ShiftedThirdOracle(g, 0.0))) == 3
+    for shift in (1e-9, 0.05):  # off its own birth, or nearer another
+        o = ShiftedThirdOracle(g, shift)
+        with pytest.raises(UncertifiedVertices) as err:
+            reconstruct_vertices(o)
+        assert isinstance(err.value, PhreconError) and err.value.i == 2  # the highest y
+        assert o.query_count == 3
+    # a bound that reaches half the smallest gap fails too: a wide, flat
+    # grid whose formula error is about 1e-4 against x's 1e-4 apart
+    g = PlaneGraph([(0.0, 0.5), (1e-4, 0.7), (1000.0, 0.500000002)], [])
+    with pytest.raises(UncertifiedVertices) as err:
+        reconstruct_vertices(DiagramOracle(g))
+    assert err.value.bound >= err.value.half_gap
+
+
 def test_axis_queries_are_one_batch_and_the_first_tie_is_raised():
     calls = []
 
@@ -266,10 +311,10 @@ def _same_as_reference(g):
     assert all(type(p) is Point2 and type(p.x) is float and type(p.y) is float for p in got)
     # float.hex tells signed zeros and every last bit apart
     assert _hex(o.query_log) == _hex(lines.query_log) == _hex(loop.query_log)
-    # y is the hidden y of the same rank; x is the formula's, bit for bit
-    assert [p.y for p in got] == sorted(v.y for v in g.vertices)
-    assert [p.x.hex() for p in got] == [p.x.hex() for p in formula]
-    assert all(math.isclose(p.x, q.x, rel_tol=1e-12) for p, q in zip(got, want))
+    # every vertex is the hidden vertex of the same y-rank; the formula and
+    # the line reference only name which x
+    assert got == sorted(g.vertices, key=lambda p: p.y)
+    assert all(math.isclose(p.x, q.x, rel_tol=1e-12) for p, q in zip(formula, want))
     assert len(got) == len(want) == g.n
 
 
