@@ -101,12 +101,7 @@ def _remap_edges(edges, mapping: dict[int, int]) -> set[tuple[int, int]]:
 
 
 def cmd_gen(args) -> int:
-    try:
-        g = random_plane_graph(args.n, args.density, args.seed)
-    except GenerationFailed as err:
-        print(f"generation failed: {err}", file=sys.stderr)
-        return EXIT_GENERATION
-    save_graph(g, args.out)
+    save_graph(random_plane_graph(args.n, args.density, args.seed), args.out)
     return EXIT_OK
 
 
@@ -127,11 +122,7 @@ def cmd_diagrams(args) -> int:
     g = _load_indexed_graph(args.graph)
     if g is None:
         return EXIT_INVALID_GRAPH
-    try:
-        d = lower_star_diagrams(g, args.direction, args.tolerance)
-    except DegenerateDirection as err:
-        print(f"degenerate direction: vertices {err.i} and {err.j}", file=sys.stderr)
-        return EXIT_DEGENERATE
+    d = lower_star_diagrams(g, args.direction, args.tolerance)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(diagram_to_json(d))
     return EXIT_OK

@@ -42,7 +42,7 @@ from .errors import (
     UncertifiedPair,
 )
 from .geometry import TOLERANCE, Direction, Point2, height
-from .persistence import Diagram, DiagramOracle, events_at_heights, events_at_ranks
+from .persistence import Diagram, DiagramOracle, events_at_ranks
 
 Edge = tuple[int, int]
 
@@ -260,20 +260,40 @@ def reconstruct_edges_detail(
             reads.add(*_probe(o, X, Y, geometry, src[a : a + chunk], cols[a : a + chunk], tol))
         reads.settle(undecided, edge)
         left[:] = degree - edge.sum(axis=1)
+    if reads is not None:  # check the pairs counting settled after the last read
+        reads.settle(undecided, edge)
     i, j = np.triu(edge).nonzero()
     return EdgeReconResult(frozenset(zip(i.tolist(), j.tolist())), o.query_count - start, 0)
 
 
 def _degrees(o: DiagramOracle, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
     """Every vertex's degree, indeg(v, s) + indeg(v, -s) for s = (1, 0),
-    from the two diagrams asked in one `query_many` and one
-    `events_at_heights` read each, at the heights x*dx + y*dy along each
-    entry's own direction. The first degenerate entry is raised."""
+    from the two diagrams asked in one `query_many` and read in one
+    `events_at_ranks` call at the heights x*dx + y*dy along each entry's own
+    direction. The first degenerate entry is raised, and a diagram that does
+    not match the heights raises DiagramMismatch."""
     answers = o.query_many([Direction(1.0, 0.0), Direction(-1.0, 0.0)])
     for d in answers:
         if isinstance(d, DegenerateDirection):
             raise d
-    return sum(events_at_heights(d, X * d.direction.dx + Y * d.direction.dy, tol) for d in answers)
+    u = np.array([d.direction for d in answers])
+    indegree, mismatched = _indegrees(answers, u[:, :1] * X + u[:, 1:] * Y, tol)
+    if mismatched.any():
+        raise DiagramMismatch(direction=answers[int(mismatched.argmax())].direction)
+    return indegree.sum(axis=0)
+
+
+def _indegrees(entries, H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """Read the diagrams in entries at their rows of the (k, n) vertex
+    heights H, sorted by one argsort per row, with one `events_at_ranks`
+    call: every vertex's indegree, (k, n) in vertex order, and the flags of
+    the entries that do not match their heights."""
+    k, n = H.shape
+    at = (H.argsort(axis=1) + np.arange(0, k * n, n)[:, None]).ravel()
+    counts, mismatched = events_at_ranks(entries, H.ravel()[at].reshape(k, n), tol)
+    indegree = np.empty(k * n, np.intp)
+    indegree[at] = counts.ravel()
+    return indegree.reshape(k, n), mismatched
 
 
 def _close(undecided: np.ndarray, left: np.ndarray, edge: np.ndarray) -> bool:
@@ -395,15 +415,12 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     centre, far = centre[kept], far[kept]
     # rows p along s1, then rows k + p along s2: the diagrams in that order
     H = H[:, kept].reshape(2 * k, n)
-    at = (H.argsort(axis=1) + np.arange(0, 2 * k * n, n)[:, None]).ravel()
-    H = H.ravel()
-    counts, mismatched = events_at_ranks(answers[0::2] + answers[1::2], H[at].reshape(2 * k, n), tol)
+    indegree, mismatched = _indegrees(answers[0::2] + answers[1::2], H, tol)
     if mismatched.any():
         e = int(mismatched.argmax())
         raise DiagramMismatch(int(centre[e % k]), int(far[e % k]), answers[2 * (e % k) + e // k].direction)
-    indegree = np.empty(2 * k * n, np.intp)
-    indegree[at] = counts.ravel()
-    D = indegree[: k * n] - indegree[k * n :]
+    D = (indegree[:k] - indegree[k:]).ravel()
+    H = H.ravel()
 
     # the chords within each pair's window, then their sides by height
     line, reach = geometry.line[centre, far], geometry.width[centre, far] + _WINDOW_PAD
@@ -464,12 +481,14 @@ class _Reads:
         raises BowTieConflict. The first pass takes the groups added since
         the last settle and those holding a pair decided since then; each
         later pass, those holding a pair the previous pass decided, except a
-        group whose own read decided it so. Decided pairs leave `undecided`,
-        and edges join `edge`.
+        group whose own read decided it so. With neither, there is nothing
+        to apply. Decided pairs leave `undecided`, and edges join `edge`.
 
         With A the group's undecided members, B the sum of their signs (so
         p = (A + B)/2 and q = (A - B)/2) and r the residual, t = 2r - B must
         lie in [-A, A]; t = A is r = p and t = -A is r = -q."""
+        if not self.pending and not (self.seen ^ undecided).ravel()[self.pair].any():
+            return  # nothing new to read, and no read holds a newly decided pair
         n, chunks, self.pending = self.n, self.pending, []
         fresh = len(self.D)
         start = list(accumulate([fresh, *(len(chunk[1]) for chunk in chunks)]))

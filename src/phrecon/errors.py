@@ -124,14 +124,13 @@ class BowTieConflict(PhreconError):
 
 
 class DiagramMismatch(PhreconError):
-    """A probe diagram asked for pair (i, j) does not fit the known vertices:
+    """A diagram the edge phase asked for does not fit the known vertices:
     its dim-0 births are not within the tolerance of the vertex heights
     along its direction, rank by rank, or one of its events lies at no
-    vertex height."""
+    vertex height. i and j name the probed pair, and are None for a degree
+    diagram."""
 
-    def __init__(self, i: int, j: int, direction=None):
+    def __init__(self, i: int | None = None, j: int | None = None, direction=None):
         self.i, self.j, self.direction = i, j, direction
-        super().__init__(
-            f"the probe diagram of pair ({i}, {j}) along {direction} does not match "
-            f"the vertex heights"
-        )
+        read = "degree diagram" if i is None else f"probe diagram of pair ({i}, {j})"
+        super().__init__(f"the {read} along {direction} does not match the vertex heights")

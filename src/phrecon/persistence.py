@@ -1,6 +1,6 @@
 """Lower-star persistence of height filtrations on plane graphs.
 
-`lower_star_many` computes the diagrams of many directions in one array
+`_lower_star_units` computes the diagrams of many directions in one array
 pass. Each vertex births a component at its height; an edge arrives at the
 height of its upper endpoint and either merges two components (a dim-0
 death, killing the younger birth per the elder rule) or closes a cycle (a
@@ -10,11 +10,10 @@ points to its lowest lower neighbour: that first arriving edge always kills
 the vertex at its own height, leaving a diagonal (h, h) pair that the
 indegree machinery downstream counts. Only edges between the basins of two
 local minima need an elder-rule union-find, and a triangulation has none.
-`lower_star_diagrams` is the batch of one. `events_at_many` reads the
-indegree events of a whole batch of diagrams in one array pass, and
-`Diagram.events_at` is its batch of one; `events_at_heights` reads one
-diagram at many heights, and `events_at_ranks` reads a batch of diagrams
-at all of their own vertex heights.
+`DiagramOracle.query_many` is its batched entry and `lower_star_diagrams`
+its entry for one direction. `events_at_ranks` reads a batch of diagrams
+at all of their own vertex heights, checking each against them, and
+`Diagram.events_at` counts one diagram's events at one height.
 
 `DiagramOracle` wraps a hidden graph and meters every diagram request; the
 reconstruction modules are written against its interface only: `query`,
@@ -62,7 +61,7 @@ class Diagram:
     """Directional persistence diagram: dim-0 and dim-1 pairs, canonically
     sorted by (birth, death).
 
-    A diagram built by `lower_star_many` keeps the sweep's arrays instead
+    A diagram built by the kernel keeps the sweep's arrays instead
     of pairs, and builds `dim0` and `dim1` the first time either is read
     (equality, hashing and repr read them too). `births0`, `n_components`
     and `events_at` answer from the sweep without building a pair.
@@ -119,68 +118,9 @@ class Diagram:
 
     def events_at(self, h: float, tol: float = TOLERANCE) -> int:
         """Finite dim-0 deaths plus dim-1 births within tol of height h
-        (diagonal pairs included): the indegree of a vertex at height h.
-        `events_at_many` on this one diagram."""
-        counts, _ = events_at_many([self], [h], tol)
-        return int(counts[0])
-
-
-_NO_EVENTS = (np.empty(0), np.empty(0))  # what a degenerate entry adds to a read
-
-
-def events_at_many(
-    entries: Sequence[Diagram | DegenerateDirection], heights, tol: float = TOLERANCE
-) -> tuple[np.ndarray, np.ndarray]:
-    """`events_at(heights[e], tol)` of every entry e, read in one array pass.
-
-    Entries are Diagrams, swept or built from pairs, or the
-    DegenerateDirections that stand for them in a `lower_star_many` batch.
-    Returns (counts, degenerate): counts[e] is the number of finite dim-0
-    deaths and dim-1 births x of entry e with abs(x - heights[e]) <= tol,
-    and 0 where degenerate[e] flags an entry that is no Diagram. All events
-    are concatenated, each tagged with its entry, so a single elementwise
-    test and one bincount give every count; no list is sorted or scanned.
-    """
-    k = len(entries)
-    degenerate = np.fromiter((not isinstance(d, Diagram) for d in entries), bool, k)
-    events = [a for d in entries for a in (d._raw() if isinstance(d, Diagram) else _NO_EVENTS)]
-    sizes = np.fromiter(map(len, events), np.intp, 2 * k).reshape(k, 2).sum(axis=1)
-    values = np.concatenate(events or [np.empty(0)])
-    gap = values - np.repeat(np.asarray(heights, dtype=np.float64), sizes)
-    near = np.abs(gap, out=gap) <= tol
-    near &= ~np.isinf(values)
-    return np.bincount(np.repeat(np.arange(k), sizes)[near], minlength=k), degenerate
-
-
-def events_at_heights(d: Diagram, heights, tol: float = TOLERANCE) -> np.ndarray:
-    """`d.events_at(h, tol)` for every h in heights, from one search of the
-    diagram's events into the sorted heights.
-
-    The count for h is the number of finite dim-0 deaths and dim-1 births x
-    with abs(x - h) <= tol, as `events_at_many` on [d] * len(heights) would
-    give it, without repeating the diagram per height. x - h rounds
-    monotonically in h, so the heights that pass the test are a run next to
-    x's place in the sorted heights: the test walks out from that place on
-    each side until it fails, one step per side for heights more than tol
-    apart.
-    """
-    heights = np.asarray(heights, dtype=np.float64)
-    order = heights.argsort(kind="stable")
-    ascending = heights[order]
-    # pad[at - 1] < x <= pad[at]; the NaN ends fail every test, so stop every walk
-    pad = np.concatenate([[math.nan], ascending, [math.nan]])
-    x = np.concatenate(d._raw())
-    x = x[~np.isinf(x)]
-    at = ascending.searchsorted(x) + 1
-    hits = [at[:0]]
-    for step in (-1, 1):
-        i, xs = at - (step < 0), x
-        while len(i):
-            near = np.abs(xs - pad[i]) <= tol
-            i, xs = i[near], xs[near]
-            hits.append(i)
-            i = i + step
-    return np.bincount(order[np.concatenate(hits) - 1], minlength=len(heights))
+        (diagonal pairs included): the indegree of a vertex at height h."""
+        x = np.concatenate(self._raw())
+        return int(np.count_nonzero(np.abs(x[~np.isinf(x)] - h) <= tol))
 
 
 def events_at_ranks(
@@ -192,10 +132,11 @@ def events_at_ranks(
     ascending is (len(entries), n): row e holds entry e's n vertex heights,
     ascending and more than tol apart. Returns (counts, mismatched):
     counts[e, r] is the number of finite dim-0 deaths and dim-1 births x of
-    entry e with abs(x - ascending[e, r]) <= tol, as `events_at_heights`
-    would count them; mismatched[e] flags an entry whose dim-0 births are
-    not within tol of its row rank by rank, or with an event within tol of
-    no height of its row.
+    entry e with abs(x - ascending[e, r]) <= tol, as `Diagram.events_at`
+    counts them, but each event at one height only, which matters only
+    where two heights of a row lie within 2 tol; mismatched[e] flags an
+    entry whose dim-0 births are not within tol of its row rank by rank, or
+    with an event within tol of no height of its row.
 
     The births check lines each dim-0 pair up with the height of its birth's
     rank, so the common diagonal death is counted by one elementwise test.
@@ -209,41 +150,43 @@ def events_at_ranks(
     death = np.array([r[0] for r in raw]).reshape(k, n)
     mismatched = (np.abs(births - ascending) > tol).any(axis=1)
     own = np.abs(death - ascending) <= tol
-    # the other finite deaths, few on a connected graph: their rank is the
-    # number of heights of their row below x - tol, by one comparison each
-    row, at = (~own & (death < INFINITY)).nonzero()
-    x = death[row, at]
-    at = (ascending[row] < (x - tol)[:, None]).sum(axis=1)
-    # the dim-1 births, ascending in each row: one search per row
+    # every other event x: the finite deaths off their own height (an own
+    # death is finite, hence the xor), few on a connected graph, then the
+    # dim-1 births. Its place is the number of heights of its row below
+    # x - tol: by one comparison each with the row for those deaths, by one
+    # search per row for the births, which are ascending in each row
+    row, at = ((death < INFINITY) ^ own).nonzero()
     sizes = [len(r[1]) for r in raw]
-    cycles = np.concatenate([r[1] for r in raw])
-    low, ends = cycles - tol, list(accumulate(sizes))
-    found = [a.searchsorted(low[e - size : e]) for a, size, e in zip(ascending, sizes, ends)]
+    x = np.concatenate([death[row, at], *(r[1] for r in raw)])
+    low = x - tol
+    ends = list(accumulate(sizes, initial=len(row)))
+    at = [(ascending[row] < low[: ends[0], None]).sum(axis=1)]
+    at += [a.searchsorted(low[b:e]) for a, b, e in zip(ascending, ends, ends[1:])]
     row = np.concatenate([row, np.repeat(np.arange(k), sizes)])
-    x = np.concatenate([x, cycles])
-    at = np.concatenate([at, *found])
-    # the event is at the height found iff that height is at most x + tol
-    hit = at < n
-    at += row * n
-    hit[hit] = ascending.ravel()[at[hit]] <= x[hit] + tol
+    # the event is at the height found iff that height is within tol; one
+    # past the last height, the last is not
+    at = np.minimum(np.concatenate(at), n - 1) + row * n
+    hit = np.abs(ascending.ravel()[at] - x) <= tol
     mismatched[row[~hit]] = True
     counts = own.ravel() + np.bincount(at[hit], minlength=k * n)
     return counts.reshape(k, n), mismatched
 
 
-def lower_star_many(
-    g: PlaneGraph, S: Sequence[Direction], tol: float = TOLERANCE
+def _lower_star_units(
+    g: PlaneGraph, units: Sequence[Direction], tol: float
 ) -> list[Diagram | DegenerateDirection]:
     """Zero- and one-dimensional diagrams of the height filtrations along
-    every direction in S, computed together: one entry per direction, the
-    Diagram or the DegenerateDirection that `lower_star_diagrams` raises.
+    every unit direction in units, computed together: one entry per
+    direction, the Diagram or the DegenerateDirection that
+    `lower_star_diagrams` raises. The units are not normalized again, so
+    each entry's `direction` is the unit it was given.
 
-    Each s is normalized on entry. Simplices are ordered by (height,
-    dimension, tie-break), so a vertex precedes the edges arriving at its
-    height and same-height edges are processed by ascending (lower-endpoint
-    height, edge index). A direction is degenerate when two vertex heights
-    coincide within tol; its entry names the first such pair in ascending
-    height order, smaller index first.
+    Simplices are ordered by (height, dimension, tie-break), so a vertex
+    precedes the edges arriving at its height and same-height edges are
+    processed by ascending (lower-endpoint height, edge index). A direction
+    is degenerate when two vertex heights coincide within tol; its entry
+    names the first such pair in ascending height order, smaller index
+    first.
 
     Array kernel over `g.arrays`, one row per direction:
 
@@ -261,14 +204,6 @@ def lower_star_many(
     - Cycle births are the ascending heights, each repeated by the number
       of cycles arriving at that rank, so no edge table is sorted.
     """
-    return _lower_star_units(g, [Direction(*s).normalized() for s in S], tol)
-
-
-def _lower_star_units(
-    g: PlaneGraph, units: Sequence[Direction], tol: float
-) -> list[Diagram | DegenerateDirection]:
-    """`lower_star_many` on unit directions, which it does not normalize
-    again: the oracle's entry, so each entry's `direction` is the logged unit."""
     k, n = len(units), g.n
     x, y, edges = g.arrays
     u = np.array(units, dtype=np.float64).reshape(k, 2)
@@ -338,12 +273,12 @@ def _lower_star_units(
 
 
 def lower_star_diagrams(g: PlaneGraph, s: Direction, tol: float = TOLERANCE) -> Diagram:
-    """Zero- and one-dimensional diagrams of the height filtration along s:
-    `lower_star_many` on the one direction.
+    """Zero- and one-dimensional diagrams of the height filtration along s,
+    normalized first: the kernel on the one direction.
 
     Raises DegenerateDirection when two vertex heights coincide within tol.
     """
-    (d,) = lower_star_many(g, [s], tol)
+    (d,) = _lower_star_units(g, [Direction(*s).normalized()], tol)
     if isinstance(d, DegenerateDirection):
         raise d
     return d

@@ -611,19 +611,19 @@ def test_edge_queries_stay_within_the_budget(shape):
 
 
 class LyingOracle(DiagramOracle):
-    """Adds one dim-1 birth at vertex v's height to the (-1, 0) diagram, so
-    v's degree reads one too high."""
+    """Adds one dim-1 birth at the height of each vertex in vs to the
+    (-1, 0) diagram, so their degrees read one too high."""
 
-    def __init__(self, graph, v):
+    def __init__(self, graph, *vs):
         super().__init__(graph)
-        self.v = v
+        self.vs = vs
 
     def query_many(self, S):
         out = super().query_many(S)
         for e, d in enumerate(out):
             if d.direction == Direction(-1.0, 0.0):
-                cycle = PersistencePair(height(self._graph.vertices[self.v], d.direction), math.inf)
-                out[e] = Diagram(d.direction, d.dim0, tuple(sorted(d.dim1 + (cycle,))))
+                heights = [height(self._graph.vertices[v], d.direction) for v in self.vs]
+                out[e] = _with_cycles(d, heights)
         return out
 
 
@@ -638,6 +638,27 @@ def test_a_wrong_degree_raises_degree_conflict():
         for v in (0, n // 2, n - 1):
             with pytest.raises(DegreeConflict):
                 reconstruct_edges_detail(LyingOracle(g, v), list(g.vertices))
+
+
+def test_counting_after_the_last_read_is_checked_by_the_reads(monkeypatch):
+    # vertices 0 and 1 each read one degree too many, an even sum that
+    # counting alone cannot refuse: after the last round it closes a pair
+    # that is no edge as one, and only the reads of the asked probe pairs,
+    # checked once more after the loop, see the contradiction
+    new_reads = []
+    settle = edge_recon._Reads.settle
+
+    def recording_settle(self, undecided, edge):
+        new_reads.append(len(self.pending))
+        settle(self, undecided, edge)
+
+    monkeypatch.setattr(edge_recon._Reads, "settle", recording_settle)
+    g = random_plane_graph(12, 1.0, 0, margin=1e-3)
+    o = LyingOracle(g, 0, 1)
+    with pytest.raises(BowTieConflict):
+        reconstruct_edges_detail(o, list(g.vertices))
+    # raised by the check after the loop, which reads nothing new
+    assert len(new_reads) > 1 and new_reads[-1] == 0 and min(new_reads[:-1]) > 0
 
 
 class ProbeLyingOracle(DiagramOracle):
@@ -726,6 +747,52 @@ def test_births_off_the_certified_heights_raise_diagram_mismatch():
         run()
     assert isinstance(err.value, PhreconError) and o.lied
     assert err.value.direction == o.query_log[3]
+
+
+def test_every_edge_phase_diagram_is_read_by_events_at_ranks(monkeypatch):
+    read = []
+    reader = edge_recon.events_at_ranks
+
+    def counting_reader(entries, ascending, tol):
+        read.extend(entries)
+        return reader(entries, ascending, tol)
+
+    monkeypatch.setattr(edge_recon, "events_at_ranks", counting_reader)
+    for n, density, seed, margin in ((2, 1.0, 1, 1e-3), (12, 0.7, 3, 1e-3), (30, 0.7, 4, 1e-6)):
+        g = random_plane_graph(n, density, seed, margin=margin)
+        o = DiagramOracle(g)
+        read.clear()
+        detail = reconstruct_edges_detail(o, list(g.vertices))
+        assert detail.edges == g.edges
+        assert len(read) == detail.queries == o.query_count
+        assert [d.direction for d in read[:2]] == [Direction(1.0, 0.0), Direction(-1.0, 0.0)]
+
+
+class ShiftedBirthOracle(DiagramOracle):
+    """Moves one dim-0 birth of the (-1, 0) diagram, a direction only the
+    edge phase asks, by 2 tol; its death stays."""
+
+    def query_many(self, S):
+        out = super().query_many(S)
+        for e, d in enumerate(out):
+            if d.direction == Direction(-1.0, 0.0):
+                dim0 = list(d.dim0)
+                b, dead = dim0[2]
+                dim0[2] = PersistencePair(b + 2 * self._tol, dead)
+                out[e] = Diagram(d.direction, tuple(sorted(dim0)), d.dim1)
+        return out
+
+
+def test_a_degree_diagram_off_the_vertex_heights_raises_diagram_mismatch():
+    g = random_plane_graph(12, 0.7, 3, margin=1e-3)
+    o = ShiftedBirthOracle(g)
+    V = reconstruct_vertices(o)
+    with pytest.raises(DiagramMismatch, match="degree diagram") as err:
+        reconstruct_edges_detail(o, V)
+    e = err.value
+    assert isinstance(e, PhreconError) and (e.i, e.j) == (None, None)
+    assert e.direction == Direction(-1.0, 0.0)
+    assert o.query_count == 5  # three for the vertices, two for the degrees, no probe
 
 
 def test_indegree_difference_decides_every_pair():

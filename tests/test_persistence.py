@@ -22,7 +22,7 @@ from phrecon import (
     reconstruct_vertices,
 )
 from phrecon.edge_recon import global_bowtie_width
-from phrecon.persistence import events_at_heights, events_at_many, events_at_ranks, lower_star_many
+from phrecon.persistence import events_at_ranks
 
 from conftest import match_to_hidden, tie_free_direction
 from edge_reference import reference_probe_edge
@@ -191,7 +191,7 @@ def test_lower_star_many_equals_single_calls_and_reference():
             if n >= 3:
                 S[1:1] = [_tied_direction(g, 0, n - 1), _tied_direction(g, 1, 2)]
             S += [S[0], Direction(3.0 * S[-1].dx, 3.0 * S[-1].dy)]  # repeats, one rescaled
-            batch = lower_star_many(g, S)
+            batch = DiagramOracle(g).query_many(S)
             assert len(batch) == len(S)
             for s, got in zip(S, batch):
                 case = (n, density, s)
@@ -203,9 +203,9 @@ def test_lower_star_many_equals_single_calls_and_reference():
 
 def test_lower_star_many_empty_batch():
     g = random_plane_graph(5, 1.0, 2)
-    assert lower_star_many(g, []) == []
-    assert lower_star_many(PlaneGraph([], []), []) == []
-    (d,) = lower_star_many(PlaneGraph([], []), [Direction(1.0, 0.0)])
+    assert DiagramOracle(g).query_many([]) == []
+    assert DiagramOracle(PlaneGraph([], [])).query_many([]) == []
+    (d,) = DiagramOracle(PlaneGraph([], [])).query_many([Direction(1.0, 0.0)])
     assert d.dim0 == () and d.dim1 == () and d.births0().shape == (0,)
 
 
@@ -229,7 +229,7 @@ def test_lower_star_many_across_basins():
     S = [Direction(0.0, 1.0), _tied_direction(g, A, C)]
     S += [Direction(math.sin(a), math.cos(a)) for a in rng.uniform(-0.4, 0.4, size=6)]
     S += [Direction(0.0, 1.0), _tied_direction(g, B, q), Direction(1.0, 0.0)]
-    for s, got in zip(S, lower_star_many(g, S)):
+    for s, got in zip(S, DiagramOracle(g).query_many(S)):
         assert _same_entry(got, _entry(lower_star_diagrams, g, s))
         assert _same_entry(got, _entry(reference_lower_star_diagrams, g, s))
 
@@ -441,80 +441,19 @@ def test_events_at_on_unsorted_constructed_pairs():
     assert d.n_components == 1
 
 
-def test_events_at_many_equals_a_scan_per_diagram():
-    rng = np.random.default_rng(17)
-    tols = (0.0, 1e-9, 1e-3, INF)
-    for seed in range(24):
-        n = 1 + seed % 12
-        g = random_plane_graph(n, (0.0, 0.5, 1.0)[seed % 3], seed)  # density 0: no cycles
-        S = [tie_free_direction(g, rng) for _ in range(4)]
-        if n >= 3:
-            S.insert(2, _tied_direction(g, 0, n - 1))  # a degenerate entry mid-batch
-        swept = lower_star_many(g, S)
-        # the same diagrams again, built from their pairs
-        built = [
-            Diagram(d.direction, d.dim0, d.dim1) for d in lower_star_many(g, S) if isinstance(d, Diagram)
-        ]
-        built.append(
-            Diagram(
-                Direction(1.0, 0.0),
-                (PersistencePair(0.5, 0.5), PersistencePair(0.0, INF), PersistencePair(0.2, 0.5)),
-                (PersistencePair(0.9, INF), PersistencePair(0.5, INF)),
-            )
-        )
-        entries = swept + built
-        # vertex heights along each entry's own direction, nudged or not
-        vs = [g.vertices[v] for v in rng.integers(n, size=len(entries))]
-        nudge = rng.choice([0.0, 0.7e-9, -2e-9, 5e-4, 0.3], size=len(entries))
-        heights = [height(v, d.direction) + e for v, d, e in zip(vs, entries, nudge)]
-        for tol in tols:
-            counts, degenerate = events_at_many(entries, heights, tol)
-            assert degenerate.tolist() == [isinstance(d, DegenerateDirection) for d in entries]
-            scans = [
-                0 if isinstance(d, DegenerateDirection) else _scan_events(d, h, tol)
-                for d, h in zip(entries, heights)
-            ]
-            assert counts.tolist() == scans, (seed, tol)
-            singles = [d.events_at(h, tol) for d, h in zip(entries, heights) if isinstance(d, Diagram)]
-            assert singles == [c for c, flag in zip(scans, degenerate) if not flag]
-        if n >= 3:
-            assert degenerate[2] and not degenerate[[0, 1, 3, 4]].any()
-    counts, degenerate = events_at_many([], [], 1e-9)
-    assert counts.shape == degenerate.shape == (0,)
-
-
-def test_events_at_heights_equals_events_at_many_per_height():
-    rng = np.random.default_rng(23)
-    for seed in range(24):
-        n = 1 + seed % 12
-        g = random_plane_graph(n, (0.0, 0.5, 1.0)[seed % 3], seed)
-        for d in lower_star_many(g, [Direction(1.0, 0.0), Direction(-1.0, 0.0), tie_free_direction(g, rng)]):
-            exact = [height(v, d.direction) for v in g.vertices]
-            # heights at the vertices, nudged, repeated and clustered within tol
-            crowd = exact + [h + e for h in exact for e in rng.choice([0.0, 0.7e-9, -2e-9, 5e-4], 2)]
-            for heights in (exact, rng.permutation(crowd)):
-                for tol in (0.0, 1e-9, 1e-3, INF):
-                    want, _ = events_at_many([d] * len(heights), heights, tol)
-                    assert events_at_heights(d, heights, tol).tolist() == want.tolist(), (seed, tol)
-    pairs = (PersistencePair(0.5, 0.5), PersistencePair(0.0, INF), PersistencePair(0.2, 0.5))
-    d = Diagram(Direction(1.0, 0.0), pairs, (PersistencePair(0.9, INF),))
-    assert events_at_heights(d, [0.5, 0.9, 0.0, 0.5 + 1e-10], 1e-9).tolist() == [2, 1, 0, 2]
-    assert events_at_heights(d, [], 1e-9).tolist() == []
-
-
-def test_events_at_ranks_equals_events_at_heights_per_row():
+def test_events_at_ranks_equals_a_scan_per_row():
     rng = np.random.default_rng(29)
     for seed in range(24):
         n = 1 + seed % 12
         g = random_plane_graph(n, (0.0, 0.5, 1.0)[seed % 3], seed)  # density 0: no cycles
-        swept = lower_star_many(g, [tie_free_direction(g, rng) for _ in range(3)])
+        swept = DiagramOracle(g).query_many([tie_free_direction(g, rng) for _ in range(3)])
         entries = swept + [Diagram(d.direction, d.dim0, d.dim1) for d in swept]
         exact = np.sort([[height(v, d.direction) for v in g.vertices] for d in entries], axis=1)
         # heights a little off the diagram's own, as another rounding gives them
         near = exact + rng.choice([0.0, 0.4e-9, -0.4e-9], size=exact.shape)
         for ascending in (exact, near):
             counts, mismatched = events_at_ranks(entries, ascending, 1e-9)
-            want = [events_at_heights(d, h, 1e-9).tolist() for d, h in zip(entries, ascending)]
+            want = [[_scan_events(d, x, 1e-9) for x in h] for d, h in zip(entries, ascending.tolist())]
             assert counts.tolist() == want and not mismatched.any(), seed
             assert counts.sum(axis=1).tolist() == [len(g.edges)] * len(entries)
     # a height off its birth, or an event at no height, flags its entry alone

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from phrecon import (
+    DiagramOracle,
     Direction,
     GenerationFailed,
     PlaneGraph,
@@ -17,7 +18,6 @@ from phrecon import (
 
 from phrecon import plane_graph
 from phrecon.geometry import TOLERANCE
-from phrecon.persistence import lower_star_many
 from phrecon.plane_graph import _delaunay_edges, _general_position_ok
 
 from conftest import components_by_bfs
@@ -407,7 +407,7 @@ def test_arrays_refuse_edge_index_out_of_range():
             g.arrays
         # the oracle kernel reads the arrays, so no index wraps into a row
         with pytest.raises(ValueError, match="out of range"):
-            lower_star_many(g, [Direction(1.0, 0.3), Direction(0.2, 1.0)])
+            DiagramOracle(g).query_many([Direction(1.0, 0.3), Direction(0.2, 1.0)])
         # validate still reports each such edge as data
         assert f"edge {named} out of range" in validate(g)
 
@@ -424,7 +424,7 @@ def test_arrays_refuse_self_loops():
             g.arrays
         # the oracle kernel reads the arrays, so no loop is dropped silently
         with pytest.raises(ValueError, match=re.escape(message)):
-            lower_star_many(g, [Direction(1.0, 0.3)])
+            DiagramOracle(g).query_many([Direction(1.0, 0.3)])
     # validate still reports the loop as data
     assert "self-loop edge (1, 1)" in validate(PlaneGraph(V, [(1, 1)]))
 
