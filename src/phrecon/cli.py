@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 import time
 from dataclasses import asdict, dataclass
@@ -230,6 +231,20 @@ def _positive_int(text: str) -> int:
     return value
 
 
+def _finite_nonnegative(text: str) -> float:
+    value = float(text)
+    if not 0.0 <= value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and >= 0, got {value}")
+    return value
+
+
+def _finite_positive(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value < math.inf:
+        raise argparse.ArgumentTypeError(f"must be finite and > 0, got {value}")
+    return value
+
+
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(prog="phrecon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
@@ -244,7 +259,7 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("diagrams", help="persistence diagrams for one direction")
     p.add_argument("graph")
     p.add_argument("--direction", type=_parse_direction, required=True)
-    p.add_argument("--tolerance", type=float, default=geometry.TOLERANCE)
+    p.add_argument("--tolerance", type=_finite_positive, default=geometry.TOLERANCE)
     p.add_argument("-o", "--out", required=True)
     p.set_defaults(func=cmd_diagrams)
 
@@ -252,13 +267,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("graph")
     p.add_argument("-o", "--out", required=True)
     p.add_argument("--report", default=None)
-    p.add_argument("--tolerance", type=float, default=geometry.TOLERANCE)
+    p.add_argument("--tolerance", type=_finite_positive, default=geometry.TOLERANCE)
     p.set_defaults(func=cmd_reconstruct)
 
     p = sub.add_parser("verify", help="compare two graph files up to vertex pairing")
     p.add_argument("a")
     p.add_argument("b")
-    p.add_argument("--eps", type=float, default=1e-6)
+    p.add_argument("--eps", type=_finite_nonnegative, default=1e-6)
     p.set_defaults(func=cmd_verify)
 
     p = sub.add_parser("render", help="draw a graph as SVG")

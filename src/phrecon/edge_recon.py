@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -200,7 +199,8 @@ def reconstruct_edges_detail(
     o: DiagramOracle, V: Sequence[Point2], tol: float = TOLERANCE
 ) -> EdgeReconResult:
     """Decide every unordered pair (i, j), asking the oracle only about the
-    pairs that counting and the reads of earlier probe pairs cannot settle.
+    pairs that the reads of the degree diagrams and of earlier probe pairs
+    cannot settle.
 
     V must be the vertices exactly, as `reconstruct_vertices` returns them:
     each probe diagram is checked against V's heights.
@@ -208,60 +208,59 @@ def reconstruct_edges_detail(
     Degrees first: indeg(v, s) + indeg(v, -s) = deg(v), so the diagrams of
     (1, 0) and (-1, 0), asked in one `query_many`, give every degree
     (`_degrees`); this needs V's x-coordinates more than tol apart, as the
-    vertex phase does. Then, before every round, `_close` settles pairs by
-    counting alone, to a fixpoint: with r(v) the degree v has left and
-    open(v) its undecided pairs, r(v) = 0 closes v's pairs as non-edges and
-    r(v) = open(v) closes them as edges; r(v) < 0 or r(v) > open(v) raises
-    DegreeConflict naming v.
+    vertex phase does. The degrees are n reads (`_degree_reads`): vertex v
+    reads deg(v) over all its pairs, each of sign +1. `_Reads.settle`
+    applies one rule to these reads and to those of the asked probe pairs,
+    to one joint fixpoint, and says whether any pair is still undecided.
+    With r(v) the degree v has left and open(v) its undecided pairs, the
+    rule on a degree read is counting: r(v) = 0 closes v's pairs as
+    non-edges, r(v) = open(v) closes them as edges, and r(v) outside
+    [0, open(v)] raises DegreeConflict naming v.
 
-    In a round each vertex with pairs left proposes its min(r(v), 2)
-    nearest open pairs, by one global key (squared length, then (i, j)).
-    The round's pairs, in (i, j) order, are asked by `_probe` in chunks of
-    at most max(1, _BATCH_CELLS // 8n) pairs, so that a chunk's k
-    directions keep k * 4n within _BATCH_CELLS (4n bounds the n + m
-    simplices of a direction, since a plane graph has m <= 3n - 6). A pair
-    is certified only if it is asked. After the round's last chunk,
-    `_Reads.settle` reads every asked probe pair at every vertex, this
-    round's and the earlier ones', to a fixpoint; an asked pair is settled
-    by the read at its own centre, whose bow tie holds it alone. Reading
-    once per round, not per chunk, keeps the query log independent of the
-    chunk size.
+    While pairs stay undecided, a round asks more. Each vertex with pairs
+    left proposes its min(r(v), 2) nearest open pairs, by one global key
+    (squared length, then (i, j)). The round's pairs, in (i, j) order, are
+    asked by `_probe` in chunks of at most max(1, _BATCH_CELLS // 8n)
+    pairs, so that a chunk's k directions keep k * 4n within _BATCH_CELLS
+    (4n bounds the n + m simplices of a direction, since a plane graph has
+    m <= 3n - 6). A pair is certified only if it is asked. Each asked
+    probe pair is read at every vertex, and the next settle applies the
+    new reads with all the others; an asked pair is settled by the read at
+    its own centre, whose bow tie holds it alone. Settling once per round,
+    not per chunk, keeps the query log independent of the chunk size. The
+    loop ends on a settle, so every read is checked against every decision.
 
     The budget: each asked pair is settled in its own round, so it is asked
     once, for 2 queries, and reads only settle pairs that would otherwise be
-    asked. After `_close` every vertex with open pairs has
-    0 < r(v) < open(v), so it proposes at least one pair and not its last
-    one. The longest open pair is last in both of its ends' orders, as the
-    key is global, so no round asks it; after the final round it is settled
-    without a query. With P = n(n - 1)/2 pairs, at most P - 1 are asked, and
-    the queries number at most 2 + 2(P - 1) = n(n - 1)."""
+    asked. At a fixpoint no degree read decides, so every vertex with open
+    pairs has 0 < r(v) < open(v): it proposes at least one pair and not its
+    last one. The longest open pair is last in both of its ends' orders, as
+    the key is global, so no round asks it; after the final round it is
+    settled without a query. With P = n(n - 1)/2 pairs, at most P - 1 are
+    asked, and the queries number at most 2 + 2(P - 1) = n(n - 1)."""
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
     X, Y = np.array(V, dtype=np.float64).T
     start = o.query_count
     degree = _degrees(o, X, Y, tol)
-    left = degree.copy()
     undecided = ~np.eye(n, dtype=bool)
     edge = np.zeros((n, n), dtype=bool)
-    geometry = reads = None
+    reads, geometry = _Reads(*_degree_reads(degree)), None
     rows = np.arange(n)[:, None]
     chunk = max(1, _BATCH_CELLS // (8 * n))
-    while _close(undecided, left, edge):
+    while reads.settle(undecided, edge):
         if geometry is None:  # only rounds need the geometry
-            geometry, reads = _geometry(X, Y, tol), _Reads(n)
+            geometry = _geometry(X, Y, tol)
         nearest = geometry.nearest
         ranked = undecided[rows, nearest]
+        left = degree - edge.sum(axis=1)
         pick = ranked & (ranked.cumsum(axis=1) <= np.minimum(left, 2)[:, None])
         ask = np.zeros_like(undecided)
         ask[pick.nonzero()[0], nearest[pick]] = True
         src, cols = np.triu(ask | ask.T).nonzero()
         for a in range(0, len(src), chunk):
             reads.add(*_probe(o, X, Y, geometry, src[a : a + chunk], cols[a : a + chunk], tol))
-        reads.settle(undecided, edge)
-        left[:] = degree - edge.sum(axis=1)
-    if reads is not None:  # check the pairs counting settled after the last read
-        reads.settle(undecided, edge)
     i, j = np.triu(edge).nonzero()
     return EdgeReconResult(frozenset(zip(i.tolist(), j.tolist())), o.query_count - start, 0)
 
@@ -296,29 +295,13 @@ def _indegrees(entries, H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarr
     return indegree.reshape(k, n), mismatched
 
 
-def _close(undecided: np.ndarray, left: np.ndarray, edge: np.ndarray) -> bool:
-    """Settle pairs by counting, to a fixpoint, and say whether any stay
-    undecided. A vertex with no degree left closes its pairs as non-edges,
-    and one whose degree left equals its undecided pairs closes them as
-    edges, marked in the symmetric `edge` and taken off `left` at both ends.
-    A pair that both rules would close is closed as a non-edge, and shows
-    up as r(v) > open(v) at the vertex that needed it as an edge."""
-    while True:
-        count = undecided.sum(axis=1)
-        bad = (left < 0) | (left > count)
-        if bad.any():
-            v = int(bad.argmax())
-            raise DegreeConflict(v, int(left[v]), int(count[v]))
-        shut = undecided & (left == 0)[:, None]
-        take = undecided & (left == count)[:, None]
-        if not (shut.any() or take.any()):
-            return bool(count.any())
-        shut |= shut.T
-        take |= take.T
-        take &= ~shut
-        edge |= take
-        left -= take.sum(axis=1)
-        undecided &= ~(shut | take)
+def _degree_reads(degree: np.ndarray):
+    """The degrees as n reads for `_Reads`, in `_probe`'s layout: read v,
+    tagged -1 - v, has D = deg(v) and every pair of v as a member of sign
+    +1."""
+    n = len(degree)
+    v, u = (~np.eye(n, dtype=bool)).nonzero()
+    return -1 - np.arange(n), degree, v, np.minimum(v, u) * n + np.maximum(v, u), np.ones(len(v))
 
 
 #: How far past the bow tie's half-angle the chord window reaches, in
@@ -388,15 +371,14 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     line through u is within the kept width of the pair's line: one range
     of the chord table per pair, padded by `_WINDOW_PAD`, with each
     member's side decided by the heights. A group is one pair read at one
-    vertex u, numbered p * n + u: its D(u) and its members, each a pair
-    index i * n + j with sign +1 where the other end lies below u along s1
-    only and -1 where along s2 only. A vertex with an empty bow tie has a
-    group with no member, whose D(u) must be 0: `_Reads.settle` raises
-    BowTieConflict otherwise.
+    vertex u, numbered p * n + u and tagged (c * n + f) * n + u for the
+    pair's kept centre c and far end f: its D(u) and its members, each a
+    pair index i * n + j with sign +1 where the other end lies below u
+    along s1 only and -1 where along s2 only. A vertex with an empty bow
+    tie has a group with no member, whose D(u) must be 0.
 
-    Returns (probe, D, group, pair, sign): per pair c * n + f for its kept
-    centre c and far end f; per group its D(u); per member its group, its
-    pair and its sign."""
+    Returns (tag, D, group, pair, sign): per group its tag and its D(u);
+    per member its group, its pair and its sign."""
     k, n = len(src), len(X)
     centre, far = np.concatenate([src, cols]), np.concatenate([cols, src])
     S, headroom, H = _certified_directions(
@@ -436,7 +418,7 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     sign = np.where(below1[inside], 1.0, -1.0)
     pair = pair[inside]
     return (
-        centre * n + far,
+        (((centre * n + far) * n)[:, None] + np.arange(n)).ravel(),
         D,
         np.concatenate([ka[inside], kb[inside]]),
         np.concatenate([pair, pair]),
@@ -445,107 +427,88 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
 
 
 class _Reads:
-    """The reads of the asked probe pairs, kept across rounds while they
-    still hold an undecided pair.
+    """The reads, each kept while it still holds an undecided pair: the n
+    degree reads (`_degree_reads`) and every asked probe pair read at
+    every vertex (`_probe`).
 
-    A group is one probe pair read at one vertex u (see `_probe`). With the
-    pairs already decided, its residual is D(u) less the sign of every known
+    A group is one read: a count D and its members, pairs of sign +1 or
+    -1, with D the sum of the signs of the members that are edges. With the
+    pairs already decided, its residual is D less the sign of every known
     edge among its members, and with p and q its undecided members of sign
     +1 and -1 the residual must lie in [-q, p]; outside it raises
-    BowTieConflict. A residual of p makes the + members edges and the -
-    members non-edges, and a residual of -q the reverse; the centre read of
-    an asked pair is the case p + q = 1. Both conclusions only grow more
-    certain as pairs get decided, so applying them to a fixpoint settles
-    the same pairs in any order.
+    DegreeConflict for a degree read and BowTieConflict for a probe read. A
+    residual of p makes the + members edges and the - members non-edges,
+    and a residual of -q the reverse. A degree read has q = 0, so for it
+    the rule is counting; the centre read of an asked pair is the case
+    p + q = 1. Both conclusions only grow more certain as pairs get
+    decided, so applying them to a fixpoint settles the same pairs in any
+    order.
     """
 
-    def __init__(self, n: int):
-        self.n = n
-        self.probes = np.empty(0, np.intp)  # per asked pair: c * n + f
-        self.tag = np.empty(0, np.intp)  # per group: its pair's place in probes * n + u
-        self.D = np.empty(0, np.intp)
-        self.group = np.empty(0, np.intp)  # per member: its group, pair and sign
-        self.pair = np.empty(0, np.intp)
-        self.sign = np.empty(0)
+    def __init__(self, tag, D, group, pair, sign):
+        self.tag, self.D, self.group, self.pair, self.sign = tag, D, group, pair, sign
         self.pending: list = []  # chunks added since the last settle
-        self.seen = None  # the undecided pairs after the last settle
+        self.held = len(D)  # groups held, the pending ones included
 
-    def add(self, probe, D, group, pair, sign) -> None:
-        """Take one chunk, as `_probe` returns it."""
-        self.pending.append((probe, D, group, pair, sign))
+    def add(self, tag, D, group, pair, sign) -> None:
+        """Take one chunk, as `_probe` returns it, its groups numbered after
+        those held."""
+        self.pending.append((tag, D, group + self.held, pair, sign))
+        self.held += len(D)
 
-    def settle(self, undecided: np.ndarray, edge: np.ndarray) -> None:
-        """Apply every read to a fixpoint, as a worklist. Groups that the
-        previous settle left with no undecided pair, and new groups with no
-        member, are dropped first; a new group with no member and D(u) != 0
-        raises BowTieConflict. The first pass takes the groups added since
-        the last settle and those holding a pair decided since then; each
-        later pass, those holding a pair the previous pass decided, except a
-        group whose own read decided it so. With neither, there is nothing
-        to apply. Decided pairs leave `undecided`, and edges join `edge`.
+    def settle(self, undecided: np.ndarray, edge: np.ndarray) -> bool:
+        """Apply every read to a fixpoint and say whether any pair is still
+        undecided. Decided pairs leave `undecided`, and edges join `edge`.
 
-        With A the group's undecided members, B the sum of their signs (so
-        p = (A + B)/2 and q = (A - B)/2) and r the residual, t = 2r - B must
-        lie in [-A, A]; t = A is r = p and t = -A is r = -q."""
-        if not self.pending and not (self.seen ^ undecided).ravel()[self.pair].any():
-            return  # nothing new to read, and no read holds a newly decided pair
-        n, chunks, self.pending = self.n, self.pending, []
-        fresh = len(self.D)
-        start = list(accumulate([fresh, *(len(chunk[1]) for chunk in chunks)]))
-        probes = np.concatenate([self.probes, *(chunk[0] for chunk in chunks)])
-        tag = np.concatenate([self.tag, np.arange(len(self.probes) * n, len(probes) * n)])
-        D = np.concatenate([self.D, *(chunk[1] for chunk in chunks)])
-        group = np.concatenate([self.group, *(chunk[2] + at for chunk, at in zip(chunks, start))])
-        pair = np.concatenate([self.pair, *(chunk[3] for chunk in chunks)])
-        sign = np.concatenate([self.sign, *(chunk[4] for chunk in chunks)])
-        held = np.ones(len(pair))
-        if self.seen is not None:
-            held[: len(self.pair)] = self.seen.ravel()[self.pair]
-        keep = np.bincount(group, weights=held, minlength=len(D)) > 0
-        empty = ~keep & (D != 0)
-        empty[:fresh] = False
-        if empty.any():
-            at, u = divmod(int(tag[empty.argmax()]), n)
-            raise BowTieConflict(*divmod(int(probes[at]), n), u, int(D[empty.argmax()]), 0, 0)
-        on = keep[group]
-        fresh = int(keep[:fresh].sum())
-        tag, D, group, pair, sign = tag[keep], D[keep], (keep.cumsum() - 1)[group[on]], pair[on], sign[on]
-        self.probes, self.tag, self.D, self.group, self.pair, self.sign = probes, tag, D, group, pair, sign
+        Every member is undecided at the start of a pass, and D is its
+        group's residual. With A the group's members and B the sum of their
+        signs (so p = (A + B)/2 and q = (A - B)/2), t = 2D - B must lie in
+        [-A, A]; t = A is D = p and t = -A is D = -q, and a group with no
+        member must have D = 0. The pass applies every group's decision at
+        once, then folds the members it decided into their groups, D minus
+        their known signs, and drops them. The fixpoint is reached when no
+        group decides a pair; the groups with no member left then go. Pair
+        indices are i * n + j with i < j, so only the upper triangles change
+        in the passes, and they are mirrored at the end."""
+        if self.pending:
+            parts = zip((self.tag, self.D, self.group, self.pair, self.sign), *self.pending)
+            self.tag, self.D, self.group, self.pair, self.sign = map(np.concatenate, parts)
+            self.pending = []
+        tag, D, group, pair, sign = self.tag, self.D, self.group, self.pair, self.sign
         und, known, G = undecided.ravel(), edge.ravel(), len(D)
-        active = np.zeros(G, dtype=bool)
-        active[fresh:] = True
-        if self.seen is not None:
-            active[group[(self.seen ^ undecided).ravel()[pair]]] = True
         while True:
-            on = active[group].nonzero()[0]
-            if not len(on):
-                break
-            g, q, s = group[on], pair[on], sign[on]
-            so = s * und[q]
-            A = np.bincount(g, weights=np.abs(so), minlength=G)
-            B = np.bincount(g, weights=so, minlength=G)
-            t = 2.0 * (D - np.bincount(g, weights=s * known[q], minlength=G)) - B
+            A = np.bincount(group, minlength=G)
+            B = np.bincount(group, weights=sign, minlength=G)
+            t = 2.0 * D - B
             size = np.abs(t)
-            bad = active & (size > A)
+            bad = size > A
             if bad.any():
-                e = int(bad.argmax())
-                at, u = divmod(int(tag[e]), n)
-                r, p, m = (int(v // 2) for v in (t[e] + B[e], A[e] + B[e], A[e] - B[e]))
-                raise BowTieConflict(*divmod(int(probes[at]), n), u, r, p, m)
+                raise self._conflict(int(bad.argmax()), tag, D, A, B, len(undecided))
             # +1: the + members are edges and the - members are not; -1: the reverse
-            vote = (np.sign(t) * (size == A))[g] * so
-            voted = vote != 0
-            if not voted.any():
+            vote = (np.sign(t) * (size == A))[group] * sign
+            decided = pair[vote != 0]
+            if not len(decided):
                 break
-            was = und[pair]
-            decided = q[voted]
-            und[decided] = und[decided % n * n + decided // n] = False
+            und[decided] = False
             # an edge wins a pair also read as a non-edge; the group that read
-            # it so is active in the next pass and raises there
-            new = q[vote > 0]
-            known[new] = known[new % n * n + new // n] = True
-            touched = was & ~und[pair]
-            touched[on[voted & ((vote > 0) == known[q])]] = False
-            active = np.zeros(G, dtype=bool)
-            active[group[touched]] = True
-        self.seen = undecided.copy()
+            # it so raises in the next pass
+            known[pair[vote > 0]] = True
+            # every member was undecided, so its known pairs are this pass's edges
+            D = D - np.bincount(group, weights=sign * known[pair], minlength=G)
+            live = und[pair]
+            group, pair, sign = group[live], pair[live], sign[live]
+        undecided &= undecided.T
+        edge |= edge.T
+        keep = A > 0
+        self.tag, self.D, self.group = tag[keep], D[keep], (keep.cumsum() - 1)[group]
+        self.pair, self.sign, self.held = pair, sign, len(self.D)
+        return bool(len(pair))  # every undecided pair is a member of its ends' degree reads
+
+    @staticmethod
+    def _conflict(e, tag, D, A, B, n):
+        """The error for group e, whose residual D[e] lies outside its range."""
+        r, p, m = int(D[e]), int(A[e] + B[e]) // 2, int(A[e] - B[e]) // 2
+        if tag[e] < 0:
+            return DegreeConflict(-1 - int(tag[e]), r, p)
+        probe, u = divmod(int(tag[e]), n)
+        return BowTieConflict(*divmod(probe, n), u, r, p, m)

@@ -71,10 +71,11 @@ def reference_reconstruct_edges(o, V: Sequence[Point2], tol: float = TOLERANCE) 
     for rows in _row_batches(n):
         src = np.repeat(rows, n - 1 - rows)
         cols = np.concatenate([np.arange(i + 1, n) for i in rows.tolist()])
-        probe, D, *_ = edge_recon._probe(o, X, Y, geometry, src, cols, tol)
+        tag, D, *_ = edge_recon._probe(o, X, Y, geometry, src, cols, tol)
         # D(u) for every pair p and vertex u at p * n + u: each pair's read at
-        # its own kept centre c, the first of probe = c * n + f
-        exists = np.abs(D.reshape(-1, n)[np.arange(len(probe)), probe // n]) == 1
+        # its own kept centre c, the first of its tags (c * n + f) * n + u
+        centre = tag[::n] // (n * n)
+        exists = np.abs(D.reshape(-1, n)[np.arange(len(centre)), centre]) == 1
         edges.update(zip(src[exists].tolist(), cols[exists].tolist()))
     return EdgeReconResult(frozenset(edges), o.query_count - start, 0)
 

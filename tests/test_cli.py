@@ -124,6 +124,34 @@ def test_verify_detects_edge_difference(tmp_path, appendix_graph):
     assert run("verify", a, b) == 1
 
 
+def test_verify_refuses_eps_nan_which_pairs_any_vertices(tmp_path):
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    assert run("gen", "--n", 8, "--density", 0, "--seed", 1, "-o", a) == 0
+    assert run("gen", "--n", 8, "--density", 0, "--seed", 2, "-o", b) == 0
+    assert run("verify", a, b) == 1
+    assert run("verify", a, b, "--eps", "nan") == 64
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1e-9"])
+def test_verify_bad_eps_usage_error(appendix_file, capsys, value):
+    assert run("verify", appendix_file, appendix_file, f"--eps={value}") == 64
+    assert "--eps" in capsys.readouterr().err
+
+
+def test_verify_eps_zero_accepts_identical_files(appendix_file):
+    assert run("verify", appendix_file, appendix_file, "--eps", 0) == 0
+
+
+@pytest.mark.parametrize("value", ["nan", "inf", "-1", "0"])
+@pytest.mark.parametrize("command", ["diagrams", "reconstruct"])
+def test_bad_tolerance_usage_error(tmp_path, appendix_file, capsys, command, value):
+    out = tmp_path / "out"
+    argv = {"diagrams": ["--direction", "1,0"], "reconstruct": []}[command]
+    assert run(command, appendix_file, *argv, f"--tolerance={value}", "-o", out) == 64
+    assert "--tolerance" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_verify_parse_failure(tmp_path, appendix_file):
     bad = tmp_path / "bad.json"
     bad.write_text("not json")

@@ -370,10 +370,11 @@ def test_reads_settle_pairs_that_are_then_never_asked(monkeypatch):
 
     def recording_settle(self, undecided, edge):
         before = np.triu(undecided).copy()
-        settle(self, undecided, edge)
+        open_left = settle(self, undecided, edge)
         rounds[-1][1].update(zip(*(a.tolist() for a in (before & ~undecided).nonzero())))
         rounds[-1][2].update(zip(*(a.tolist() for a in np.triu(undecided).nonzero())))
         rounds.append((set(), set(), set()))
+        return open_left
 
     monkeypatch.setattr(edge_recon, "_probe", recording_probe)
     monkeypatch.setattr(edge_recon._Reads, "settle", recording_settle)
@@ -640,25 +641,28 @@ def test_a_wrong_degree_raises_degree_conflict():
                 reconstruct_edges_detail(LyingOracle(g, v), list(g.vertices))
 
 
-def test_counting_after_the_last_read_is_checked_by_the_reads(monkeypatch):
-    # vertices 0 and 1 each read one degree too many, an even sum that
-    # counting alone cannot refuse: after the last round it closes a pair
-    # that is no edge as one, and only the reads of the asked probe pairs,
-    # checked once more after the loop, see the contradiction
-    new_reads = []
-    settle = edge_recon._Reads.settle
-
-    def recording_settle(self, undecided, edge):
-        new_reads.append(len(self.pending))
-        settle(self, undecided, edge)
-
-    monkeypatch.setattr(edge_recon._Reads, "settle", recording_settle)
+def test_counting_after_the_last_read_is_checked_by_the_reads():
+    # vertices 0 and 1 each read one degree too many, an even sum that no
+    # single degree read refuses: the degree reads and the probe reads meet
+    # in one fixpoint, and the loop ends only on a settle that checks them
+    # all, so the lie raises after the rounds and no edge set is returned
     g = random_plane_graph(12, 1.0, 0, margin=1e-3)
     o = LyingOracle(g, 0, 1)
-    with pytest.raises(BowTieConflict):
+    with pytest.raises(DegreeConflict, match="vertex 1 has 1 edges left to find among 0 open pairs"):
         reconstruct_edges_detail(o, list(g.vertices))
-    # raised by the check after the loop, which reads nothing new
-    assert len(new_reads) > 1 and new_reads[-1] == 0 and min(new_reads[:-1]) > 0
+    assert o.query_count > 2  # raised after at least one round
+
+
+def test_an_edge_wins_a_pair_one_end_refuses():
+    # vertex 0 reads degree 1 on an edgeless segment: its degree read needs
+    # (0, 1) as an edge and vertex 1's refuses it, in the same pass. The
+    # edge wins, and vertex 1's read raises in the next pass
+    g = PlaneGraph([(0.1, 0.2), (0.6, 0.9)], [])
+    o = LyingOracle(g, 0)
+    with pytest.raises(DegreeConflict) as err:
+        reconstruct_edges_detail(o, list(g.vertices))
+    assert (err.value.v, err.value.remaining, err.value.open) == (1, -1, 0)
+    assert o.query_count == 2
 
 
 class ProbeLyingOracle(DiagramOracle):
