@@ -460,22 +460,33 @@ class _Reads:
         """Apply every read to a fixpoint and say whether any pair is still
         undecided. Decided pairs leave `undecided`, and edges join `edge`.
 
-        Every member is undecided at the start of a pass, and D is its
-        group's residual. With A the group's members and B the sum of their
-        signs (so p = (A + B)/2 and q = (A - B)/2), t = 2D - B must lie in
-        [-A, A]; t = A is D = p and t = -A is D = -q, and a group with no
-        member must have D = 0. The pass applies every group's decision at
+        The chunks added since the last settle are folded first, as a pass
+        folds its decisions: a probe read's members are every pair in its
+        bow tie, the decided ones too, so D loses the signs of their known
+        edges and they are dropped. Every member is then undecided at the
+        start of a pass, and D is its group's residual. With A the group's
+        members and B the sum of their signs (so p = (A + B)/2 and
+        q = (A - B)/2), t = 2D - B must lie in [-A, A]; t = A is D = p and
+        t = -A is D = -q, and a group with no member must have D = 0. The
+        pass applies every group's decision at
         once, then folds the members it decided into their groups, D minus
         their known signs, and drops them. The fixpoint is reached when no
         group decides a pair; the groups with no member left then go. Pair
         indices are i * n + j with i < j, so only the upper triangles change
         in the passes, and they are mirrored at the end."""
+        und, known = undecided.ravel(), edge.ravel()
         if self.pending:
-            parts = zip((self.tag, self.D, self.group, self.pair, self.sign), *self.pending)
+            tag, D, group, pair, sign = map(np.concatenate, zip(*self.pending))
+            D = D - np.bincount(group - len(self.D), weights=sign * known[pair], minlength=len(D))
+            live = und[pair]
+            parts = zip(
+                (self.tag, self.D, self.group, self.pair, self.sign),
+                (tag, D, group[live], pair[live], sign[live]),
+            )
             self.tag, self.D, self.group, self.pair, self.sign = map(np.concatenate, parts)
             self.pending = []
         tag, D, group, pair, sign = self.tag, self.D, self.group, self.pair, self.sign
-        und, known, G = undecided.ravel(), edge.ravel(), len(D)
+        G = len(D)
         while True:
             A = np.bincount(group, minlength=G)
             B = np.bincount(group, weights=sign, minlength=G)

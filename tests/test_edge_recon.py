@@ -738,6 +738,35 @@ def test_a_read_at_an_empty_bow_tie_raises_bow_tie_conflict():
     assert (e.residual, e.plus, e.minus) == (-1, 0, 0) and o.lied
 
 
+def test_a_read_of_a_pair_decided_before_it_was_asked_raises_bow_tie_conflict():
+    # counting closes every pair of an edgeless vertex before the first
+    # round. The first probe pair then reads one such pair (u, w), alone in
+    # the bow ties at both its ends, as an edge at both ends: its members
+    # are all decided, so both reads lie outside [0, 0]
+    g = random_plane_graph(30, 0.5, 5, margin=1e-6)
+    edgeless = set(range(30)) - {v for e in g.edges for v in e}
+    lied = []
+
+    def lie(d1, d2, H):
+        h1, h2 = H
+        inside = (h1[None, :] < h1[:, None]) != (h2[None, :] < h2[:, None])
+        u, w = next(
+            (int(u), int(inside[u].argmax()))
+            for u in np.flatnonzero(inside.sum(axis=1) == 1)
+            if {int(u), int(inside[u].argmax())} & edgeless
+        )
+        lied.append(u)
+        if h1[w] < h1[u]:  # w below u along s1 only: the edge adds +1 at u, -1 at w
+            return _with_cycles(d1, [h1[u]]), _with_cycles(d2, [h2[w]])
+        return _with_cycles(d1, [h1[w]]), _with_cycles(d2, [h2[u]])
+
+    o = ProbeLyingOracle(g, lie)
+    with pytest.raises(BowTieConflict) as err:
+        reconstruct_edges_detail(o, list(g.vertices))
+    e = err.value
+    assert (e.u, e.residual, e.plus, e.minus) == (lied[0], 1, 0, 0) and len(lied) == 1
+
+
 def test_births_off_the_certified_heights_raise_diagram_mismatch():
     # one dim-0 birth of the s2 diagram moved by 10 tol
     def lie(d1, d2, H):
