@@ -14,13 +14,17 @@ indeg(u, s1) - indeg(u, s2) sums +1 for each edge of u to a w below u
 along s1 only and -1 for each to a w below u along s2 only, and it settles
 every pair in the bow tie that it pins down.
 
+The input is a plane graph, so no edge properly crosses another: a pair
+that crosses a known edge is not an edge. This planarity rule needs no
+query, and certified orientations decide each crossing.
+
 `reconstruct_edges_detail` reads every degree off two axis diagrams first,
-then asks, nearest first and in batched rounds, only pairs that counting
-and the reads of earlier probe pairs leave open; it stays within the
-paper's n(n-1) queries. Each asked pair's bow tie has its own width
-(`bowtie_widths`), both ends are tried as its centre, and the better one is
-certified once, with no retry; `pair_directions` is the certifier's
-one-pair call.
+then asks, nearest first and in batched rounds, only pairs that counting,
+the planarity rule and the reads of earlier probe pairs leave open; it
+stays within the paper's n(n-1) queries. Each asked pair's bow tie has its
+own width (`bowtie_widths`), both ends are tried as its centre, and the
+better one is certified once, with no retry; `pair_directions` is the
+certifier's one-pair call.
 """
 
 from __future__ import annotations
@@ -46,7 +50,8 @@ from .persistence import Diagram, DiagramOracle, events_at_ranks
 Edge = tuple[int, int]
 
 #: Directions times 4n (a bound on the simplices per direction) that one
-#: edge-phase chunk may hold; the oracle kernel's arrays grow with it.
+#: edge-phase chunk may hold, and crossing tests that one block of the
+#: planarity rule may hold; the arrays of both grow with it.
 _BATCH_CELLS = 1 << 15
 
 
@@ -215,7 +220,15 @@ def reconstruct_edges_detail(
     With r(v) the degree v has left and open(v) its undecided pairs, the
     rule on a degree read is counting: r(v) = 0 closes v's pairs as
     non-edges, r(v) = open(v) closes them as edges, and r(v) outside
-    [0, open(v)] raises DegreeConflict naming v.
+    [0, open(v)] raises DegreeConflict naming v. Whenever the reads decide
+    nothing more, the planarity rule (`_crossing_pairs`) closes as a
+    non-edge every undecided pair that properly crosses a known edge, and
+    the reads go on from there. A crossing counts only when its four
+    orientations have certified signs: each larger than tol and than its
+    rounding-error bound. A pair whose crossing is not certified stays open
+    and is asked as any other. The oracle's graph must therefore be plane,
+    as `validate` checks: on a graph whose edges cross, the rule can close
+    an edge, and a wrong edge set can come back.
 
     While pairs stay undecided, a round asks more. Each vertex with pairs
     left proposes its min(r(v), 2) nearest open pairs, by one global key
@@ -231,13 +244,15 @@ def reconstruct_edges_detail(
     loop ends on a settle, so every read is checked against every decision.
 
     The budget: each asked pair is settled in its own round, so it is asked
-    once, for 2 queries, and reads only settle pairs that would otherwise be
-    asked. At a fixpoint no degree read decides, so every vertex with open
-    pairs has 0 < r(v) < open(v): it proposes at least one pair and not its
-    last one. The longest open pair is last in both of its ends' orders, as
-    the key is global, so no round asks it; after the final round it is
-    settled without a query. With P = n(n - 1)/2 pairs, at most P - 1 are
-    asked, and the queries number at most 2 + 2(P - 1) = n(n - 1)."""
+    once, for 2 queries, and the reads and the planarity rule only settle
+    pairs that would otherwise be asked: they remove asks and add none. At
+    a fixpoint neither the rule nor a degree read decides, so every vertex
+    with open pairs has 0 < r(v) < open(v): it proposes at least one pair
+    and not its last one. The longest open pair is last in both of its
+    ends' orders, as the key is global, so no round asks it; after the
+    final round it is settled without a query. With P = n(n - 1)/2 pairs,
+    at most P - 1 are asked, and the queries number at most
+    2 + 2(P - 1) = n(n - 1)."""
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
@@ -246,7 +261,7 @@ def reconstruct_edges_detail(
     degree = _degrees(o, X, Y, tol)
     undecided = ~np.eye(n, dtype=bool)
     edge = np.zeros((n, n), dtype=bool)
-    reads, geometry = _Reads(*_degree_reads(degree)), None
+    reads, geometry = _Reads(X, Y, tol, *_degree_reads(degree)), None
     rows = np.arange(n)[:, None]
     chunk = max(1, _BATCH_CELLS // (8 * n))
     while reads.settle(undecided, edge):
@@ -426,6 +441,75 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     )
 
 
+#: Shewchuk's relative bound on the rounding error of an orientation
+#: (a - c) * (b' - c') - (a' - c') * (b - c) of exact coordinates: the error
+#: is at most this times the sum of the two products' sizes.
+_ORIENTATION_ERROR = (3.0 + 16.0 * 2.0**-53) * 2.0**-53
+
+
+def _crossing_pairs(
+    X: np.ndarray, Y: np.ndarray, undecided: np.ndarray, edge: np.ndarray, tol: float
+) -> np.ndarray:
+    """The planarity rule: the undecided pairs that properly cross a known
+    edge, as indices i * n + j, i < j. undecided and edge are the raveled
+    (n, n) masks, read in their upper triangles. No edge of a plane graph
+    crosses another, so none of these pairs is an edge.
+
+    Pair (i, j) is tested against every known edge (m, w) at a known
+    neighbour m of i or of j, so it costs O(sum of deg^2), not O(edges).
+    From its end e, with f the other end, it crosses (m, w) when the
+    orientations cross(e, f, m) and cross(e, f, w) have opposite signs, and
+    so do cross(m, w, e) and cross(m, w, f), each computed as validate's
+    cross(o, p, q). A sign counts only where its orientation's size exceeds
+    both tol and its rounding-error bound (`_ORIENTATION_ERROR`), so w = e
+    or w = f never counts, and a pair with any other sign stays open.
+    Nothing is tested below four vertices or with no known edge."""
+    n = len(X)
+    closed = [np.empty(0, np.intp)]
+    a, b = np.divmod(np.flatnonzero(edge), n)
+    if n < 4 or not len(a):
+        return closed[0]
+    a, b = a[a < b], b[a < b]
+    i, j = np.divmod(np.flatnonzero(undecided), n)
+    e, f = np.concatenate([i[i < j], j[i < j]]), np.concatenate([j[i < j], i[i < j]])
+    # the known neighbours of vertex v are nb[first[v] : first[v] + deg[v]]
+    a, b = np.concatenate([a, b]), np.concatenate([b, a])
+    nb = b[a.argsort(kind="stable")]
+    deg = np.bincount(a, minlength=n)
+    first = deg.cumsum() - deg
+    r, m = _neighbours(e, deg, first, nb)
+    e, f = e[r], f[r]
+    side = _orientation(X, Y, e, f, m, tol)
+    step = max(1, _BATCH_CELLS // int(deg.max()))  # a block's rows test at most _BATCH_CELLS edges
+    for start in range(0, len(m), step):
+        rows = slice(start, start + step)
+        r, w = _neighbours(m[rows], deg, first, nb)
+        e2, f2, m2 = e[rows][r], f[rows][r], m[rows][r]
+        keep = side[rows][r] * _orientation(X, Y, e2, f2, w, tol) < 0.0
+        e2, f2, m2, w = e2[keep], f2[keep], m2[keep], w[keep]
+        keep = _orientation(X, Y, m2, w, e2, tol) * _orientation(X, Y, m2, w, f2, tol) < 0.0
+        closed.append((np.minimum(e2, f2) * n + np.maximum(e2, f2))[keep])
+    return np.concatenate(closed)
+
+
+def _neighbours(v: np.ndarray, deg: np.ndarray, first: np.ndarray, nb: np.ndarray):
+    """Every known neighbour of every v[r]: the rows r, each repeated deg[v[r]]
+    times, and the neighbours, in the layout of `_crossing_pairs`."""
+    k = deg[v]
+    r = np.repeat(np.arange(len(v)), k)
+    return r, nb[np.arange(len(r)) + np.repeat(first[v] - k.cumsum() + k, k)]
+
+
+def _orientation(X, Y, o, p, q, tol: float) -> np.ndarray:
+    """The sign of validate's cross(V[o], V[p], V[q]) where its size exceeds
+    tol and its rounding-error bound, and 0 where it does not."""
+    ox, oy = X[o], Y[o]
+    left, right = (X[p] - ox) * (Y[q] - oy), (Y[p] - oy) * (X[q] - ox)
+    d = left - right
+    certain = np.abs(d) > np.maximum(tol, _ORIENTATION_ERROR * (np.abs(left) + np.abs(right)))
+    return np.where(certain, np.sign(d), 0.0)
+
+
 class _Reads:
     """The reads, each kept while it still holds an undecided pair: the n
     degree reads (`_degree_reads`) and every asked probe pair read at
@@ -442,10 +526,13 @@ class _Reads:
     the rule is counting; the centre read of an asked pair is the case
     p + q = 1. Both conclusions only grow more certain as pairs get
     decided, so applying them to a fixpoint settles the same pairs in any
-    order.
+    order. The planarity rule closes pairs between the passes; a non-edge
+    changes no residual, and a read that needed such a pair as an edge
+    raises in the next pass.
     """
 
-    def __init__(self, tag, D, group, pair, sign):
+    def __init__(self, X, Y, tol, tag, D, group, pair, sign):
+        self.X, self.Y, self.tol = X, Y, tol  # the vertices, for the planarity rule
         self.tag, self.D, self.group, self.pair, self.sign = tag, D, group, pair, sign
         self.pending: list = []  # chunks added since the last settle
         self.held = len(D)  # groups held, the pending ones included
@@ -468,10 +555,12 @@ class _Reads:
         members and B the sum of their signs (so p = (A + B)/2 and
         q = (A - B)/2), t = 2D - B must lie in [-A, A]; t = A is D = p and
         t = -A is D = -q, and a group with no member must have D = 0. The
-        pass applies every group's decision at
-        once, then folds the members it decided into their groups, D minus
-        their known signs, and drops them. The fixpoint is reached when no
-        group decides a pair; the groups with no member left then go. Pair
+        pass applies every group's decision at once, then folds the members
+        it decided into their groups, D minus their known signs, and drops
+        them. When no group decides a pair, the groups with no member left
+        go, and the planarity rule closes the pairs that cross a known edge;
+        their members are dropped with D unchanged, and the passes go on.
+        The fixpoint is reached when the rule closes nothing either. Pair
         indices are i * n + j with i < j, so only the upper triangles change
         in the passes, and they are mirrored at the end."""
         und, known = undecided.ravel(), edge.ravel()
@@ -498,21 +587,28 @@ class _Reads:
             # +1: the + members are edges and the - members are not; -1: the reverse
             vote = (np.sign(t) * (size == A))[group] * sign
             decided = pair[vote != 0]
-            if not len(decided):
-                break
-            und[decided] = False
-            # an edge wins a pair also read as a non-edge; the group that read
-            # it so raises in the next pass
-            known[pair[vote > 0]] = True
-            # every member was undecided, so its known pairs are this pass's edges
-            D = D - np.bincount(group, weights=sign * known[pair], minlength=G)
+            if len(decided):
+                und[decided] = False
+                # an edge wins a pair also read as a non-edge; the group that
+                # read it so raises in the next pass
+                known[pair[vote > 0]] = True
+                # every member was undecided, so its known pairs are this pass's edges
+                D = D - np.bincount(group, weights=sign * known[pair], minlength=G)
+            else:
+                # the groups left with no member passed their last check and go;
+                # then the planarity rule, whose non-edges change no residual
+                keep = A > 0
+                tag, D, group = tag[keep], D[keep], (keep.cumsum() - 1)[group]
+                G = len(D)
+                decided = _crossing_pairs(self.X, self.Y, und, known, self.tol)
+                if not len(decided):
+                    break
+                und[decided] = False
             live = und[pair]
             group, pair, sign = group[live], pair[live], sign[live]
         undecided &= undecided.T
         edge |= edge.T
-        keep = A > 0
-        self.tag, self.D, self.group = tag[keep], D[keep], (keep.cumsum() - 1)[group]
-        self.pair, self.sign, self.held = pair, sign, len(self.D)
+        self.tag, self.D, self.group, self.pair, self.sign, self.held = tag, D, group, pair, sign, G
         return bool(len(pair))  # every undecided pair is a member of its ends' degree reads
 
     @staticmethod

@@ -93,15 +93,19 @@ class DegreeConflict(PhreconError):
 
     `remaining` is v's degree from the oracle less the edges decided at v
     so far, and `open` is the number of v's pairs still undecided; the edge
-    phase needs 0 <= remaining <= open. Raised when the oracle's diagrams,
-    or the vertices they are read at, disagree with each other.
+    phase needs 0 <= remaining <= open. A negative remaining means that
+    reads elsewhere, such as the other end's degree, made more of v's pairs
+    edges than v's degree allows. Raised when the oracle's diagrams, or the
+    vertices they are read at, disagree with each other.
     """
 
     def __init__(self, v: int, remaining: int, open: int):
         self.v, self.remaining, self.open = v, remaining, open
-        super().__init__(
-            f"vertex {v} has {remaining} edges left to find among {open} open pairs"
-        )
+        if remaining < 0:
+            message = f"vertex {v} already has {-remaining} more edges than its degree read allows"
+        else:
+            message = f"vertex {v} has {remaining} edges left to find among {open} open pairs"
+        super().__init__(message)
 
 
 class BowTieConflict(PhreconError):

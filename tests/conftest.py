@@ -28,6 +28,16 @@ def tie_free_direction(g: PlaneGraph, rng: np.random.Generator, tol: float = 1e-
             return s
 
 
+def jittered_grid_points(n: int, seed: int) -> list:
+    """n points, one per column and per row of an n-by-n grid on the unit
+    square, each jittered inside its cell: distinct x and distinct y by
+    construction."""
+    rng = np.random.default_rng(seed)
+    xs = (np.arange(n) + 0.1 + 0.8 * rng.random(n)) / n
+    ys = (np.arange(n) + 0.1 + 0.8 * rng.random(n)) / n
+    return list(zip(xs.tolist(), rng.permutation(ys).tolist()))
+
+
 def components_by_bfs(g: PlaneGraph) -> int:
     """Independent component count (plain BFS, no union-find)."""
     adjacency = {i: [] for i in range(g.n)}

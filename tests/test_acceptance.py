@@ -25,7 +25,7 @@ from phrecon import (
 from phrecon.cli import main
 from phrecon.vertex_recon import AXIS_X, AXIS_Y
 
-from conftest import match_to_hidden, remap_edges, tie_free_direction
+from conftest import jittered_grid_points, match_to_hidden, remap_edges, tie_free_direction
 from edge_reference import enumerate_compatible_graphs
 from graph_reference import connected_components, indegree_direct
 from vertex_reference import triple_intersections
@@ -198,15 +198,8 @@ def test_criterion_7_enumerator_soundness(sweep):
     _report("7 enumerator soundness on n<=5 for all used directions", ok)
 
 
-def _synthetic_points(n: int, seed: int) -> list:
-    rng = np.random.default_rng(seed)
-    xs = (np.arange(n) + 0.1 + 0.8 * rng.random(n)) / n
-    ys = (np.arange(n) + 0.1 + 0.8 * rng.random(n)) / n
-    return list(zip(xs.tolist(), rng.permutation(ys).tolist()))
-
-
 def _time_vertex_phase(n: int, repeats: int) -> float:
-    pts = _synthetic_points(n, 7)
+    pts = jittered_grid_points(n, 7)
     g = PlaneGraph(pts, [])
     best = math.inf
     for _ in range(repeats):

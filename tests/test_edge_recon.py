@@ -32,9 +32,9 @@ from phrecon import (
     reconstruct_vertices,
     validate,
 )
-from phrecon import cli, edge_recon
+from phrecon import cli, edge_recon, plane_graph
 
-from conftest import match_to_hidden, remap_edges, tie_free_direction
+from conftest import jittered_grid_points, match_to_hidden, remap_edges, tie_free_direction
 from edge_reference import (
     BowTie,
     EnumerationOverflow,
@@ -45,6 +45,7 @@ from edge_reference import (
     rotate,
 )
 from graph_reference import indegree_direct
+from validate_reference import cross
 
 
 def test_bowtie_containment():
@@ -296,7 +297,9 @@ class OneDegenerateOracle(RecordingOracle):
         return out
 
 
-def test_degenerate_batch_entry_raises_uncertified_pair():
+def test_degenerate_batch_entry_raises_uncertified_pair(monkeypatch):
+    # chunks of 16 pairs, so that chunks follow the faulty one
+    monkeypatch.setattr(edge_recon, "_BATCH_CELLS", 4000)
     g = random_plane_graph(30, 0.7, 14, margin=1e-6)
     V = list(g.vertices)
     clean = RecordingOracle(g)
@@ -399,10 +402,26 @@ def test_reads_settle_pairs_that_are_then_never_asked(monkeypatch):
 
 def test_edge_query_counts_are_pinned():
     # reads of every vertex off every asked probe pair, min(r(v), 2)
-    # proposals per vertex and round: 268 queries here, 490 with the centre
-    # read alone and r(v) proposals
+    # proposals per vertex and round, and the planarity rule: 154 queries
+    # here, 268 without the planarity rule, 490 with the centre read alone
+    # and r(v) proposals
     g = random_plane_graph(60, 1.0, 3, margin=1e-5)
-    assert reconstruct_edges_detail(DiagramOracle(g), list(g.vertices)).queries == 268
+    assert reconstruct_edges_detail(DiagramOracle(g), list(g.vertices)).queries == 154
+
+
+def test_edge_phase_round_trips_the_n1000_jittered_grid():
+    # the points of acceptance criterion 8 with all their Delaunay edges,
+    # through both phases, in about 2 s. The planarity rule tests each pair
+    # against the edges at its ends' known neighbours only; a test of every
+    # open pair against every known edge would make this test slow
+    pts = np.array(jittered_grid_points(1000, 7))
+    g = PlaneGraph(pts.tolist(), plane_graph._delaunay_edges(pts))
+    o = DiagramOracle(g)
+    vs = reconstruct_vertices(o)
+    hidden = {p: k for k, p in enumerate(g.vertices)}  # every vertex comes back exactly
+    detail = reconstruct_edges_detail(o, vs)
+    assert remap_edges(detail.edges, {i: hidden[p] for i, p in enumerate(vs)}) == set(g.edges)
+    assert detail.queries == 2572  # 3 492 without the planarity rule
 
 
 def test_uncertifiable_pair_raises_before_its_row_is_queried():
@@ -483,9 +502,10 @@ def test_frontier_n300_certifies_every_pair_at_its_better_end():
     detail = reconstruct_edges_detail(o, vs)
     assert remap_edges(detail.edges, match_to_hidden(vs, g)) == set(g.edges)
     assert detail.queries <= n * (n - 1) and detail.retries == 0
-    # the reads keep the edge phase output-sensitive: 2 776 queries with
-    # the centre read alone
-    assert detail.queries == 1220 <= 1300
+    # the reads and the planarity rule keep the edge phase output-sensitive:
+    # 1 220 queries without the planarity rule, 2 776 with the centre read
+    # alone
+    assert detail.queries == 790 <= 1300
 
 
 def test_indegree_from_diagrams_appendix(appendix_graph):
@@ -659,25 +679,29 @@ def test_an_edge_wins_a_pair_one_end_refuses():
     # edge wins, and vertex 1's read raises in the next pass
     g = PlaneGraph([(0.1, 0.2), (0.6, 0.9)], [])
     o = LyingOracle(g, 0)
-    with pytest.raises(DegreeConflict) as err:
+    message = "^vertex 1 already has 1 more edges than its degree read allows$"
+    with pytest.raises(DegreeConflict, match=message) as err:
         reconstruct_edges_detail(o, list(g.vertices))
     assert (err.value.v, err.value.remaining, err.value.open) == (1, -1, 0)
     assert o.query_count == 2
 
 
 class ProbeLyingOracle(DiagramOracle):
-    """Answers the first probe pair truthfully but for `lie`, which gets the
-    pair's two diagrams and the hidden heights along them, in the order of
-    the vertices, and returns the two diagrams to send instead."""
+    """Answers the first probe pair of probe batch `batch` (0: the first)
+    truthfully but for `lie`, which gets the pair's two diagrams and the
+    hidden heights along them, in the order of the vertices, and returns the
+    two diagrams to send instead."""
 
-    def __init__(self, graph, lie):
+    def __init__(self, graph, lie, batch=0):
         super().__init__(graph)
-        self.lie = lie
+        self.lie, self.batch = lie, batch
         self.lied = False
 
     def query_many(self, S):
         out = super().query_many(S)
         if not self.lied and len(out) >= 2 and out[0].direction != Direction(1.0, 0.0):
+            self.batch -= 1
+        if not self.lied and self.batch < 0:
             self.lied = True
             X, Y = np.array(self._graph.vertices).T
             H = [X * d.direction.dx + Y * d.direction.dy for d in out[:2]]
@@ -748,23 +772,138 @@ def test_a_read_of_a_pair_decided_before_it_was_asked_raises_bow_tie_conflict():
     lied = []
 
     def lie(d1, d2, H):
-        h1, h2 = H
-        inside = (h1[None, :] < h1[:, None]) != (h2[None, :] < h2[:, None])
-        u, w = next(
-            (int(u), int(inside[u].argmax()))
-            for u in np.flatnonzero(inside.sum(axis=1) == 1)
-            if {int(u), int(inside[u].argmax())} & edgeless
-        )
-        lied.append(u)
-        if h1[w] < h1[u]:  # w below u along s1 only: the edge adds +1 at u, -1 at w
-            return _with_cycles(d1, [h1[u]]), _with_cycles(d2, [h2[w]])
-        return _with_cycles(d1, [h1[w]]), _with_cycles(d2, [h2[u]])
+        return _claim_a_lone_pair(d1, d2, H, lambda u, w: bool({u, w} & edgeless), lied)
 
     o = ProbeLyingOracle(g, lie)
     with pytest.raises(BowTieConflict) as err:
         reconstruct_edges_detail(o, list(g.vertices))
     e = err.value
-    assert (e.u, e.residual, e.plus, e.minus) == (lied[0], 1, 0, 0) and len(lied) == 1
+    assert (e.u, e.residual, e.plus, e.minus) == (lied[0][0], 1, 0, 0) and len(lied) == 1
+
+
+def test_a_read_of_a_pair_the_planarity_rule_closed_raises_bow_tie_conflict(monkeypatch):
+    # the planarity rule closes pairs after the first round. The second
+    # round's first probe pair then reads one of them, (u, w), alone in the
+    # bow tie at u, as an edge at both ends: the read at u raises, and no
+    # edge set holding (u, w) comes back
+    closed = _recorded_closures(monkeypatch)
+    g = random_plane_graph(30, 0.7, 5, margin=1e-6)
+    lied = []
+
+    def lie(d1, d2, H):
+        return _claim_a_lone_pair(d1, d2, H, lambda u, w: min(u, w) * 30 + max(u, w) in closed, lied)
+
+    o = ProbeLyingOracle(g, lie, batch=1)
+    with pytest.raises(BowTieConflict) as err:
+        reconstruct_edges_detail(o, list(g.vertices))
+    e = err.value
+    assert (e.u, e.residual, e.plus, e.minus) == (lied[0][0], 1, 0, 0) and len(lied) == 1
+
+
+def _claim_a_lone_pair(d1, d2, H, wanted, lied):
+    """d1 and d2, the diagrams of a probe pair with heights H, changed to
+    read as an edge the first pair (u, w) that wanted(u, w) accepts and whose
+    w is alone in the bow tie at u; (u, w) is appended to lied."""
+    h1, h2 = H
+    inside = (h1[None, :] < h1[:, None]) != (h2[None, :] < h2[:, None])
+    u, w = next(
+        (int(u), int(inside[u].argmax()))
+        for u in np.flatnonzero(inside.sum(axis=1) == 1)
+        if wanted(int(u), int(inside[u].argmax()))
+    )
+    lied.append((u, w))
+    if h1[w] < h1[u]:  # w below u along s1 only: the edge adds +1 at u, -1 at w
+        return _with_cycles(d1, [h1[u]]), _with_cycles(d2, [h2[w]])
+    return _with_cycles(d1, [h1[w]]), _with_cycles(d2, [h2[u]])
+
+
+def _recorded_closures(monkeypatch):
+    """The set that collects every pair index the planarity rule closes."""
+    closed = set()
+    crossing = edge_recon._crossing_pairs
+
+    def recording(X, Y, undecided, edge, tol):
+        out = crossing(X, Y, undecided, edge, tol)
+        closed.update(out.tolist())
+        return out
+
+    monkeypatch.setattr(edge_recon, "_crossing_pairs", recording)
+    return closed
+
+
+def _recorded_asks(monkeypatch):
+    """The list that collects every asked pair (i, j), i < j, in order."""
+    asked = []
+    probe = edge_recon._probe
+
+    def recording(o, X, Y, geometry, src, cols, tol):
+        asked.extend(zip(np.minimum(src, cols).tolist(), np.maximum(src, cols).tolist()))
+        return probe(o, X, Y, geometry, src, cols, tol)
+
+    monkeypatch.setattr(edge_recon, "_probe", recording)
+    return asked
+
+
+def test_a_pair_across_a_known_edge_closes_without_a_query(monkeypatch):
+    # a convex quadrilateral 0-1-2-3 with its four sides and the diagonal
+    # (0, 2), and a triangle (2, 3, 4) on its side (2, 3). Vertex 2 has
+    # degree 4 among 4 pairs, so counting makes all its pairs edges; the
+    # other diagonal (1, 3) crosses (0, 2) and closes, and with the pairs of
+    # vertex 4 that cross (2, 3) closed too, counting settles the rest. No
+    # probe pair is asked; without the rule, three are
+    g = PlaneGraph(
+        [(0.1, 0.45), (0.5, 0.05), (0.9, 0.5), (0.45, 0.95), (0.85, 0.9)],
+        [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (2, 4), (3, 4)],
+    )
+    assert not validate(g)
+    closed = _recorded_closures(monkeypatch)
+    o = RecordingOracle(g)
+    detail = reconstruct_edges_detail(o, list(g.vertices))
+    assert detail.edges == g.edges and detail.queries == 2 and o.calls == [2]
+    assert 1 * 5 + 3 in closed
+    monkeypatch.setattr(edge_recon, "_crossing_pairs", lambda *args: np.empty(0, np.intp))
+    assert reconstruct_edges_detail(DiagramOracle(g), list(g.vertices)).queries == 8
+
+
+def test_a_crossing_inside_the_margin_leaves_the_pair_open(monkeypatch):
+    # (0, 3) crosses the edge (1, 4), and V[3] lies nearest the line through
+    # V[1] and V[4]: cross(V[1], V[4], V[3]) is the crossing's smallest
+    # orientation. With tol below it the rule closes (0, 3) and counting
+    # settles the rest; with tol above it the pair stays open and is asked
+    g = random_plane_graph(5, 1.0, 65)
+    V = g.vertices
+    margin = cross(V[1], V[4], V[3])
+    orientations = (cross(V[1], V[4], V[0]), margin, cross(V[0], V[3], V[1]), cross(V[0], V[3], V[4]))
+    assert orientations[0] * margin < 0 < -orientations[2] * orientations[3]
+    assert 0.02 < margin == min(map(abs, orientations)) < 0.03
+    closed, asked = _recorded_closures(monkeypatch), _recorded_asks(monkeypatch)
+    for tol, queries in ((0.99 * margin, 2), (1.01 * margin, 12)):
+        closed.clear()
+        asked.clear()
+        detail = reconstruct_edges_detail(DiagramOracle(g, tol), list(V), tol)
+        assert detail.edges == g.edges and detail.queries == queries
+        assert (0 * 5 + 3 in closed) == ((0, 3) not in asked) == (queries == 2)
+    # the rounding-error bound: V[2] on the line through V[0] and V[1] up to
+    # rounding, so cross(V[0], V[1], V[2]) reads 1.4e-17 with tol 0 and is
+    # not certified, though V[3] lies across that line from it and the line
+    # through V[2] and V[3] separates V[0] from V[1]. Either segment may be
+    # the known edge; (0, 3) puts it at a known neighbour of the pair's end
+    V = [
+        Point2(0.6369616873214543, 0.2697867137638703),
+        Point2(0.04097352393619469, 0.016527635528529094),
+        Point2(0.15226225112459318, 0.06381864262777384),
+        Point2(0.1, 0.2),
+    ]
+    assert 0 < cross(V[0], V[1], V[2]) < 1e-16 and cross(V[0], V[1], V[3]) < 0
+    assert cross(V[2], V[3], V[0]) < 0 < cross(V[2], V[3], V[1])
+    for known, pair in (((0, 1), (2, 3)), ((2, 3), (0, 1))):
+        X, Y = np.array(V).T
+        edge, undecided = np.zeros((4, 4), dtype=bool), np.zeros((4, 4), dtype=bool)
+        edge[known] = edge[0, 3] = undecided[pair] = True
+        assert edge_recon._crossing_pairs(X, Y, undecided.ravel(), edge.ravel(), 0.0).tolist() == []
+        X[2] += 1e-9  # off the line to the side the rounding put it on
+        out = edge_recon._crossing_pairs(X, Y, undecided.ravel(), edge.ravel(), 0.0)
+        assert out.tolist() == [pair[0] * 4 + pair[1]]
 
 
 def test_births_off_the_certified_heights_raise_diagram_mismatch():
