@@ -31,6 +31,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -261,10 +262,10 @@ def reconstruct_edges_detail(
     degree = _degrees(o, X, Y, tol)
     undecided = ~np.eye(n, dtype=bool)
     edge = np.zeros((n, n), dtype=bool)
-    reads, geometry = _Reads(X, Y, tol, *_degree_reads(degree)), None
+    reads, geometry, chunks = _Reads(X, Y, tol, *_degree_reads(degree)), None, []
     rows = np.arange(n)[:, None]
     chunk = max(1, _BATCH_CELLS // (8 * n))
-    while reads.settle(undecided, edge):
+    while reads.settle(undecided, edge, chunks):
         if geometry is None:  # only rounds need the geometry
             geometry = _geometry(X, Y, tol)
         nearest = geometry.nearest
@@ -274,8 +275,10 @@ def reconstruct_edges_detail(
         ask = np.zeros_like(undecided)
         ask[pick.nonzero()[0], nearest[pick]] = True
         src, cols = np.triu(ask | ask.T).nonzero()
-        for a in range(0, len(src), chunk):
-            reads.add(*_probe(o, X, Y, geometry, src[a : a + chunk], cols[a : a + chunk], tol))
+        chunks = [
+            _probe(o, X, Y, geometry, src[a : a + chunk], cols[a : a + chunk], tol)
+            for a in range(0, len(src), chunk)
+        ]
     i, j = np.triu(edge).nonzero()
     return EdgeReconResult(frozenset(zip(i.tolist(), j.tolist())), o.query_count - start, 0)
 
@@ -368,7 +371,7 @@ def _geometry(X: np.ndarray, Y: np.ndarray, tol: float) -> _Geometry:
 
 def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol: float):
     """Ask the pairs (src[p], cols[p]) of one chunk and read each asked
-    probe pair at every vertex; returns the chunk for `_Reads.add`.
+    probe pair at every vertex; returns one chunk for `_Reads.settle`.
 
     One array pass certifies both ends of every pair, each with its own
     width, and a pair keeps the end with the larger headroom (V[i] on a
@@ -534,38 +537,34 @@ class _Reads:
     def __init__(self, X, Y, tol, tag, D, group, pair, sign):
         self.X, self.Y, self.tol = X, Y, tol  # the vertices, for the planarity rule
         self.tag, self.D, self.group, self.pair, self.sign = tag, D, group, pair, sign
-        self.pending: list = []  # chunks added since the last settle
-        self.held = len(D)  # groups held, the pending ones included
 
-    def add(self, tag, D, group, pair, sign) -> None:
-        """Take one chunk, as `_probe` returns it, its groups numbered after
-        those held."""
-        self.pending.append((tag, D, group + self.held, pair, sign))
-        self.held += len(D)
-
-    def settle(self, undecided: np.ndarray, edge: np.ndarray) -> bool:
-        """Apply every read to a fixpoint and say whether any pair is still
+    def settle(self, undecided: np.ndarray, edge: np.ndarray, chunks) -> bool:
+        """Take the round's chunks, as `_probe` returns them, then apply
+        every read to a fixpoint and say whether any pair is still
         undecided. Decided pairs leave `undecided`, and edges join `edge`.
 
-        The chunks added since the last settle are folded first, as a pass
-        folds its decisions: a probe read's members are every pair in its
-        bow tie, the decided ones too, so D loses the signs of their known
-        edges and they are dropped. Every member is then undecided at the
-        start of a pass, and D is its group's residual. With A the group's
-        members and B the sum of their signs (so p = (A + B)/2 and
-        q = (A - B)/2), t = 2D - B must lie in [-A, A]; t = A is D = p and
-        t = -A is D = -q, and a group with no member must have D = 0. The
-        pass applies every group's decision at once, then folds the members
-        it decided into their groups, D minus their known signs, and drops
-        them. When no group decides a pair, the groups with no member left
-        go, and the planarity rule closes the pairs that cross a known edge;
-        their members are dropped with D unchanged, and the passes go on.
-        The fixpoint is reached when the rule closes nothing either. Pair
-        indices are i * n + j with i < j, so only the upper triangles change
-        in the passes, and they are mirrored at the end."""
+        The chunks' groups are numbered after those held, in order, and
+        folded first, as a pass folds its decisions: a probe read's members
+        are every pair in its bow tie, the decided ones too, so D loses the
+        signs of their known edges and they are dropped. Every member is
+        then undecided at the start of a pass, and D is its group's
+        residual. With A the group's members and B the sum of their signs
+        (so p = (A + B)/2 and q = (A - B)/2), t = 2D - B must lie in
+        [-A, A]; t = A is D = p and t = -A is D = -q, and a group with no
+        member must have D = 0. The pass applies every group's decision at
+        once, then folds the members it decided into their groups, D minus
+        their known signs, and drops them. When no group decides a pair, the
+        groups with no member left go, and the planarity rule closes the
+        pairs that cross a known edge; their members are dropped with D
+        unchanged, and the passes go on. The fixpoint is reached when the
+        rule closes nothing either. Pair indices are i * n + j with i < j,
+        so only the upper triangles change in the passes, and they are
+        mirrored at the end."""
         und, known = undecided.ravel(), edge.ravel()
-        if self.pending:
-            tag, D, group, pair, sign = map(np.concatenate, zip(*self.pending))
+        if chunks:
+            starts = accumulate((len(c[1]) for c in chunks), initial=len(self.D))
+            numbered = [(t, d, g + start, p, s) for (t, d, g, p, s), start in zip(chunks, starts)]
+            tag, D, group, pair, sign = map(np.concatenate, zip(*numbered))
             D = D - np.bincount(group - len(self.D), weights=sign * known[pair], minlength=len(D))
             live = und[pair]
             parts = zip(
@@ -573,7 +572,6 @@ class _Reads:
                 (tag, D, group[live], pair[live], sign[live]),
             )
             self.tag, self.D, self.group, self.pair, self.sign = map(np.concatenate, parts)
-            self.pending = []
         tag, D, group, pair, sign = self.tag, self.D, self.group, self.pair, self.sign
         G = len(D)
         while True:
@@ -608,7 +606,7 @@ class _Reads:
             group, pair, sign = group[live], pair[live], sign[live]
         undecided &= undecided.T
         edge |= edge.T
-        self.tag, self.D, self.group, self.pair, self.sign, self.held = tag, D, group, pair, sign, G
+        self.tag, self.D, self.group, self.pair, self.sign = tag, D, group, pair, sign
         return bool(len(pair))  # every undecided pair is a member of its ends' degree reads
 
     @staticmethod

@@ -10,10 +10,15 @@ points to its lowest lower neighbour: that first arriving edge always kills
 the vertex at its own height, leaving a diagonal (h, h) pair that the
 indegree machinery downstream counts. Only edges between the basins of two
 local minima need an elder-rule union-find, and a triangulation has none.
-`DiagramOracle.query_many` is its batched entry and `lower_star_diagrams`
-its entry for one direction. `events_at_ranks` reads a batch of diagrams
-at all of their own vertex heights, checking each against them, and
-`Diagram.events_at` counts one diagram's events at one height.
+`DiagramOracle.query_many` is its entry and `lower_star_diagrams` a fresh
+oracle's `query` of one direction.
+
+A `Diagram` is three arrays, whether the kernel swept it or it was built
+from pairs: the ascending dim-0 births, the death of each and the
+ascending dim-1 births, every diagonal pair kept (the augmented diagram).
+`events_at_ranks` reads a batch of diagrams at all of their own vertex
+heights, checking each against them, and `Diagram.events_at` counts one
+diagram's events at one height.
 
 `DiagramOracle` wraps a hidden graph and meters every diagram request; the
 reconstruction modules are written against its interface only: `query`,
@@ -25,8 +30,9 @@ from __future__ import annotations
 import json
 import math
 import threading
-from itertools import accumulate
 from dataclasses import dataclass
+from functools import cached_property
+from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -47,79 +53,78 @@ class PersistencePair(NamedTuple):
         return math.isinf(self.death)
 
 
-class _Sweep(NamedTuple):
-    """What one lower-star sweep leaves behind, from which a Diagram's pairs
-    and counts are read."""
-
-    ascending: np.ndarray  # vertex heights, ascending, read-only
-    death: np.ndarray  # per vertex in ascending order: its death, or INFINITY
-    cycles: np.ndarray  # dim-1 births, ascending
-
-
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class Diagram:
-    """Directional persistence diagram: dim-0 and dim-1 pairs, canonically
-    sorted by (birth, death).
+    """Directional persistence diagram, diagonal pairs included, held as
+    three read-only float64 arrays: `births`, the dim-0 births ascending,
+    `deaths`, the death of each (INFINITY for a component that never dies),
+    and `cycles`, the dim-1 births ascending.
 
-    A diagram built by the kernel keeps the sweep's arrays instead
-    of pairs, and builds `dim0` and `dim1` the first time either is read
-    (equality, hashing and repr read them too). `births0`, `n_components`
-    and `events_at` answer from the sweep without building a pair.
+    `Diagram(direction, dim0, dim1)` sorts pairs given in any order into
+    the arrays. A cycle never dies, since the complex has no 2-simplices,
+    so a dim-1 pair whose death is not INFINITY raises ValueError. The
+    kernel builds each diagram from its row of the sweep (`_of`), with no
+    pair. `dim0` and `dim1` are the pairs, canonically sorted by (birth,
+    death), built the first time each is read; equality, hashing and repr
+    read them.
     """
 
     direction: Direction
-    dim0: tuple[PersistencePair, ...]
-    dim1: tuple[PersistencePair, ...]
+    births: np.ndarray
+    deaths: np.ndarray
+    cycles: np.ndarray
+
+    def __init__(
+        self, direction: Direction, dim0: Sequence[PersistencePair], dim1: Sequence[PersistencePair]
+    ):
+        births, deaths = np.array(sorted(dim0), dtype=np.float64).reshape(-1, 2).T.copy()
+        cycles, dies = np.array(sorted(dim1), dtype=np.float64).reshape(-1, 2).T.copy()
+        if (dies != INFINITY).any():
+            raise ValueError(f"dim-1 pair dies at {dies[dies != INFINITY][0]}: a cycle never dies")
+        for a in (births, deaths, cycles):
+            a.flags.writeable = False
+        vars(self).update(direction=direction, births=births, deaths=deaths, cycles=cycles)
 
     @classmethod
-    def _from_sweep(cls, direction: Direction, sweep: _Sweep) -> "Diagram":
+    def _of(cls, direction: Direction, births, deaths, cycles) -> "Diagram":
+        """The diagram of these read-only float64 arrays, taken as they are."""
         d = object.__new__(cls)
-        object.__setattr__(d, "direction", direction)
-        object.__setattr__(d, "_sweep", sweep)
+        vars(d).update(direction=direction, births=births, deaths=deaths, cycles=cycles)
         return d
 
-    def __getattr__(self, name: str):
-        # Reached only for attributes not set yet: the pairs of a swept diagram.
-        sweep = self.__dict__.get("_sweep")
-        if sweep is None or name not in ("dim0", "dim1"):
-            raise AttributeError(name)
+    @cached_property
+    def dim0(self) -> tuple[PersistencePair, ...]:
         # `_make` builds a pair without the namedtuple's Python-level __new__.
-        # dim0 comes out in (birth, death) order by ascending height; the sort
-        # is a linear pass that orders equal births by death, should a tol < 0
-        # let equal heights through.
-        pair = PersistencePair._make
-        dim0 = [pair(bd) for bd in zip(sweep.ascending.tolist(), sweep.death.tolist())]
+        # The pairs come out in (birth, death) order by ascending birth; the
+        # sort is a linear pass that orders equal births by death, should a
+        # tol < 0 let equal heights through.
+        dim0 = list(map(PersistencePair._make, zip(self.births.tolist(), self.deaths.tolist())))
         dim0.sort()
-        object.__setattr__(self, "dim0", tuple(dim0))
-        object.__setattr__(self, "dim1", tuple(pair((b, INFINITY)) for b in sweep.cycles.tolist()))
-        return self.__dict__[name]
+        return tuple(dim0)
 
-    def _raw(self) -> tuple[np.ndarray, np.ndarray]:
-        """(dim-0 deaths, dim-1 births) as float64 arrays, infinite deaths
-        included."""
-        sweep = self.__dict__.get("_sweep")
-        if sweep is not None:
-            return sweep.death, sweep.cycles
-        deaths = np.array([p.death for p in self.dim0], dtype=np.float64)
-        return deaths, np.array([p.birth for p in self.dim1], dtype=np.float64)
+    @cached_property
+    def dim1(self) -> tuple[PersistencePair, ...]:
+        return tuple(PersistencePair._make((b, INFINITY)) for b in self.cycles.tolist())
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.direction, self.dim0, self.dim1) == (other.direction, other.dim0, other.dim1)
+
+    def __hash__(self) -> int:
+        return hash((self.direction, self.dim0, self.dim1))
+
+    def __repr__(self) -> str:
+        return f"Diagram(direction={self.direction!r}, dim0={self.dim0!r}, dim1={self.dim1!r})"
 
     @property
     def n_components(self) -> int:
-        return int(np.isinf(self._raw()[0]).sum())
-
-    def births0(self) -> np.ndarray:
-        """The dim-0 births, ascending, as a read-only float64 array."""
-        sweep = self.__dict__.get("_sweep")
-        if sweep is not None:
-            return sweep.ascending
-        births = np.sort(np.array([p.birth for p in self.dim0], dtype=np.float64), kind="stable")
-        births.flags.writeable = False
-        return births
+        return int(np.isinf(self.deaths).sum())
 
     def events_at(self, h: float, tol: float = TOLERANCE) -> int:
         """Finite dim-0 deaths plus dim-1 births within tol of height h
         (diagonal pairs included): the indegree of a vertex at height h."""
-        x = np.concatenate(self._raw())
+        x = np.concatenate([self.deaths, self.cycles])
         return int(np.count_nonzero(np.abs(x[~np.isinf(x)] - h) <= tol))
 
 
@@ -145,9 +150,8 @@ def events_at_ranks(
     are sorted, by one search per row.
     """
     k, n = ascending.shape
-    raw = [d._raw() for d in entries]
-    births = np.array([d.births0() for d in entries]).reshape(k, n)
-    death = np.array([r[0] for r in raw]).reshape(k, n)
+    births = np.array([d.births for d in entries]).reshape(k, n)
+    death = np.array([d.deaths for d in entries]).reshape(k, n)
     mismatched = (np.abs(births - ascending) > tol).any(axis=1)
     own = np.abs(death - ascending) <= tol
     # every other event x: the finite deaths off their own height (an own
@@ -156,8 +160,8 @@ def events_at_ranks(
     # x - tol: by one comparison each with the row for those deaths, by one
     # search per row for the births, which are ascending in each row
     row, at = ((death < INFINITY) ^ own).nonzero()
-    sizes = [len(r[1]) for r in raw]
-    x = np.concatenate([death[row, at], *(r[1] for r in raw)])
+    sizes = [len(d.cycles) for d in entries]
+    x = np.concatenate([death[row, at], *(d.cycles for d in entries)])
     low = x - tol
     ends = list(accumulate(sizes, initial=len(row)))
     at = [(ascending[row] < low[: ends[0], None]).sum(axis=1)]
@@ -183,10 +187,11 @@ def _lower_star_units(
 
     Simplices are ordered by (height, dimension, tie-break), so a vertex
     precedes the edges arriving at its height and same-height edges are
-    processed by ascending (lower-endpoint height, edge index). A direction
-    is degenerate when two vertex heights coincide within tol; its entry
-    names the first such pair in ascending height order, smaller index
-    first.
+    processed by ascending (lower-endpoint height, edge index). The edge
+    index never decides anything in a clean row: its heights are distinct,
+    so the two endpoint heights name the edge. A direction is degenerate
+    when two vertex heights coincide within tol; its entry names the first
+    such pair in ascending height order, smaller index first.
 
     Array kernel over `g.arrays`, one row per direction:
 
@@ -257,6 +262,7 @@ def _lower_star_units(
                 death[max(a, b)] = heights[top]
 
     cycles = np.repeat(heights, arrivals)
+    death.flags.writeable = cycles.flags.writeable = False
     ends = arrivals.reshape(k, n).sum(axis=1).cumsum().tolist()
     rows = zip(units, tied.any(axis=1).tolist(), ascending, death.reshape(k, n), ends)
     out: list[Diagram | DegenerateDirection] = []
@@ -267,21 +273,18 @@ def _lower_star_units(
             a, b = int(order[r, t]), int(order[r, t + 1])
             out.append(DegenerateDirection(min(a, b), max(a, b), unit))
         else:
-            out.append(Diagram._from_sweep(unit, _Sweep(asc, dead, cycles[start:end])))
+            out.append(Diagram._of(unit, asc, dead, cycles[start:end]))
         start = end
     return out
 
 
 def lower_star_diagrams(g: PlaneGraph, s: Direction, tol: float = TOLERANCE) -> Diagram:
     """Zero- and one-dimensional diagrams of the height filtration along s,
-    normalized first: the kernel on the one direction.
+    normalized first: the `query` of a fresh `DiagramOracle`.
 
     Raises DegenerateDirection when two vertex heights coincide within tol.
     """
-    (d,) = _lower_star_units(g, [Direction(*s).normalized()], tol)
-    if isinstance(d, DegenerateDirection):
-        raise d
-    return d
+    return DiagramOracle(g, tol).query(s)
 
 
 class DiagramOracle:
@@ -342,11 +345,6 @@ def diagram_from_json(text: str) -> Diagram:
     direction = Direction(*(float(c) for c in data["direction"]))
 
     def dec(pairs):
-        return tuple(
-            sorted(
-                PersistencePair(float(b), INFINITY if d is None else float(d))
-                for b, d in pairs
-            )
-        )
+        return [PersistencePair(float(b), INFINITY if d is None else float(d)) for b, d in pairs]
 
     return Diagram(direction, dec(data["dim0"]), dec(data["dim1"]))

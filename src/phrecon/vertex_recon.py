@@ -41,7 +41,7 @@ def lines_from_dgm0(d: Diagram, tol: float = TOLERANCE) -> np.ndarray:
     Raises DuplicateHeights when two births coincide within tol (the
     diagram then cannot pin one line per vertex).
     """
-    births = d.births0()
+    births = d.births
     close = births[1:] - births[:-1] <= tol
     if close.any():
         k = int(close.argmax())

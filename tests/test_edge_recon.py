@@ -371,9 +371,9 @@ def test_reads_settle_pairs_that_are_then_never_asked(monkeypatch):
         rounds[-1][0].update(zip(src.tolist(), cols.tolist()))
         return probe(o, X, Y, geometry, src, cols, tol)
 
-    def recording_settle(self, undecided, edge):
+    def recording_settle(self, undecided, edge, chunks):
         before = np.triu(undecided).copy()
-        open_left = settle(self, undecided, edge)
+        open_left = settle(self, undecided, edge, chunks)
         rounds[-1][1].update(zip(*(a.tolist() for a in (before & ~undecided).nonzero())))
         rounds[-1][2].update(zip(*(a.tolist() for a in np.triu(undecided).nonzero())))
         rounds.append((set(), set(), set()))

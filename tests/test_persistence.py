@@ -169,7 +169,7 @@ def _same_entry(got, want):
     direction."""
     if isinstance(want, DegenerateDirection):
         return isinstance(got, DegenerateDirection) and vars(got) == vars(want)
-    same_raw = all(a.tolist() == b.tolist() for a, b in zip(got._raw(), want._raw()))
+    same_raw = got.deaths.tolist() == want.deaths.tolist() and got.cycles.tolist() == want.cycles.tolist()
     return got == want and got.direction == want.direction and same_raw
 
 
@@ -206,7 +206,7 @@ def test_lower_star_many_empty_batch():
     assert DiagramOracle(g).query_many([]) == []
     assert DiagramOracle(PlaneGraph([], [])).query_many([]) == []
     (d,) = DiagramOracle(PlaneGraph([], [])).query_many([Direction(1.0, 0.0)])
-    assert d.dim0 == () and d.dim1 == () and d.births0().shape == (0,)
+    assert d.dim0 == () and d.dim1 == () and d.births.shape == (0,)
 
 
 def test_lower_star_many_across_basins():
@@ -339,6 +339,18 @@ def test_diagram_json_roundtrip():
     assert diagram_to_json(back) == text
 
 
+def test_a_cycle_that_dies_is_refused():
+    # the complex has no 2-simplices, so a dim-1 pair with a finite death
+    # cannot come from a sweep; the arrays could not hold its death
+    immortal = (PersistencePair(0.0, INF),)
+    with pytest.raises(ValueError, match="cycle never dies"):
+        Diagram(Direction(1.0, 0.0), immortal, (PersistencePair(0.5, INF), PersistencePair(0.7, 0.9)))
+    text = '{"direction": [1.0, 0.0], "dim0": [[0.0, null]], "dim1": [[0.5, 0.9]]}'
+    with pytest.raises(ValueError, match="cycle never dies"):
+        diagram_from_json(text)
+    assert diagram_from_json(text.replace("0.9", "null")).cycles.tolist() == [0.5]
+
+
 def _diagram_or_tie(f, g, s, tol=1e-9):
     try:
         return f(g, s, tol)
@@ -414,31 +426,39 @@ def test_swept_diagram_equals_its_pairs_through_the_constructor():
         probes = heights + [h + 0.7e-9 for h in heights] + [0.5 * (a + b) for a, b in zip(heights, heights[1:])]
         tols = (0.0, 1e-9, 1e-3, 0.2, INF)
         # read from the sweep before the pairs exist
-        births, components = d.births0(), d.n_components
+        arrays, components = (d.births, d.deaths, d.cycles), d.n_components
         events = [d.events_at(h, tol) for h in probes for tol in tols]
-        assert "dim0" not in vars(d)
+        assert "dim0" not in vars(d) and "dim1" not in vars(d)
         t = Diagram(d.direction, d.dim0, d.dim1)
         assert d == t and hash(d) == hash(t) and repr(d) == repr(t)
         assert components == t.n_components == sum(p.is_infinite for p in d.dim0)
-        assert births.dtype == np.float64 and not births.flags.writeable
-        assert births.tobytes() == t.births0().tobytes()
-        assert births.tolist() == [p.birth for p in d.dim0]
+        for a, b in zip(arrays, (t.births, t.deaths, t.cycles)):
+            assert a.dtype == b.dtype == np.float64 and not a.flags.writeable and not b.flags.writeable
+            assert a.tobytes() == b.tobytes()
+        assert arrays[0].tolist() == [p.birth for p in d.dim0]
         assert events == [t.events_at(h, tol) for h in probes for tol in tols]
         assert events == [_scan_events(d, h, tol) for h in probes for tol in tols]
         assert diagram_to_json(d) == diagram_to_json(t)
 
 
 def test_events_at_on_unsorted_constructed_pairs():
-    d = Diagram(
-        Direction(1.0, 0.0),
-        (PersistencePair(0.5, 0.5), PersistencePair(0.0, INF), PersistencePair(0.2, 0.5)),
-        (PersistencePair(0.9, INF), PersistencePair(0.5, INF)),
-    )
+    dim0 = (PersistencePair(0.5, 0.5), PersistencePair(0.0, INF), PersistencePair(0.2, 0.5))
+    dim1 = (PersistencePair(0.9, INF), PersistencePair(0.5, INF))
+    d = Diagram(Direction(1.0, 0.0), dim0, dim1)
     assert d.events_at(0.5, 1e-9) == 3
     assert d.events_at(0.9, 0.0) == 1
     assert d.events_at(0.7, INF) == _scan_events(d, 0.7, INF) == 4
-    assert d.births0().tolist() == [0.0, 0.2, 0.5]
+    assert d.births.tolist() == [0.0, 0.2, 0.5]
     assert d.n_components == 1
+    # the constructor sorts the pairs: canonical pairs and JSON, whatever the order given
+    t = Diagram(d.direction, tuple(sorted(dim0)), tuple(sorted(dim1)))
+    assert d.dim0 == t.dim0 == ((0.0, INF), (0.2, 0.5), (0.5, 0.5))
+    assert d.dim1 == t.dim1 == ((0.5, INF), (0.9, INF))
+    assert d == t and diagram_to_json(d) == diagram_to_json(t)
+    assert diagram_to_json(d) == (
+        '{"direction": [1.0, 0.0], "dim0": [[0.0, null], [0.2, 0.5], [0.5, 0.5]], '
+        '"dim1": [[0.5, null], [0.9, null]]}\n'
+    )
 
 
 def test_events_at_ranks_equals_a_scan_per_row():

@@ -224,7 +224,7 @@ class ShiftedThirdOracle(DiagramOracle):
         out = super().query_many(S)
         if len(S) == 1:
             (d,) = out
-            births = sorted(d.births0().tolist())
+            births = sorted(d.births.tolist())
             births[-1] += self.shift
             out = [Diagram(d.direction, tuple(PersistencePair(b, INF) for b in births), ())]
         return out

@@ -139,11 +139,11 @@ def reference_formula_vertices(o, tol: float = TOLERANCE) -> list[Point2]:
 def locate_point(dgm0_a, dgm0_b) -> Point2:
     """Position of the sole vertex from two single-feature diagrams."""
     for d in (dgm0_a, dgm0_b):
-        count = len(d.births0())
+        count = len(d.births)
         if count != 1:
             raise WrongCardinality(f"expected exactly one dim-0 feature, got {count}")
-    la = filtration_line(dgm0_a.direction, float(dgm0_a.births0()[0]))
-    lb = filtration_line(dgm0_b.direction, float(dgm0_b.births0()[0]))
+    la = filtration_line(dgm0_a.direction, float(dgm0_a.births[0]))
+    lb = filtration_line(dgm0_b.direction, float(dgm0_b.births[0]))
     return intersect_lines(la, lb)
 
 
