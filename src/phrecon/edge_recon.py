@@ -286,13 +286,10 @@ def reconstruct_edges_detail(
 def _degrees(o: DiagramOracle, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
     """Every vertex's degree, indeg(v, s) + indeg(v, -s) for s = (1, 0),
     from the two diagrams asked in one `query_many` and read in one
-    `events_at_ranks` call at the heights x*dx + y*dy along each entry's own
-    direction. The first degenerate entry is raised, and a diagram that does
-    not match the heights raises DiagramMismatch."""
+    `events_at_ranks` call at the heights x*dx + y*dy along each diagram's
+    own direction. A diagram that does not match the heights raises
+    DiagramMismatch."""
     answers = o.query_many([Direction(1.0, 0.0), Direction(-1.0, 0.0)])
-    for d in answers:
-        if isinstance(d, DegenerateDirection):
-            raise d
     u = np.array([d.direction for d in answers])
     indegree, mismatched = _indegrees(answers, u[:, :1] * X + u[:, 1:] * Y, tol)
     if mismatched.any():
@@ -357,16 +354,17 @@ def _geometry(X: np.ndarray, Y: np.ndarray, tol: float) -> _Geometry:
     angle = _line_angles(X, Y, tol)
     upper = np.arange(n)[:, None] < np.arange(n)
     i, j = upper.nonzero()
-    rank = np.full((n, n), len(i))
-    length2 = (X[j] - X[i]) ** 2 + (Y[j] - Y[i]) ** 2
-    rank[i, j] = rank[j, i] = length2.argsort(kind="stable").argsort()
+    # a square rounds the same both ways round, so the key is global, and a
+    # stable sort orders equal lengths by u, which is (i, j) order in row v
+    length2 = (X - X[:, None]) ** 2 + (Y - Y[:, None]) ** 2
+    length2.flat[:: n + 1] = math.inf
     line = np.where(upper, angle, angle.T)
     order = line[upper].argsort()
     ascending = line[upper][order]
     half = int(ascending.searchsorted(0.5 * math.pi))
     table = np.concatenate([ascending[half:] - math.pi, ascending, ascending[:half] + math.pi])
     chord = (i * n + j)[np.concatenate([order[half:], order, order[:half]])]
-    return _Geometry(_widths(angle), rank.argsort(axis=1), line, table, chord)
+    return _Geometry(_widths(angle), length2.argsort(axis=1, kind="stable"), line, table, chord)
 
 
 def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol: float):
@@ -377,8 +375,9 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     width, and a pair keeps the end with the larger headroom (V[i] on a
     tie); UncertifiedPair is raised before the chunk is queried if that is
     at most 1. The kept directions, [s1, s2] per pair, are asked in one
-    `query_many`; a degenerate entry raises UncertifiedPair from its
-    DegenerateDirection.
+    `query_many`; should the oracle raise DegenerateDirection, the pair
+    whose asked direction lies nearest the error's unit raises
+    UncertifiedPair from it.
 
     The certificate's heights along s1 and s2 are more than tol apart, so
     they fix every vertex's side of every other along both directions and
@@ -407,11 +406,13 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     if not certified.all():
         r = int(kept[certified.argmin()])
         raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r])
-    answers = o.query_many(list(map(Direction._make, S[kept].reshape(-1, 2).tolist())))
-    for e, d in enumerate(answers):
-        if isinstance(d, DegenerateDirection):
-            r = int(kept[e // 2])
-            raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r]) from d
+    asked = S[kept].reshape(-1, 2)
+    try:
+        answers = o.query_many(list(map(Direction._make, asked.tolist())))
+    except DegenerateDirection as err:
+        # the oracle normalizes again, so the tied unit may be an ulp off its row
+        r = int(kept[((asked - err.direction) ** 2).sum(axis=1).argmin() // 2])
+        raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r]) from err
     centre, far = centre[kept], far[kept]
     # rows p along s1, then rows k + p along s2: the diagrams in that order
     H = H[:, kept].reshape(2 * k, n)
@@ -543,38 +544,32 @@ class _Reads:
         every read to a fixpoint and say whether any pair is still
         undecided. Decided pairs leave `undecided`, and edges join `edge`.
 
-        The chunks' groups are numbered after those held, in order, and
-        folded first, as a pass folds its decisions: a probe read's members
-        are every pair in its bow tie, the decided ones too, so D loses the
-        signs of their known edges and they are dropped. Every member is
-        then undecided at the start of a pass, and D is its group's
-        residual. With A the group's members and B the sum of their signs
-        (so p = (A + B)/2 and q = (A - B)/2), t = 2D - B must lie in
+        The chunks' groups are numbered after those held, in order. Each
+        pass first folds the decided members into their groups: D loses the
+        signs of their known edges, and they are dropped. The members held
+        between settles are all undecided, so the first pass folds only the
+        new reads, whose members are every pair in their bow ties, the
+        decided ones too. Every member is then undecided, and D is its
+        group's residual. With A the group's members and B the sum of their
+        signs (so p = (A + B)/2 and q = (A - B)/2), t = 2D - B must lie in
         [-A, A]; t = A is D = p and t = -A is D = -q, and a group with no
         member must have D = 0. The pass applies every group's decision at
-        once, then folds the members it decided into their groups, D minus
-        their known signs, and drops them. When no group decides a pair, the
-        groups with no member left go, and the planarity rule closes the
-        pairs that cross a known edge; their members are dropped with D
-        unchanged, and the passes go on. The fixpoint is reached when the
-        rule closes nothing either. Pair indices are i * n + j with i < j,
-        so only the upper triangles change in the passes, and they are
-        mirrored at the end."""
+        once. When no group decides a pair, the groups with no member left
+        go, and the planarity rule closes the pairs that cross a known edge,
+        non-edges whose fold leaves D unchanged, and the passes go on. The
+        fixpoint is reached when the rule closes nothing either. Pair
+        indices are i * n + j with i < j, so only the upper triangles change
+        in the passes, and they are mirrored at the end."""
         und, known = undecided.ravel(), edge.ravel()
-        if chunks:
-            starts = accumulate((len(c[1]) for c in chunks), initial=len(self.D))
-            numbered = [(t, d, g + start, p, s) for (t, d, g, p, s), start in zip(chunks, starts)]
-            tag, D, group, pair, sign = map(np.concatenate, zip(*numbered))
-            D = D - np.bincount(group - len(self.D), weights=sign * known[pair], minlength=len(D))
-            live = und[pair]
-            parts = zip(
-                (self.tag, self.D, self.group, self.pair, self.sign),
-                (tag, D, group[live], pair[live], sign[live]),
-            )
-            self.tag, self.D, self.group, self.pair, self.sign = map(np.concatenate, parts)
-        tag, D, group, pair, sign = self.tag, self.D, self.group, self.pair, self.sign
+        starts = accumulate((len(c[1]) for c in chunks), initial=len(self.D))
+        numbered = [(t, d, g + start, p, s) for (t, d, g, p, s), start in zip(chunks, starts)]
+        parts = zip((self.tag, self.D, self.group, self.pair, self.sign), *numbered)
+        tag, D, group, pair, sign = map(np.concatenate, parts)
         G = len(D)
         while True:
+            D = D - np.bincount(group, weights=sign * known[pair], minlength=G)
+            live = und[pair]
+            group, pair, sign = group[live], pair[live], sign[live]
             A = np.bincount(group, minlength=G)
             B = np.bincount(group, weights=sign, minlength=G)
             t = 2.0 * D - B
@@ -590,8 +585,6 @@ class _Reads:
                 # an edge wins a pair also read as a non-edge; the group that
                 # read it so raises in the next pass
                 known[pair[vote > 0]] = True
-                # every member was undecided, so its known pairs are this pass's edges
-                D = D - np.bincount(group, weights=sign * known[pair], minlength=G)
             else:
                 # the groups left with no member passed their last check and go;
                 # then the planarity rule, whose non-edges change no residual
@@ -602,8 +595,6 @@ class _Reads:
                 if not len(decided):
                     break
                 und[decided] = False
-            live = und[pair]
-            group, pair, sign = group[live], pair[live], sign[live]
         undecided &= undecided.T
         edge |= edge.T
         self.tag, self.D, self.group, self.pair, self.sign = tag, D, group, pair, sign

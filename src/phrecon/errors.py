@@ -51,17 +51,15 @@ class GenerationFailed(PhreconError):
 class DegenerateDirection(PhreconError):
     """Two vertices share a height along the queried direction.
 
-    Carries the indices of the offending vertex pair.
+    Carries the indices of the offending vertex pair, i < j, and the unit
+    direction the oracle swept.
     """
 
-    def __init__(self, i: int, j: int, direction=None):
-        self.i = i
-        self.j = j
-        self.direction = direction
-        msg = f"vertices {i} and {j} share a height along the filtration direction"
-        if direction is not None:
-            msg += f" {direction}"
-        super().__init__(msg)
+    def __init__(self, i: int, j: int, direction):
+        self.i, self.j, self.direction = i, j, direction
+        super().__init__(
+            f"vertices {i} and {j} share a height along the filtration direction {direction}"
+        )
 
 
 class DuplicateHeights(PhreconError):

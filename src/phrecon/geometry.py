@@ -1,25 +1,19 @@
 """Planar primitives: points, directions and heights.
 
-Everything here is pure 64-bit float arithmetic. A single global tolerance
-(`TOLERANCE`, default 1e-9, overridable through the ``PHRECON_TOLERANCE``
-environment variable) governs height and coincidence tests; a tighter
-constant (`PARALLEL_EPS`) bounds the x-component of the vertex phase's
-third direction away from zero.
+Everything here is pure 64-bit float arithmetic. One constant tolerance,
+`TOLERANCE` = 1e-9, is the default of every height and coincidence test;
+a caller passes another through the `tol=` arguments or the command line's
+``--tolerance``. A tighter constant (`PARALLEL_EPS`) bounds the
+x-component of the vertex phase's third direction away from zero.
 """
 
 from __future__ import annotations
 
 import math
-import os
 from typing import NamedTuple
 
-
-def _tolerance_from_env() -> float:
-    return float(os.environ.get("PHRECON_TOLERANCE", "1e-9"))
-
-
-#: Global absolute tolerance for height/coincidence comparisons (inputs O(1)).
-TOLERANCE = _tolerance_from_env()
+#: Default absolute tolerance for height/coincidence comparisons (inputs O(1)).
+TOLERANCE = 1e-9
 
 #: Threshold on |s3.dx| of the unit third direction below which its lines
 #: are treated as parallel to the horizontal ones.

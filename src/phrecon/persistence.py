@@ -11,7 +11,9 @@ the vertex at its own height, leaving a diagonal (h, h) pair that the
 indegree machinery downstream counts. Only edges between the basins of two
 local minima need an elder-rule union-find, and a triangulation has none.
 `DiagramOracle.query_many` is its entry and `lower_star_diagrams` a fresh
-oracle's `query` of one direction.
+oracle's `query` of one direction. Either returns diagrams only: a batch
+with a tied direction, two vertex heights within the tolerance, raises the
+first one's DegenerateDirection before any sweep work.
 
 A `Diagram` is three arrays, whether the kernel swept it or it was built
 from pairs: the ascending dim-0 births, the death of each and the
@@ -176,22 +178,20 @@ def events_at_ranks(
     return counts.reshape(k, n), mismatched
 
 
-def _lower_star_units(
-    g: PlaneGraph, units: Sequence[Direction], tol: float
-) -> list[Diagram | DegenerateDirection]:
+def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> list[Diagram]:
     """Zero- and one-dimensional diagrams of the height filtrations along
-    every unit direction in units, computed together: one entry per
-    direction, the Diagram or the DegenerateDirection that
-    `lower_star_diagrams` raises. The units are not normalized again, so
-    each entry's `direction` is the unit it was given.
+    every unit direction in units, computed together, one per direction.
+    The units are not normalized again, so each diagram's `direction` is the
+    unit it was given.
 
     Simplices are ordered by (height, dimension, tie-break), so a vertex
     precedes the edges arriving at its height and same-height edges are
     processed by ascending (lower-endpoint height, edge index). The edge
-    index never decides anything in a clean row: its heights are distinct,
-    so the two endpoint heights name the edge. A direction is degenerate
-    when two vertex heights coincide within tol; its entry names the first
-    such pair in ascending height order, smaller index first.
+    index never decides anything: a row's heights are distinct, so the two
+    endpoint heights name the edge. A direction is degenerate when two
+    vertex heights coincide within tol. Right after ranking, the batch
+    raises the DegenerateDirection of its first degenerate row, naming that
+    row's first such pair in ascending height order, smaller index first.
 
     Array kernel over `g.arrays`, one row per direction:
 
@@ -216,14 +216,17 @@ def _lower_star_units(
     order = H.argsort(axis=1, kind="stable")
 
     # Flat indices: r*n + v for vertex v of row r, and r*n + q for rank q,
-    # so one 1-d array holds a quantity for every row. Tied rows are swept
-    # too, their ties broken by rank, but give no diagram.
+    # so one 1-d array holds a quantity for every row.
     offsets = (np.arange(k) * n)[:, None]
     by_rank = (order + offsets).ravel()
     heights = H.ravel()[by_rank]
     heights.flags.writeable = False
     ascending = heights.reshape(k, n)
     tied = ascending[:, 1:] - ascending[:, :-1] <= tol
+    if tied.any():
+        r, t = np.argwhere(tied)[0].tolist()
+        a, b = int(order[r, t]), int(order[r, t + 1])
+        raise DegenerateDirection(min(a, b), max(a, b), units[r])
     ranks = np.arange(k * n)
     rank = np.empty_like(ranks)
     rank[by_rank] = ranks
@@ -264,18 +267,8 @@ def _lower_star_units(
     cycles = np.repeat(heights, arrivals)
     death.flags.writeable = cycles.flags.writeable = False
     ends = arrivals.reshape(k, n).sum(axis=1).cumsum().tolist()
-    rows = zip(units, tied.any(axis=1).tolist(), ascending, death.reshape(k, n), ends)
-    out: list[Diagram | DegenerateDirection] = []
-    start = 0
-    for r, (unit, degenerate, asc, dead, end) in enumerate(rows):
-        if degenerate:
-            t = int(tied[r].argmax())
-            a, b = int(order[r, t]), int(order[r, t + 1])
-            out.append(DegenerateDirection(min(a, b), max(a, b), unit))
-        else:
-            out.append(Diagram._of(unit, asc, dead, cycles[start:end]))
-        start = end
-    return out
+    rows = zip(units, ascending, death.reshape(k, n), [0, *ends], ends)
+    return [Diagram._of(unit, asc, dead, cycles[a:b]) for unit, asc, dead, a, b in rows]
 
 
 def lower_star_diagrams(g: PlaneGraph, s: Direction, tol: float = TOLERANCE) -> Diagram:
@@ -292,7 +285,9 @@ class DiagramOracle:
 
     Every query (including a repeat of an earlier direction) is computed
     afresh and logged; the count and the log are updated atomically so they
-    never disagree under concurrent use.
+    never disagree under concurrent use. The oracle answers with diagrams
+    only: a direction along which two vertex heights coincide within tol
+    raises DegenerateDirection, whether asked alone or in a batch.
     """
 
     def __init__(self, graph: PlaneGraph, tol: float = TOLERANCE):
@@ -310,16 +305,14 @@ class DiagramOracle:
         return tuple(self._log)
 
     def query(self, s: Direction) -> Diagram:
-        """`query_many` on the one direction; raises its DegenerateDirection."""
-        (d,) = self.query_many([s])
-        if isinstance(d, DegenerateDirection):
-            raise d
-        return d
+        """`query_many` on the one direction."""
+        return self.query_many([s])[0]
 
-    def query_many(self, S: Sequence[Direction]) -> list[Diagram | DegenerateDirection]:
-        """One entry per direction, as `query` would give it: the Diagram, or
-        the DegenerateDirection `query` would raise. Every direction is
-        normalized once, then logged, counted and swept as that unit."""
+    def query_many(self, S: Sequence[Direction]) -> list[Diagram]:
+        """One Diagram per direction, as `query` would give it. Every
+        direction is normalized once, then logged, counted and swept as that
+        unit. A degenerate direction raises the DegenerateDirection of the
+        first, after the whole batch is logged and counted."""
         units = [Direction(*s).normalized() for s in S]
         with self._lock:
             self._log.extend(units)

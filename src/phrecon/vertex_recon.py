@@ -19,7 +19,7 @@ import math
 
 import numpy as np
 
-from .errors import DegenerateDirection, DuplicateHeights, ParallelLines, UncertifiedVertices
+from .errors import DuplicateHeights, ParallelLines, UncertifiedVertices
 from .geometry import PARALLEL_EPS, TOLERANCE, Direction, Point2
 from .persistence import Diagram, DiagramOracle
 
@@ -117,17 +117,12 @@ def match_and_intersect(
 def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point2]:
     """Recover all vertex coordinates using exactly three oracle queries.
 
-    Queries (1, 0) and (0, 1) in one `query_many`, raising the first
-    degenerate entry, then the derived third direction. Returns the
-    vertices sorted by ascending y-coordinate, each coordinate an axis
-    birth. A single vertex is read off the two axis births, with any -0.0
-    made 0.0.
+    Queries (1, 0) and (0, 1) in one `query_many`, then the derived third
+    direction. Returns the vertices sorted by ascending y-coordinate, each
+    coordinate an axis birth. A single vertex is read off the two axis
+    births, with any -0.0 made 0.0.
     """
-    axes = o.query_many([AXIS_X, AXIS_Y])
-    for d in axes:
-        if isinstance(d, DegenerateDirection):
-            raise d
-    d1, d2 = axes
+    d1, d2 = o.query_many([AXIS_X, AXIS_Y])
     xs = lines_from_dgm0(d1, tol)
     ys = lines_from_dgm0(d2, tol)
     d3 = o.query(third_direction(xs, ys))

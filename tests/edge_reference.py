@@ -107,12 +107,9 @@ def reference_probe_edge(
 ) -> bool:
     """Whether (v, v2) is an edge, decided from the two diagrams of its
     certified bow tie at v of half-width theta. Raises UncertifiedPair
-    before asking when `pair_directions` does, and a degenerate entry as
-    the oracle's DegenerateDirection."""
+    before asking when `pair_directions` does, and the oracle's
+    DegenerateDirection on a tie."""
     answers = o.query_many(list(pair_directions(v, v2, theta, V, tol)))
-    for d in answers:
-        if isinstance(d, DegenerateDirection):
-            raise d
     i1, i2 = (indegree_from_diagrams(d, v, tol) for d in answers)
     return abs(i1 - i2) == 1
 

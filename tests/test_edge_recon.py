@@ -282,8 +282,8 @@ def test_edge_phase_raises_on_height_tie(monkeypatch):
 
 
 class OneDegenerateOracle(RecordingOracle):
-    """Reports the first direction of the batch's second pair as degenerate,
-    once, as if its heights had tied."""
+    """Raises for the first direction of the batch's second pair, once, as
+    if its heights had tied."""
 
     def __init__(self, graph):
         super().__init__(graph)
@@ -293,7 +293,7 @@ class OneDegenerateOracle(RecordingOracle):
         out = super().query_many(S)
         if self.patched is None and len(S) >= 4:
             self.patched = S[2]
-            out[2] = DegenerateDirection(0, 1, Direction(*S[2]).normalized())
+            raise DegenerateDirection(0, 1, Direction(*S[2]).normalized())
         return out
 
 
@@ -398,6 +398,26 @@ def test_reads_settle_pairs_that_are_then_never_asked(monkeypatch):
             if open_before is not None:
                 assert round_asked <= open_before
             open_before = left_open
+
+
+def test_nearest_orders_every_row_by_the_global_key_on_exact_ties():
+    # lattice points of spacing 1/4: their squared lengths are exact, and
+    # many are equal. Row v lists the u of the pairs (v, u) in the order of
+    # the global key (squared length, then (i, j) with i < j), v last.
+    rng = np.random.default_rng(16)
+    tied_rows = 0
+    for _ in range(200):
+        n = int(rng.integers(3, 13))
+        X, Y = np.array(np.divmod(rng.choice(36, size=n, replace=False), 6)) / 4.0
+        nearest = edge_recon._geometry(X, Y, 1e-9).nearest
+        length2 = {(i, j): float((X[i] - X[j]) ** 2 + (Y[i] - Y[j]) ** 2) for i, j in combinations(range(n), 2)}
+        key = sorted(length2, key=lambda p: (length2[p], p))
+        for v in range(n):
+            order = [i + j - v for i, j in key if v in (i, j)]
+            assert nearest[v].tolist() == order + [v]
+            lengths = [length2[min(v, u), max(v, u)] for u in order]
+            tied_rows += len(set(lengths)) < len(lengths)
+    assert tied_rows > 200
 
 
 def test_edge_query_counts_are_pinned():

@@ -188,17 +188,26 @@ def test_lower_star_many_equals_single_calls_and_reference():
             else:
                 g = random_plane_graph(n, density, 100 * n + int(10 * density), margin=1e-6)
             S = [tie_free_direction(g, rng) for _ in range(3)]
-            if n >= 3:
-                S[1:1] = [_tied_direction(g, 0, n - 1), _tied_direction(g, 1, 2)]
             S += [S[0], Direction(3.0 * S[-1].dx, 3.0 * S[-1].dy)]  # repeats, one rescaled
             batch = DiagramOracle(g).query_many(S)
             assert len(batch) == len(S)
             for s, got in zip(S, batch):
                 case = (n, density, s)
-                assert _same_entry(got, _entry(lower_star_diagrams, g, s)), case
-                assert _same_entry(got, _entry(reference_lower_star_diagrams, g, s)), case
+                assert _same_entry(got, lower_star_diagrams(g, s)), case
+                assert _same_entry(got, reference_lower_star_diagrams(g, s)), case
             if n >= 3:
-                assert isinstance(batch[1], DegenerateDirection)
+                # tied rows among clean ones: the first tied row raises, as
+                # its single call does, and the log holds the whole batch
+                tied = [_tied_direction(g, 0, n - 1), _tied_direction(g, 1, 2)]
+                S[1:1] = tied
+                o = DiagramOracle(g)
+                with pytest.raises(DegenerateDirection) as err:
+                    o.query_many(S)
+                want = _entry(lower_star_diagrams, g, tied[0])
+                assert isinstance(want, DegenerateDirection), (n, density)
+                assert _same_entry(err.value, want), (n, density)
+                assert _same_entry(err.value, _entry(reference_lower_star_diagrams, g, tied[0]))
+                assert o.query_log == tuple(Direction(*s).normalized() for s in S)
 
 
 def test_lower_star_many_empty_batch():
@@ -224,34 +233,45 @@ def test_lower_star_many_across_basins():
     d = lower_star_diagrams(g, Direction(0.0, 1.0))
     assert pairs(d.dim0) == [(0.0, INF), (0.1, 1.0), (0.2, 0.3), (0.3, 0.3), (0.5, 0.5), (1.0, 1.0)]
     assert pairs(d.dim1) == [(1.0, INF)] * 3
-    # several multi-basin rows in one batch, tied rows between them
+    # several multi-basin rows in one batch
     rng = np.random.default_rng(3)
-    S = [Direction(0.0, 1.0), _tied_direction(g, A, C)]
+    S = [Direction(0.0, 1.0)]
     S += [Direction(math.sin(a), math.cos(a)) for a in rng.uniform(-0.4, 0.4, size=6)]
-    S += [Direction(0.0, 1.0), _tied_direction(g, B, q), Direction(1.0, 0.0)]
+    S += [Direction(0.0, 1.0), Direction(1.0, 0.0)]
     for s, got in zip(S, DiagramOracle(g).query_many(S)):
-        assert _same_entry(got, _entry(lower_star_diagrams, g, s))
-        assert _same_entry(got, _entry(reference_lower_star_diagrams, g, s))
+        assert _same_entry(got, lower_star_diagrams(g, s))
+        assert _same_entry(got, reference_lower_star_diagrams(g, s))
+    # tied rows between them, in either order: the first raises its single
+    # call's error
+    ac, bq = _tied_direction(g, A, C), _tied_direction(g, B, q)
+    for tied in ([ac, bq], [bq, ac]):
+        batch = S[:1] + tied[:1] + S[1:-1] + tied[1:] + S[-1:]
+        with pytest.raises(DegenerateDirection) as err:
+            DiagramOracle(g).query_many(batch)
+        want = _entry(lower_star_diagrams, g, tied[0])
+        assert isinstance(want, DegenerateDirection) and _same_entry(err.value, want)
+        assert _same_entry(err.value, _entry(reference_lower_star_diagrams, g, tied[0]))
 
 
 def test_query_many_matches_successive_queries():
     g = random_plane_graph(9, 0.8, 6)
-    S = [
-        Direction(2.0, 0.0),
-        _tied_direction(g, 2, 5),
-        Direction(0.3, -0.7),
-        Direction(2.0, 0.0),
-        Direction(-0.3, 0.7),
-    ]
+    S = [Direction(2.0, 0.0), Direction(0.3, -0.7), Direction(2.0, 0.0), Direction(-0.3, 0.7)]
     batched, single = DiagramOracle(g), DiagramOracle(g)
     got = batched.query_many(S)
-    want = [_entry(lambda g, s, tol: single.query(s), g, s) for s in S]
+    want = [single.query(s) for s in S]
     assert batched.query_count == single.query_count == len(S)
     assert batched.query_log == single.query_log
     assert all(_same_entry(a, b) for a, b in zip(got, want))
-    err = got[1]
-    assert isinstance(err, DegenerateDirection) and {err.i, err.j} == {2, 5}
-    assert batched.query_many([]) == [] and batched.query_count == len(S)
+    # a tied direction among them: the batch raises the error its query
+    # raises, and still logs and counts every direction, as the queries do
+    S.insert(1, _tied_direction(g, 2, 5))
+    with pytest.raises(DegenerateDirection) as err:
+        batched.query_many(S)
+    want = [_entry(lambda g, s, tol: single.query(s), g, s) for s in S]
+    assert batched.query_count == single.query_count == 2 * len(S) - 1
+    assert batched.query_log == single.query_log
+    assert _same_entry(err.value, want[1]) and {err.value.i, err.value.j} == {2, 5}
+    assert batched.query_many([]) == [] and batched.query_count == 2 * len(S) - 1
 
 
 def test_oracle_count_and_log_stay_consistent_under_threads_with_query_many():
@@ -312,20 +332,6 @@ def test_reconstruction_uses_only_the_oracle_interface():
     detail = reconstruct_edges_detail(o, vs)
     assert len(vs) == 6
     assert detail.queries <= 30
-
-
-def test_tolerance_env_override():
-    import os
-    import subprocess
-    import sys
-
-    out = subprocess.run(
-        [sys.executable, "-c", "import phrecon; print(phrecon.TOLERANCE)"],
-        env={**os.environ, "PHRECON_TOLERANCE": "1e-3"},
-        capture_output=True,
-        text=True,
-    )
-    assert out.stdout.strip() == "0.001"
 
 
 def test_diagram_json_roundtrip():
