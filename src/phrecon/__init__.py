@@ -10,7 +10,6 @@ from .edge_recon import (
 )
 from .errors import (
     BowTieConflict,
-    CoincidentPoints,
     DegenerateDirection,
     DegeneratePoints,
     DegreeConflict,

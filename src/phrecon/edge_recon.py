@@ -24,7 +24,9 @@ the planarity rule and the reads of earlier probe pairs leave open; it
 stays within the paper's n(n-1) queries. Each asked pair's bow tie has its
 own width (`bowtie_widths`), both ends are tried as its centre, and the
 better one is certified once, with no retry; `pair_directions` is the
-certifier's one-pair call.
+certifier's one-pair call. The certifier works on vertex indices, and its
+heights, from `geometry.heights`, are the rows every probe diagram is read
+at.
 """
 
 from __future__ import annotations
@@ -38,14 +40,13 @@ import numpy as np
 
 from .errors import (
     BowTieConflict,
-    CoincidentPoints,
     DegenerateDirection,
     DegeneratePoints,
     DegreeConflict,
     DiagramMismatch,
     UncertifiedPair,
 )
-from .geometry import TOLERANCE, Direction, Point2, height
+from .geometry import TOLERANCE, Direction, Point2, height, heights
 from .persistence import Diagram, DiagramOracle, events_at_ranks
 
 Edge = tuple[int, int]
@@ -112,77 +113,68 @@ def global_bowtie_width(V: Sequence[Point2], tol: float = TOLERANCE) -> float:
 
 
 def pair_directions(
-    v: Point2,
-    v2: Point2,
-    theta: float,
-    V: Sequence[Point2],
-    tol: float = TOLERANCE,
+    V: Sequence[Point2], i: int, j: int, theta: float, tol: float = TOLERANCE
 ) -> tuple[Direction, Direction]:
     """The two probe directions forming angles +-theta with the
-    perpendicular of v2 - v.
+    perpendicular of V[j] - V[i].
 
-    Certified against the known vertex set before they are returned: the
-    bow tie at v holds exactly v2 and the heights of V are more than tol
-    apart along both directions; otherwise raises UncertifiedPair, with i
-    and j the indices of v and v2 in V (None for a point not in V). This is
-    the one-pair call of the certifier the edge phase runs on whole batches.
+    Certified against V before they are returned: the bow tie at V[i]
+    holds exactly V[j] and the heights of V are more than tol apart along
+    both directions; otherwise raises UncertifiedPair. A bow tie at V[i]
+    never holds V[i], so i == j raises it with headroom 0. This is the
+    one-pair call of the certifier the edge phase runs on whole batches.
     """
-    if v == v2:
-        raise CoincidentPoints(f"cannot probe a vertex against itself: {v}")
-    i, j = (V.index(p) if p in V else None for p in (v, v2))
-    if j is None:  # no bow tie can hold a point that is not a vertex
-        raise UncertifiedPair(i, j, None, 0.0)
     X, Y = np.array(V, dtype=np.float64).reshape(-1, 2).T
-    vx, vy = np.array(v, dtype=np.float64).reshape(2, 1)
-    S, headroom, _ = _certified_directions(vx, vy, X, Y, np.array([j]), np.array([theta]), tol)
+    S, headroom, H = _certified_directions(
+        X, Y, np.array([i]), np.array([j]), np.array([theta]), tol
+    )
     if not headroom[0] > 1.0:
-        raise _uncertified(X, Y, i, j, S[0], headroom[0])
+        raise _uncertified(H[:, 0], i, j, headroom[0])
     (x1, y1), (x2, y2) = S[0].tolist()
     return Direction(x1, y1), Direction(x2, y2)
 
 
 def _certified_directions(
-    vx: np.ndarray,
-    vy: np.ndarray,
     X: np.ndarray,
     Y: np.ndarray,
+    rows: np.ndarray,
     cols: np.ndarray,
     theta: np.ndarray,
     tol: float,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Probe directions at (vx[r], vy[r]) towards vertex (X[c], Y[c]),
-    c = cols[r]: the perpendicular of the chord turned by +theta[r] and
-    -theta[r], as a (len(cols), 2, 2) array of unit [s1, s2] per row; each
-    row's headroom; and the (2, len(cols), n) vertex heights along s1 and
-    s2.
+    """Probe directions at vertex rows[r] towards vertex cols[r]: the
+    perpendicular of the chord turned by +theta[r] and -theta[r], as a
+    (len(cols), 2, 2) array of unit [s1, s2] per row; each row's headroom;
+    and H, the (2, len(cols), n) vertex heights along s1 and s2, from which
+    the centre's own height is read too.
 
     The headroom is the smallest gap between the heights of all vertices
     along s1 and s2, divided by tol, and 0 where the bow tie at the row's
-    source does not hold exactly vertex c; a row is certified when it
-    exceeds 1. One attempt per row, no retry: heights are x*dx + y*dy
-    elementwise as in `height`.
+    centre does not hold exactly vertex cols[r]; a row is certified when it
+    exceeds 1. One attempt per row, no retry.
     """
-    perp = np.arctan2(X[cols] - vx, vy - Y[cols])  # angle of (-dy, dx)
-    turn = perp + np.array([theta, -theta])  # (2, k): s1, s2
-    sx, sy = np.cos(turn), np.sin(turn)
-    H = X * sx[..., None] + Y * sy[..., None]  # (2, k, n) vertex heights
-    below = H <= (vx * sx + vy * sy)[..., None]
+    r = np.arange(len(cols))
+    perp = np.arctan2(X[cols] - X[rows], Y[rows] - Y[cols])  # angle of (-dy, dx)
+    turn = perp + np.array([theta, -theta])  # (2, len(cols)): s1, s2
+    U = np.stack([np.cos(turn), np.sin(turn)], axis=-1)  # [s1, s2] per row, unit
+    H = heights(X, Y, U)
+    below = H <= H[:, r, rows][..., None]
     inside = below[0] != below[1]
-    holds = (inside.sum(axis=1) == 1) & inside[np.arange(len(cols)), cols]
+    holds = (inside.sum(axis=1) == 1) & inside[r, cols]
     ascending = np.sort(H, axis=2)
     gap = (ascending[..., 1:] - ascending[..., :-1]).min(axis=(0, 2), initial=math.inf)
-    S = np.array([sx, sy]).transpose(2, 1, 0)
-    return S, np.where(holds, gap / tol, 0.0), H
+    return U.transpose(1, 0, 2), np.where(holds, gap / tol, 0.0), H
 
 
-def _uncertified(X, Y, i, j, s: np.ndarray, headroom) -> UncertifiedPair:
-    """The error for the bow tie at vertex i towards vertex j with the
-    directions s = [s1, s2]; k is the vertex outside (i, j) that sets the
-    smallest height gap with another vertex, None if there is none."""
+def _uncertified(h: np.ndarray, i, j, headroom) -> UncertifiedPair:
+    """The error for the bow tie at vertex i towards vertex j whose (2, n)
+    vertex heights along s1 and s2 are h; k is the vertex outside (i, j)
+    that sets the smallest height gap with another vertex, None if there is
+    none."""
     near = []
-    for h in (X * s[:, :1] + Y * s[:, 1:]).tolist():
-        up = sorted(range(len(h)), key=h.__getitem__)
-        near += [(h[b] - h[a], a, b) for a, b in zip(up, up[1:]) if not {a, b} <= {i, j}]
+    for row in h.tolist():
+        up = sorted(range(len(row)), key=row.__getitem__)
+        near += [(row[b] - row[a], a, b) for a, b in zip(up, up[1:]) if not {a, b} <= {i, j}]
     _, a, b = min(near, default=(None, None, None))
     return UncertifiedPair(i, j, b if a in (i, j) else a, float(headroom))
 
@@ -286,28 +278,15 @@ def reconstruct_edges_detail(
 def _degrees(o: DiagramOracle, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
     """Every vertex's degree, indeg(v, s) + indeg(v, -s) for s = (1, 0),
     from the two diagrams asked in one `query_many` and read in one
-    `events_at_ranks` call at the heights x*dx + y*dy along each diagram's
-    own direction. A diagram that does not match the heights raises
+    `events_at_ranks` call at the vertex heights along each diagram's own
+    direction. A diagram that does not match the heights raises
     DiagramMismatch."""
     answers = o.query_many([Direction(1.0, 0.0), Direction(-1.0, 0.0)])
-    u = np.array([d.direction for d in answers])
-    indegree, mismatched = _indegrees(answers, u[:, :1] * X + u[:, 1:] * Y, tol)
+    H = heights(X, Y, np.array([d.direction for d in answers]))
+    indegree, mismatched = events_at_ranks(answers, H, tol)
     if mismatched.any():
         raise DiagramMismatch(direction=answers[int(mismatched.argmax())].direction)
     return indegree.sum(axis=0)
-
-
-def _indegrees(entries, H: np.ndarray, tol: float) -> tuple[np.ndarray, np.ndarray]:
-    """Read the diagrams in entries at their rows of the (k, n) vertex
-    heights H, sorted by one argsort per row, with one `events_at_ranks`
-    call: every vertex's indegree, (k, n) in vertex order, and the flags of
-    the entries that do not match their heights."""
-    k, n = H.shape
-    at = (H.argsort(axis=1) + np.arange(0, k * n, n)[:, None]).ravel()
-    counts, mismatched = events_at_ranks(entries, H.ravel()[at].reshape(k, n), tol)
-    indegree = np.empty(k * n, np.intp)
-    indegree[at] = counts.ravel()
-    return indegree.reshape(k, n), mismatched
 
 
 def _degree_reads(degree: np.ndarray):
@@ -382,8 +361,8 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     The certificate's heights along s1 and s2 are more than tol apart, so
     they fix every vertex's side of every other along both directions and
     give each diagram event one vertex. `events_at_ranks` reads the
-    diagrams at those heights, sorted by one argsort of the kept rows, and
-    DiagramMismatch is raised where they disagree; D(u) = indeg(u, s1) -
+    diagrams at those heights, and DiagramMismatch is raised where they
+    disagree; D(u) = indeg(u, s1) -
     indeg(u, s2) follows for every u. The bow tie at u holds the w whose
     line through u is within the kept width of the pair's line: one range
     of the chord table per pair, padded by `_WINDOW_PAD`, with each
@@ -398,25 +377,23 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     per member its group, its pair and its sign."""
     k, n = len(src), len(X)
     centre, far = np.concatenate([src, cols]), np.concatenate([cols, src])
-    S, headroom, H = _certified_directions(
-        X[centre], Y[centre], X, Y, far, geometry.width[centre, far], tol
-    )
+    S, headroom, H = _certified_directions(X, Y, centre, far, geometry.width[centre, far], tol)
     kept = np.arange(k) + k * (headroom[k:] > headroom[:k])
     certified = headroom[kept] > 1.0
     if not certified.all():
         r = int(kept[certified.argmin()])
-        raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r])
+        raise _uncertified(H[:, r], int(centre[r]), int(far[r]), headroom[r])
     asked = S[kept].reshape(-1, 2)
     try:
         answers = o.query_many(list(map(Direction._make, asked.tolist())))
     except DegenerateDirection as err:
         # the oracle normalizes again, so the tied unit may be an ulp off its row
         r = int(kept[((asked - err.direction) ** 2).sum(axis=1).argmin() // 2])
-        raise _uncertified(X, Y, int(centre[r]), int(far[r]), S[r], headroom[r]) from err
+        raise _uncertified(H[:, r], int(centre[r]), int(far[r]), headroom[r]) from err
     centre, far = centre[kept], far[kept]
     # rows p along s1, then rows k + p along s2: the diagrams in that order
     H = H[:, kept].reshape(2 * k, n)
-    indegree, mismatched = _indegrees(answers[0::2] + answers[1::2], H, tol)
+    indegree, mismatched = events_at_ranks(answers[0::2] + answers[1::2], H, tol)
     if mismatched.any():
         e = int(mismatched.argmax())
         raise DiagramMismatch(int(centre[e % k]), int(far[e % k]), answers[2 * (e % k) + e // k].direction)

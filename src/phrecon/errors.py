@@ -36,10 +36,6 @@ class UncertifiedVertices(PhreconError):
         )
 
 
-class CoincidentPoints(PhreconError):
-    """An operation needing two distinct points received equal ones."""
-
-
 class DegeneratePoints(PhreconError):
     """A vertex set contains coincident points."""
 
@@ -72,8 +68,8 @@ class UncertifiedPair(PhreconError):
     `headroom` is the smallest gap between vertex heights along the bow
     tie's two directions divided by the tolerance (0 when the bow tie does
     not hold exactly j); it must exceed 1. `k` is the vertex outside (i, j)
-    that sets the smallest gap. Indices are into the known vertices, None
-    for a point not among them. Raised before the pair is queried, or with
+    that sets the smallest gap, None when there is no other vertex. Indices
+    are into the known vertices. Raised before the pair is queried, or with
     the oracle's DegenerateDirection as its cause when certified directions
     still tie.
     """

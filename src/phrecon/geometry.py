@@ -1,5 +1,10 @@
 """Planar primitives: points, directions and heights.
 
+`height` is one point's height along one direction, and `heights` is the
+array kernel every layer reads vertex heights from: the oracle's sweep,
+the edge phase's certifier and indegree reads, and the renderer's
+filtration lines. Both round x*dx + y*dy the same way.
+
 Everything here is pure 64-bit float arithmetic. One constant tolerance,
 `TOLERANCE` = 1e-9, is the default of every height and coincidence test;
 a caller passes another through the `tol=` arguments or the command line's
@@ -11,6 +16,8 @@ from __future__ import annotations
 
 import math
 from typing import NamedTuple
+
+import numpy as np
 
 #: Default absolute tolerance for height/coincidence comparisons (inputs O(1)).
 TOLERANCE = 1e-9
@@ -55,3 +62,13 @@ def height(p: Point2, s: Direction) -> float:
     """Height of p in direction s: the dot product p . s."""
     return p[0] * s[0] + p[1] * s[1]
 
+
+def heights(x: np.ndarray, y: np.ndarray, U: np.ndarray) -> np.ndarray:
+    """Heights of the points (x, y) along every direction of U: U is a
+    (..., 2) array of directions, and the result has shape (..., len(x)).
+
+    Computed as x*dx + y*dy elementwise, which rounds exactly like `height`
+    (a dot product would not), so equal inputs give equal heights. A
+    direction normalized again is another input: the oracle's heights can
+    differ from the certifier's by an ulp."""
+    return U[..., :1] * x + U[..., 1:] * y

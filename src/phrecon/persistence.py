@@ -19,8 +19,10 @@ A `Diagram` is three arrays, whether the kernel swept it or it was built
 from pairs: the ascending dim-0 births, the death of each and the
 ascending dim-1 births, every diagonal pair kept (the augmented diagram).
 `events_at_ranks` reads a batch of diagrams at all of their own vertex
-heights, checking each against them, and `Diagram.events_at` counts one
-diagram's events at one height.
+heights, given in vertex order, checking each against them, and
+`Diagram.events_at` counts one diagram's events at one height. The kernel
+and the edge phase that reads its answers take vertex heights from one
+place, `geometry.heights`.
 
 `DiagramOracle` wraps a hidden graph and meters every diagram request; the
 reconstruction modules are written against its interface only: `query`,
@@ -40,7 +42,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateDirection
-from .geometry import TOLERANCE, Direction
+from .geometry import TOLERANCE, Direction, heights
 from .plane_graph import PlaneGraph
 
 INFINITY = math.inf
@@ -49,10 +51,6 @@ INFINITY = math.inf
 class PersistencePair(NamedTuple):
     birth: float
     death: float  # math.inf for classes that never die
-
-    @property
-    def is_infinite(self) -> bool:
-        return math.isinf(self.death)
 
 
 @dataclass(frozen=True, init=False, eq=False, repr=False)
@@ -119,10 +117,6 @@ class Diagram:
     def __repr__(self) -> str:
         return f"Diagram(direction={self.direction!r}, dim0={self.dim0!r}, dim1={self.dim1!r})"
 
-    @property
-    def n_components(self) -> int:
-        return int(np.isinf(self.deaths).sum())
-
     def events_at(self, h: float, tol: float = TOLERANCE) -> int:
         """Finite dim-0 deaths plus dim-1 births within tol of height h
         (diagonal pairs included): the indegree of a vertex at height h."""
@@ -131,27 +125,31 @@ class Diagram:
 
 
 def events_at_ranks(
-    entries: Sequence[Diagram], ascending: np.ndarray, tol: float = TOLERANCE
+    entries: Sequence[Diagram], H: np.ndarray, tol: float = TOLERANCE
 ) -> tuple[np.ndarray, np.ndarray]:
     """Every entry's indegree events, counted at every height of its own row
-    of `ascending`, aligned by rank.
+    of H, in H's column order.
 
-    ascending is (len(entries), n): row e holds entry e's n vertex heights,
-    ascending and more than tol apart. Returns (counts, mismatched):
-    counts[e, r] is the number of finite dim-0 deaths and dim-1 births x of
-    entry e with abs(x - ascending[e, r]) <= tol, as `Diagram.events_at`
-    counts them, but each event at one height only, which matters only
-    where two heights of a row lie within 2 tol; mismatched[e] flags an
-    entry whose dim-0 births are not within tol of its row rank by rank, or
-    with an event within tol of no height of its row.
+    H is (len(entries), n): row e holds entry e's n vertex heights, more
+    than tol apart, in vertex order; one argsort per row ranks them.
+    Returns (counts, mismatched): counts[e, v] is the number of finite
+    dim-0 deaths and dim-1 births x of entry e with abs(x - H[e, v]) <= tol,
+    as `Diagram.events_at` counts them, but each event at one height only,
+    which matters only where two heights of a row lie within 2 tol;
+    mismatched[e] flags an entry whose dim-0 births are not within tol of
+    its row rank by rank, or with an event within tol of no height of its
+    row.
 
     The births check lines each dim-0 pair up with the height of its birth's
     rank, so the common diagonal death is counted by one elementwise test.
     Only the other finite deaths and the dim-1 births are located in their
     own row: the former by comparison with the whole row, the latter, which
-    are sorted, by one search per row.
+    are sorted, by one search per row. The counts go back to the vertices
+    by the rows' argsort.
     """
-    k, n = ascending.shape
+    k, n = H.shape
+    by_rank = (H.argsort(axis=1) + np.arange(0, k * n, n)[:, None]).ravel()
+    ascending = H.ravel()[by_rank].reshape(k, n)
     births = np.array([d.births for d in entries]).reshape(k, n)
     death = np.array([d.deaths for d in entries]).reshape(k, n)
     mismatched = (np.abs(births - ascending) > tol).any(axis=1)
@@ -174,7 +172,8 @@ def events_at_ranks(
     at = np.minimum(np.concatenate(at), n - 1) + row * n
     hit = np.abs(ascending.ravel()[at] - x) <= tol
     mismatched[row[~hit]] = True
-    counts = own.ravel() + np.bincount(at[hit], minlength=k * n)
+    counts = np.empty(k * n, np.intp)
+    counts[by_rank] = own.ravel() + np.bincount(at[hit], minlength=k * n)
     return counts.reshape(k, n), mismatched
 
 
@@ -195,9 +194,8 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
 
     Array kernel over `g.arrays`, one row per direction:
 
-    - Heights are x*dx + y*dy elementwise, which rounds exactly like
-      `geometry.height` (a dot product would not). A stable argsort per row
-      ranks the vertices, and everything below works on ranks.
+    - Heights come from `geometry.heights`. A stable argsort per row ranks
+      the vertices, and everything below works on ranks.
     - Descent forest: a vertex's first arriving edge goes to its lowest
       lower neighbour, whose component is older, so every vertex with a
       lower neighbour dies at its own height (a diagonal pair). Pointer
@@ -212,16 +210,16 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
     k, n = len(units), g.n
     x, y, edges = g.arrays
     u = np.array(units, dtype=np.float64).reshape(k, 2)
-    H = u[:, :1] * x + u[:, 1:] * y  # (k, n)
+    H = heights(x, y, u)  # (k, n)
     order = H.argsort(axis=1, kind="stable")
 
     # Flat indices: r*n + v for vertex v of row r, and r*n + q for rank q,
     # so one 1-d array holds a quantity for every row.
     offsets = (np.arange(k) * n)[:, None]
     by_rank = (order + offsets).ravel()
-    heights = H.ravel()[by_rank]
-    heights.flags.writeable = False
-    ascending = heights.reshape(k, n)
+    level = H.ravel()[by_rank]  # the height at every flat rank
+    level.flags.writeable = False
+    ascending = level.reshape(k, n)
     tied = ascending[:, 1:] - ascending[:, :-1] <= tol
     if tied.any():
         r, t = np.argwhere(tied)[0].tolist()
@@ -242,7 +240,7 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
         if (below == basin).all():
             break
         basin = below
-    death = np.where(lowest < ranks, heights, INFINITY)
+    death = np.where(lowest < ranks, level, INFINITY)
     within = basin[lo] == basin[hi]
     arrivals = np.bincount(hi[within & (lowest[hi] != lo)], minlength=k * n)
 
@@ -262,9 +260,9 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
                 arrivals[top] += 1
             else:  # elder rule: the lower minimum survives
                 up[max(a, b)] = min(a, b)
-                death[max(a, b)] = heights[top]
+                death[max(a, b)] = level[top]
 
-    cycles = np.repeat(heights, arrivals)
+    cycles = np.repeat(level, arrivals)
     death.flags.writeable = cycles.flags.writeable = False
     ends = arrivals.reshape(k, n).sum(axis=1).cumsum().tolist()
     rows = zip(units, ascending, death.reshape(k, n), [0, *ends], ends)

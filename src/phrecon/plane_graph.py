@@ -67,18 +67,20 @@ class PlaneGraph:
         `sorted_edges()`. Not a dataclass field, so equality, hashing and
         JSON see only `vertices` and `edges`. Raises ValueError naming the
         first edge, in sorted order, with an index outside [0, n), or else
-        the first self-loop (i, i)."""
-        xy = np.fromiter(chain.from_iterable(self.vertices), np.float64, 2 * self.n)
+        the first self-loop (i, i). The rows are put in sorted order by one
+        argsort of the keys i * n + j."""
+        n, m = self.n, len(self.edges)
+        xy = np.fromiter(chain.from_iterable(self.vertices), np.float64, 2 * n)
         x, y = xy[0::2].copy(), xy[1::2].copy()
-        edges = self.sorted_edges()
         try:
-            e = np.array(edges, dtype=np.intp).reshape(-1, 2)
-            inside = bool(((e >= 0) & (e < self.n)).all())
+            e = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * m).reshape(m, 2)
+            inside = bool(((e >= 0) & (e < n)).all())
         except OverflowError:  # an index beyond intp is outside too
             inside = False
         if not inside:
-            i, j = next((i, j) for i, j in edges if i < 0 or j >= self.n)
+            i, j = min((i, j) for i, j in self.edges if i < 0 or j >= n)
             raise ValueError(f"edge ({i}, {j}) out of range")
+        e = e[(e[:, 0] * n + e[:, 1]).argsort()]
         loops = e[:, 0] == e[:, 1]
         if loops.any():
             i = int(e[loops.argmax(), 0])

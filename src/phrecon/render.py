@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 
 from .edge_recon import bowtie_widths, pair_directions
-from .geometry import Direction, Point2, height
+from .geometry import Direction, Point2, heights
 from .plane_graph import PlaneGraph
 from .vertex_recon import AXIS_X, AXIS_Y, third_direction
 
@@ -34,14 +34,11 @@ def _bounds(g: PlaneGraph) -> tuple[float, float, float, float]:
 
 def _axis_families(g: PlaneGraph) -> list[tuple[Direction, np.ndarray]]:
     """(unit direction, ascending vertex heights) of each family."""
-
-    def heights(direction: Direction) -> np.ndarray:
-        h = np.array([height(v, direction) for v in g.vertices], dtype=np.float64)
-        return np.sort(h, kind="stable")
-
-    xs, ys = heights(AXIS_X), heights(AXIS_Y)
+    x, y, _ = g.arrays
+    xs, ys = np.sort(heights(x, y, np.array([AXIS_X, AXIS_Y])), kind="stable")
     s3 = third_direction(xs, ys)
-    return [(AXIS_X, xs), (AXIS_Y, ys), (s3, heights(s3))]
+    zs = np.sort(heights(x, y, np.array(s3)), kind="stable")
+    return [(AXIS_X, xs), (AXIS_Y, ys), (s3, zs)]
 
 
 def _line_segment(s: Direction, h: float, cx: float, cy: float, reach: float):
@@ -93,7 +90,7 @@ def render_svg(
         i, j = bowtie
         v, v2 = g.vertices[i], g.vertices[j]
         V = list(g.vertices)
-        s1, s2 = pair_directions(v, v2, float(bowtie_widths(V)[i, j]), V)
+        s1, s2 = pair_directions(V, i, j, float(bowtie_widths(V)[i, j]))
         rays = []
         for s in (s1, s2):
             e = Direction(-s.dy, s.dx)
@@ -110,8 +107,8 @@ def render_svg(
             )
 
     if lines:
-        for (direction, heights), stroke in zip(_axis_families(g), _FAMILY_STROKES):
-            for birth in heights.tolist():
+        for (direction, ascending), stroke in zip(_axis_families(g), _FAMILY_STROKES):
+            for birth in ascending.tolist():
                 ax, ay, bx, by = _line_segment(direction, birth, cx, cy, reach)
                 (sx, sy), (ex, ey) = pt(Point2(ax, ay)), pt(Point2(bx, by))
                 out.append(

@@ -18,6 +18,11 @@ def appendix_graph() -> PlaneGraph:
     )
 
 
+def n_components(d) -> int:
+    """A diagram's components: its dim-0 pairs that never die."""
+    return int(np.isinf(d.deaths).sum())
+
+
 def tie_free_direction(g: PlaneGraph, rng: np.random.Generator, tol: float = 1e-9) -> Direction:
     """Random unit direction with pairwise-distinct vertex heights."""
     while True:

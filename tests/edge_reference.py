@@ -9,8 +9,9 @@ index, with exactly 2 queries each, a batch of whole rows at a time
 so a pair it shares with the pipeline is asked with the same directions,
 and each pair is decided by the paper's rule alone, at its centre.
 
-`reference_probe_edge` applies the pipeline's rule to one pair at a chosen
-width: the two certified directions of `pair_directions`, asked in one
+`reference_probe_edge` applies the pipeline's rule to one pair of points
+of V at a chosen width: the two certified directions of `pair_directions`
+at their indices, asked in one
 `query_many`, read by `indegree_from_diagrams`, an edge iff the indegrees
 differ by exactly one.
 """
@@ -37,7 +38,7 @@ from phrecon import (
 )
 from phrecon import edge_recon
 from phrecon.edge_recon import EdgeReconResult
-from phrecon.errors import CoincidentPoints, PhreconError
+from phrecon.errors import PhreconError
 from phrecon.geometry import TOLERANCE
 
 from graph_reference import UnionFind
@@ -51,6 +52,10 @@ MAX_ENUMERATION_VERTICES = 12
 
 class EnumerationOverflow(PhreconError):
     """Compatible-graph enumeration refused to run above its size safeguard."""
+
+
+class CoincidentPoints(PhreconError):
+    """`line_angle_mod_pi` received two equal points."""
 
 
 def reference_reconstruct_edges(o, V: Sequence[Point2], tol: float = TOLERANCE) -> EdgeReconResult:
@@ -108,8 +113,8 @@ def reference_probe_edge(
     """Whether (v, v2) is an edge, decided from the two diagrams of its
     certified bow tie at v of half-width theta. Raises UncertifiedPair
     before asking when `pair_directions` does, and the oracle's
-    DegenerateDirection on a tie."""
-    answers = o.query_many(list(pair_directions(v, v2, theta, V, tol)))
+    DegenerateDirection on a tie. v and v2 must be points of V."""
+    answers = o.query_many(list(pair_directions(V, V.index(v), V.index(v2), theta, tol)))
     i1, i2 = (indegree_from_diagrams(d, v, tol) for d in answers)
     return abs(i1 - i2) == 1
 
@@ -189,7 +194,7 @@ def enumerate_compatible_graphs(
         if abs(heights[a] - heights[b]) <= tol:
             raise DegenerateDirection(min(a, b), max(a, b), u)
 
-    finite_deaths = [p.death for p in d.dim0 if not p.is_infinite]
+    finite_deaths = [p.death for p in d.dim0 if not math.isinf(p.death)]
     cycle_births = [p.birth for p in d.dim1]
 
     rows: set[frozenset[Edge]] = {frozenset()}
@@ -225,8 +230,8 @@ def _diagram_matches(V, edges, u, expected: Diagram, tol: float) -> bool:
         for a, b in zip(sorted(got), sorted(want)):
             if abs(a.birth - b.birth) > tol:
                 return False
-            if a.is_infinite != math.isinf(b.death):
+            if math.isinf(a.death) != math.isinf(b.death):
                 return False
-            if not a.is_infinite and abs(a.death - b.death) > tol:
+            if not math.isinf(a.death) and abs(a.death - b.death) > tol:
                 return False
     return True

@@ -25,7 +25,13 @@ from phrecon import (
 from phrecon.cli import main
 from phrecon.vertex_recon import AXIS_X, AXIS_Y
 
-from conftest import jittered_grid_points, match_to_hidden, remap_edges, tie_free_direction
+from conftest import (
+    jittered_grid_points,
+    match_to_hidden,
+    n_components,
+    remap_edges,
+    tie_free_direction,
+)
 from edge_reference import enumerate_compatible_graphs
 from graph_reference import connected_components, indegree_direct
 from vertex_reference import triple_intersections
@@ -153,9 +159,9 @@ def test_criterion_5_diagram_invariants(sweep):
         c = connected_components(g)
         for s in (AXIS_X, AXIS_Y, tie_free_direction(g, rng)):
             d = lower_star_diagrams(g, s)
-            finite = [p for p in d.dim0 if not p.is_infinite]
+            finite = [p for p in d.dim0 if not math.isinf(p.death)]
             ok = ok and len(d.dim0) == g.n
-            ok = ok and d.n_components == c
+            ok = ok and n_components(d) == c
             ok = ok and len(d.dim1) == len(g.edges) - g.n + c
             ok = ok and len(finite) + len(d.dim1) == len(g.edges)
     _report("5 diagram count identities on every instance", ok)

@@ -133,7 +133,7 @@ def test_pair_directions_appendix_base_vector():
     # perpendicular of v' - v is +-(-0.8, 0.6); both probes are theta away
     v, v2 = Point2(0.25, 0.0), Point2(1.0, 1.0)
     theta = 0.09
-    s1, s2 = pair_directions(v, v2, theta, [v, v2])
+    s1, s2 = pair_directions([v, v2], 0, 1, theta)
     base1 = rotate(s1, -theta)
     base2 = rotate(s2, theta)
     for base in (base1, base2):
@@ -144,7 +144,7 @@ def test_pair_directions_appendix_base_vector():
 def test_pair_directions_axis_case():
     v, v2 = Point2(0.0, 0.0), Point2(1.0, 0.0)
     theta = math.pi / 8.0
-    s1, s2 = pair_directions(v, v2, theta, [v, v2])
+    s1, s2 = pair_directions([v, v2], 0, 1, theta)
     assert s1.dx == pytest.approx(-math.sin(theta), abs=1e-12)
     assert s1.dy == pytest.approx(math.cos(theta), abs=1e-12)
     assert s2.dx == pytest.approx(math.sin(theta), abs=1e-12)
@@ -157,10 +157,15 @@ def test_pair_directions_bowtie_isolates_target():
         V = list(g.vertices)
         W = bowtie_widths(V)
         for i, j in combinations(range(len(V)), 2):
-            s1, s2 = pair_directions(V[i], V[j], W[i, j], V)
+            s1, s2 = pair_directions(V, i, j, W[i, j])
             bt = BowTie(V[i], s1, s2, _halfangle(s1, s2))
             inside = [u for u in V if u != V[i] and bt.contains(u)]
             assert inside == [V[j]]
+        # a bow tie never holds its own centre
+        for i in range(len(V)):
+            with pytest.raises(UncertifiedPair) as err:
+                pair_directions(V, i, i, W.min())
+            assert (err.value.i, err.value.j, err.value.headroom) == (i, i, 0.0)
 
 
 def _halfangle(s1, s2):
@@ -187,9 +192,9 @@ def test_pair_directions_raise_on_height_tie():
     assert (err.value.i, err.value.j, err.value.k) == (0, 1, 2)
     assert abs(err.value.headroom) <= 1.0 and o.query_count == 0
     with pytest.raises(UncertifiedPair, match="vertex 0 towards vertex 1"):
-        pair_directions(V[0], V[1], theta, V)
+        pair_directions(V, 0, 1, theta)
     # a narrower bow tie separates them
-    pair_directions(V[0], V[1], 0.9 * theta, V)
+    pair_directions(V, 0, 1, 0.9 * theta)
 
 
 class RecordingOracle:
@@ -232,7 +237,7 @@ def test_edge_phase_directions_are_certified_per_pair():
             gaps = {}
             for c, f in ((i, j), (j, i)):
                 try:
-                    directions = pair_directions(V[c], V[f], W[c, f], V)
+                    directions = pair_directions(V, c, f, W[c, f])
                 except UncertifiedPair:
                     continue
                 gaps[c] = _smallest_gap(V, directions)
@@ -315,7 +320,7 @@ def test_degenerate_batch_entry_raises_uncertified_pair(monkeypatch):
     e = err.value
     assert e.k not in (e.i, e.j, None) and e.headroom > 1.0
     assert isinstance(e.__cause__, DegenerateDirection)
-    assert list(pair_directions(V[e.i], V[e.j], bowtie_widths(V)[e.i, e.j], V)) == clean.asked[4:6]
+    assert list(pair_directions(V, e.i, e.j, bowtie_widths(V)[e.i, e.j])) == clean.asked[4:6]
     # the chunk was asked whole, as without the fault, and nothing after it
     assert o.query_count == 2 + batch and o.asked == clean.asked[: 2 + batch]
 
@@ -451,7 +456,7 @@ def test_uncertifiable_pair_raises_before_its_row_is_queried():
     # round asks it and raises before its chunk is queried.
     V = [Point2(0.0, 0.0), Point2(1.0, 0.3), Point2(0.4, 0.4), Point2(2.0, 2.0)]
     W = bowtie_widths(V)
-    pair_directions(V[1], V[2], W[1, 2], V)
+    pair_directions(V, 1, 2, W[1, 2])
     assert W[0, 2] == W[2, 0] == 0.0
     o = RecordingOracle(PlaneGraph(V, [(0, 2), (1, 3)]))
     with pytest.raises(UncertifiedPair) as err:
@@ -471,7 +476,7 @@ def test_collinear_vertices_raise_retry_exhausted():
     assert (err.value.i, err.value.j, err.value.k) == (0, 1, 2)
     assert o.query_count == 2  # the degrees; the pair fails before it is queried
     with pytest.raises(UncertifiedPair):
-        pair_directions(V[0], V[2], global_bowtie_width(V), V)
+        pair_directions(V, 0, 2, global_bowtie_width(V))
     # counting alone settles collinear vertices when no pair is in doubt
     for edges in ([], [(0, 1)], [(0, 1), (1, 2)]):
         o = DiagramOracle(PlaneGraph(V[:3], edges))
@@ -485,7 +490,7 @@ def test_near_collinear_triple_names_its_third_vertex():
     W = bowtie_widths(V)
     for c, f in ((164, 909), (909, 164)):
         with pytest.raises(UncertifiedPair) as err:
-            pair_directions(V[c], V[f], W[c, f], V)
+            pair_directions(V, c, f, W[c, f])
         assert (err.value.i, err.value.j, err.value.k) == (c, f, 539)
         assert 0.0 < err.value.headroom < 1.0
 
@@ -500,7 +505,7 @@ def test_frontier_n300_certifies_every_pair_at_its_better_end():
     for a in range(0, len(src), 128):  # both ends of 128 pairs at a time
         i, j = src[a : a + 128], dst[a : a + 128]
         ends, far = np.concatenate([i, j]), np.concatenate([j, i])
-        _, headroom, _ = edge_recon._certified_directions(X[ends], Y[ends], X, Y, far, W[ends, far], 1e-9)
+        _, headroom, _ = edge_recon._certified_directions(X, Y, ends, far, W[ends, far], 1e-9)
         at_j = headroom[len(i) :] > headroom[: len(i)]
         best[a : a + 128] = np.where(at_j, headroom[len(i) :], headroom[: len(i)])
         centre[a : a + 128] = np.where(at_j, j, i)

@@ -1,12 +1,14 @@
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from phrecon import CoincidentPoints, Direction, ParallelLines, Point2, height
+from phrecon import Direction, ParallelLines, Point2, height
+from phrecon.geometry import heights
 
-from edge_reference import line_angle_mod_pi, rotate
+from edge_reference import CoincidentPoints, line_angle_mod_pi, rotate
 from vertex_reference import Line, filtration_line, intersect_lines
 
 coord = st.floats(min_value=-100.0, max_value=100.0, allow_nan=False)
@@ -26,6 +28,20 @@ def test_height_linear_in_direction(x, y, d, alpha):
     s = Direction(*d)
     scaled = Direction(alpha * s.dx, alpha * s.dy)
     assert height(p, scaled) == pytest.approx(alpha * height(p, s), abs=1e-6)
+
+
+def test_heights_round_as_height_bit_for_bit():
+    rng = np.random.default_rng(3)
+    for scale in (1.0, 1e3, 1e9):
+        x, y = scale * rng.normal(size=(2, 50))  # negative coordinates too
+        angle = rng.uniform(0.0, 2.0 * math.pi, size=(2, 7))
+        U = np.stack([np.cos(angle), np.sin(angle)], axis=-1)  # (2, 7, 2) units
+        points = [Point2(*p) for p in zip(x.tolist(), y.tolist())]
+        for directions in (U[0], U):  # (k, n) and (2, k, n)
+            H = heights(x, y, directions)
+            assert H.shape == directions.shape[:-1] + (50,)
+            want = [[height(p, Direction(*s)) for p in points] for s in directions.reshape(-1, 2).tolist()]
+            assert H.reshape(-1, 50).tolist() == want
 
 
 def test_filtration_line_axis_cases():

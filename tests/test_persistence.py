@@ -21,10 +21,11 @@ from phrecon import (
     reconstruct_edges_detail,
     reconstruct_vertices,
 )
+from phrecon import geometry
 from phrecon.edge_recon import global_bowtie_width
 from phrecon.persistence import events_at_ranks
 
-from conftest import match_to_hidden, tie_free_direction
+from conftest import match_to_hidden, n_components, tie_free_direction
 from edge_reference import reference_probe_edge
 from graph_reference import connected_components
 from sweep_reference import reference_lower_star_diagrams
@@ -83,9 +84,12 @@ def test_vertex_birth_bijection_and_count_identities():
         births = sorted(p.birth for p in d.dim0)
         heights = sorted(height(v, s) for v in g.vertices)
         assert births == pytest.approx(heights, abs=1e-12)
-        finite = [p for p in d.dim0 if not p.is_infinite]
+        # the kernel's own heights, bit for bit
+        x, y, _ = g.arrays
+        assert d.births.tobytes() == np.sort(geometry.heights(x, y, np.array(d.direction))).tobytes()
+        finite = [p for p in d.dim0 if not math.isinf(p.death)]
         assert len(d.dim0) == n
-        assert d.n_components == c
+        assert n_components(d) == c
         assert len(finite) == n - c
         assert len(d.dim1) == len(g.edges) - n + c
         assert len(finite) + len(d.dim1) == len(g.edges)
@@ -116,7 +120,7 @@ def test_elder_rule_component_minima_survive():
             root = find(v)
             h = height(g.vertices[v], s)
             minima[root] = min(minima.get(root, math.inf), h)
-        immortal_births = sorted(p.birth for p in d.dim0 if p.is_infinite)
+        immortal_births = sorted(p.birth for p in d.dim0 if math.isinf(p.death))
         assert immortal_births == pytest.approx(sorted(minima.values()), abs=1e-12)
 
 
@@ -419,7 +423,7 @@ def test_degenerate_direction_pair_matches_reference():
 
 def _scan_events(d, h, tol):
     # the indegree read as a scan over the pairs
-    deaths = sum(1 for p in d.dim0 if not p.is_infinite and abs(p.death - h) <= tol)
+    deaths = sum(1 for p in d.dim0 if not math.isinf(p.death) and abs(p.death - h) <= tol)
     return deaths + sum(1 for p in d.dim1 if abs(p.birth - h) <= tol)
 
 
@@ -432,12 +436,12 @@ def test_swept_diagram_equals_its_pairs_through_the_constructor():
         probes = heights + [h + 0.7e-9 for h in heights] + [0.5 * (a + b) for a, b in zip(heights, heights[1:])]
         tols = (0.0, 1e-9, 1e-3, 0.2, INF)
         # read from the sweep before the pairs exist
-        arrays, components = (d.births, d.deaths, d.cycles), d.n_components
+        arrays, components = (d.births, d.deaths, d.cycles), n_components(d)
         events = [d.events_at(h, tol) for h in probes for tol in tols]
         assert "dim0" not in vars(d) and "dim1" not in vars(d)
         t = Diagram(d.direction, d.dim0, d.dim1)
         assert d == t and hash(d) == hash(t) and repr(d) == repr(t)
-        assert components == t.n_components == sum(p.is_infinite for p in d.dim0)
+        assert components == n_components(t) == sum(math.isinf(p.death) for p in d.dim0)
         for a, b in zip(arrays, (t.births, t.deaths, t.cycles)):
             assert a.dtype == b.dtype == np.float64 and not a.flags.writeable and not b.flags.writeable
             assert a.tobytes() == b.tobytes()
@@ -455,7 +459,7 @@ def test_events_at_on_unsorted_constructed_pairs():
     assert d.events_at(0.9, 0.0) == 1
     assert d.events_at(0.7, INF) == _scan_events(d, 0.7, INF) == 4
     assert d.births.tolist() == [0.0, 0.2, 0.5]
-    assert d.n_components == 1
+    assert n_components(d) == 1
     # the constructor sorts the pairs: canonical pairs and JSON, whatever the order given
     t = Diagram(d.direction, tuple(sorted(dim0)), tuple(sorted(dim1)))
     assert d.dim0 == t.dim0 == ((0.0, INF), (0.2, 0.5), (0.5, 0.5))
@@ -482,6 +486,11 @@ def test_events_at_ranks_equals_a_scan_per_row():
             want = [[_scan_events(d, x, 1e-9) for x in h] for d, h in zip(entries, ascending.tolist())]
             assert counts.tolist() == want and not mismatched.any(), seed
             assert counts.sum(axis=1).tolist() == [len(g.edges)] * len(entries)
+            # the heights in another vertex order: the same counts in that order
+            shuffle = np.random.default_rng(seed).permuted(np.tile(np.arange(n), (len(entries), 1)), axis=1)
+            shuffled, flags = events_at_ranks(entries, np.take_along_axis(ascending, shuffle, axis=1), 1e-9)
+            assert (shuffled == np.take_along_axis(counts, shuffle, axis=1)).all()
+            assert (flags == mismatched).all()
     # a height off its birth, or an event at no height, flags its entry alone
     pairs = (PersistencePair(0.5, 0.5), PersistencePair(0.0, INF), PersistencePair(0.2, 0.5))
     d = Diagram(Direction(1.0, 0.0), pairs, (PersistencePair(0.5, INF),))
@@ -489,6 +498,8 @@ def test_events_at_ranks_equals_a_scan_per_row():
     ascending = np.array([[0.0, 0.2, 0.5]] * 3) + [[0.0, 0.0, 0.0], [0.0, 2e-9, 0.0], [0.0, 0.0, 0.0]]
     counts, mismatched = events_at_ranks([d, d, stray], ascending, 1e-9)
     assert counts[0].tolist() == [0, 0, 3] and mismatched.tolist() == [False, True, True]
+    counts, mismatched = events_at_ranks([d, d, stray], ascending[:, [2, 0, 1]], 1e-9)
+    assert counts[0].tolist() == [3, 0, 0] and mismatched.tolist() == [False, True, True]
 
 
 def test_vertex_phase_and_probe_build_no_pair(monkeypatch):
