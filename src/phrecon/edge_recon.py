@@ -123,8 +123,11 @@ def pair_directions(
     both directions; otherwise raises UncertifiedPair. A bow tie at V[i]
     never holds V[i], so i == j raises it with headroom 0. This is the
     one-pair call of the certifier the edge phase runs on whole batches.
+    Raises IndexError, naming the pair, when i or j is not in [0, n).
     """
     X, Y = np.array(V, dtype=np.float64).reshape(-1, 2).T
+    if not (0 <= i < len(X) and 0 <= j < len(X)):
+        raise IndexError(f"pair ({i}, {j}) is not a pair of the {len(X)} vertices")
     S, headroom, H = _certified_directions(
         X, Y, np.array([i]), np.array([j]), np.array([theta]), tol
     )
@@ -206,15 +209,14 @@ def reconstruct_edges_detail(
     Degrees first: indeg(v, s) + indeg(v, -s) = deg(v), so the diagrams of
     (1, 0) and (-1, 0), asked in one `query_many`, give every degree
     (`_degrees`); this needs V's x-coordinates more than tol apart, as the
-    vertex phase does. The degrees are n reads (`_degree_reads`): vertex v
-    reads deg(v) over all its pairs, each of sign +1. `_Reads.settle`
-    applies one rule to these reads and to those of the asked probe pairs,
-    to one joint fixpoint, and says whether any pair is still undecided.
-    With r(v) the degree v has left and open(v) its undecided pairs, the
-    rule on a degree read is counting: r(v) = 0 closes v's pairs as
-    non-edges, r(v) = open(v) closes them as edges, and r(v) outside
-    [0, open(v)] raises DegreeConflict naming v. Whenever the reads decide
-    nothing more, the planarity rule (`_crossing_pairs`) closes as a
+    vertex phase does. Each degree is a read of its vertex's row.
+    `_Reads.settle` applies one rule to these reads and to those of the
+    asked probe pairs, to one joint fixpoint, and says whether any pair is
+    still undecided. With r(v) the degree v has left and open(v) its
+    undecided pairs, the rule on a degree read is counting: r(v) = 0 closes
+    v's pairs as non-edges, r(v) = open(v) closes them as edges, and r(v)
+    outside [0, open(v)] raises DegreeConflict naming v. Whenever the reads
+    decide nothing more, the planarity rule (`_crossing_pairs`) closes as a
     non-edge every undecided pair that properly crosses a known edge, and
     the reads go on from there. A crossing counts only when its four
     orientations have certified signs: each larger than tol and than its
@@ -254,7 +256,7 @@ def reconstruct_edges_detail(
     degree = _degrees(o, X, Y, tol)
     undecided = ~np.eye(n, dtype=bool)
     edge = np.zeros((n, n), dtype=bool)
-    reads, geometry, chunks = _Reads(X, Y, tol, *_degree_reads(degree)), None, []
+    reads, geometry, chunks = _Reads(X, Y, tol, degree), None, []
     rows = np.arange(n)[:, None]
     chunk = max(1, _BATCH_CELLS // (8 * n))
     while reads.settle(undecided, edge, chunks):
@@ -287,15 +289,6 @@ def _degrees(o: DiagramOracle, X: np.ndarray, Y: np.ndarray, tol: float) -> np.n
     if mismatched.any():
         raise DiagramMismatch(direction=answers[int(mismatched.argmax())].direction)
     return indegree.sum(axis=0)
-
-
-def _degree_reads(degree: np.ndarray):
-    """The degrees as n reads for `_Reads`, in `_probe`'s layout: read v,
-    tagged -1 - v, has D = deg(v) and every pair of v as a member of sign
-    +1."""
-    n = len(degree)
-    v, u = (~np.eye(n, dtype=bool)).nonzero()
-    return -1 - np.arange(n), degree, v, np.minimum(v, u) * n + np.maximum(v, u), np.ones(len(v))
 
 
 #: How far past the bow tie's half-angle the chord window reaches, in
@@ -367,14 +360,14 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     line through u is within the kept width of the pair's line: one range
     of the chord table per pair, padded by `_WINDOW_PAD`, with each
     member's side decided by the heights. A group is one pair read at one
-    vertex u, numbered p * n + u and tagged (c * n + f) * n + u for the
-    pair's kept centre c and far end f: its D(u) and its members, each a
-    pair index i * n + j with sign +1 where the other end lies below u
-    along s1 only and -1 where along s2 only. A vertex with an empty bow
-    tie has a group with no member, whose D(u) must be 0.
+    vertex u, tagged (c * n + f) * n + u for the pair's kept centre c and
+    far end f: its D(u) and its members, each a pair index i * n + j with
+    sign +1 where the other end lies below u along s1 only and -1 where
+    along s2 only. A group with no member and D(u) = 0 passes its one check
+    for good and is not returned. The centre's group holds its asked pair.
 
-    Returns (tag, D, group, pair, sign): per group its tag and its D(u);
-    per member its group, its pair and its sign."""
+    Returns (tag, D, group, pair, sign): per group, in (pair, u) order, its
+    tag and its D(u); per member its group, its pair and its sign."""
     k, n = len(src), len(X)
     centre, far = np.concatenate([src, cols]), np.concatenate([cols, src])
     S, headroom, H = _certified_directions(X, Y, centre, far, geometry.width[centre, far], tol)
@@ -412,14 +405,11 @@ def _probe(o, X, Y, geometry: _Geometry, src: np.ndarray, cols: np.ndarray, tol:
     below1 = h1[kb] < h1[ka]
     inside = below1 != (h2[kb] < h2[ka])
     sign = np.where(below1[inside], 1.0, -1.0)
-    pair = pair[inside]
-    return (
-        (((centre * n + far) * n)[:, None] + np.arange(n)).ravel(),
-        D,
-        np.concatenate([ka[inside], kb[inside]]),
-        np.concatenate([pair, pair]),
-        np.concatenate([sign, -sign]),
-    )
+    pair, group = pair[inside], np.concatenate([ka[inside], kb[inside]])
+    keep = (np.bincount(group, minlength=k * n) > 0) | (D != 0)
+    tag = (((centre * n + far) * n)[:, None] + np.arange(n)).ravel()[keep]
+    group = (keep.cumsum() - 1)[group]
+    return tag, D[keep], group, np.concatenate([pair, pair]), np.concatenate([sign, -sign])
 
 
 #: Shewchuk's relative bound on the rounding error of an orientation
@@ -444,14 +434,15 @@ def _crossing_pairs(
     cross(o, p, q). A sign counts only where its orientation's size exceeds
     both tol and its rounding-error bound (`_ORIENTATION_ERROR`), so w = e
     or w = f never counts, and a pair with any other sign stays open.
-    Nothing is tested below four vertices or with no known edge."""
+    Nothing is tested below four vertices, with no known edge or with no
+    undecided pair."""
     n = len(X)
     closed = [np.empty(0, np.intp)]
     a, b = np.divmod(np.flatnonzero(edge), n)
-    if n < 4 or not len(a):
+    i, j = np.divmod(np.flatnonzero(undecided), n)
+    if n < 4 or not len(a) or not len(i):
         return closed[0]
     a, b = a[a < b], b[a < b]
-    i, j = np.divmod(np.flatnonzero(undecided), n)
     e, f = np.concatenate([i[i < j], j[i < j]]), np.concatenate([j[i < j], i[i < j]])
     # the known neighbours of vertex v are nb[first[v] : first[v] + deg[v]]
     a, b = np.concatenate([a, b]), np.concatenate([b, a])
@@ -492,9 +483,9 @@ def _orientation(X, Y, o, p, q, tol: float) -> np.ndarray:
 
 
 class _Reads:
-    """The reads, each kept while it still holds an undecided pair: the n
-    degree reads (`_degree_reads`) and every asked probe pair read at
-    every vertex (`_probe`).
+    """The reads, each kept while it can still decide: the n degree reads,
+    groups 0 to n - 1, and every asked probe pair read at every vertex
+    (`_probe`) while it holds an undecided pair.
 
     A group is one read: a count D and its members, pairs of sign +1 or
     -1, with D the sum of the signs of the members that are edges. With the
@@ -503,23 +494,26 @@ class _Reads:
     +1 and -1 the residual must lie in [-q, p]; outside it raises
     DegreeConflict for a degree read and BowTieConflict for a probe read. A
     residual of p makes the + members edges and the - members non-edges,
-    and a residual of -q the reverse. A degree read has q = 0, so for it
-    the rule is counting; the centre read of an asked pair is the case
-    p + q = 1. Both conclusions only grow more certain as pairs get
+    and a residual of -q the reverse. The degree read of v is its row of
+    pairs, each of sign +1, so its residual is r(v), p = open(v) and q = 0:
+    for it the rule is counting, and the centre read of an asked pair is
+    the case p + q = 1. Both conclusions only grow more certain as pairs get
     decided, so applying them to a fixpoint settles the same pairs in any
     order. The planarity rule closes pairs between the passes; a non-edge
     changes no residual, and a read that needed such a pair as an edge
     raises in the next pass.
     """
 
-    def __init__(self, X, Y, tol, tag, D, group, pair, sign):
+    def __init__(self, X, Y, tol, degree):
         self.X, self.Y, self.tol = X, Y, tol  # the vertices, for the planarity rule
-        self.tag, self.D, self.group, self.pair, self.sign = tag, D, group, pair, sign
+        self.degree, self.D, self.sign = degree, degree, np.empty(0)
+        self.tag = self.group = self.pair = np.empty(0, np.intp)
 
     def settle(self, undecided: np.ndarray, edge: np.ndarray, chunks) -> bool:
         """Take the round's chunks, as `_probe` returns them, then apply
         every read to a fixpoint and say whether any pair is still
-        undecided. Decided pairs leave `undecided`, and edges join `edge`.
+        undecided. Decided pairs leave `undecided`, and edges join `edge`;
+        both stay symmetric.
 
         The chunks' groups are numbered after those held, in order. Each
         pass first folds the decided members into their groups: D loses the
@@ -527,16 +521,17 @@ class _Reads:
         between settles are all undecided, so the first pass folds only the
         new reads, whose members are every pair in their bow ties, the
         decided ones too. Every member is then undecided, and D is its
-        group's residual. With A the group's members and B the sum of their
-        signs (so p = (A + B)/2 and q = (A - B)/2), t = 2D - B must lie in
-        [-A, A]; t = A is D = p and t = -A is D = -q, and a group with no
-        member must have D = 0. The pass applies every group's decision at
-        once. When no group decides a pair, the groups with no member left
-        go, and the planarity rule closes the pairs that cross a known edge,
-        non-edges whose fold leaves D unchanged, and the passes go on. The
-        fixpoint is reached when the rule closes nothing either. Pair
-        indices are i * n + j with i < j, so only the upper triangles change
-        in the passes, and they are mirrored at the end."""
+        group's residual; a degree read's residual and members are its rows
+        of `edge` and `undecided`. With A the group's members and B the sum
+        of their signs (so p = (A + B)/2 and q = (A - B)/2), t = 2D - B must
+        lie in [-A, A]; t = A is D = p and t = -A is D = -q, and a group
+        with no member must have D = 0. The pass applies every group's
+        decision at once. When no group decides a pair, the probe reads with
+        no member left go, and the planarity rule closes the pairs that
+        cross a known edge, non-edges whose fold leaves D unchanged, and the
+        passes go on. The fixpoint is reached when the rule closes nothing
+        either. A pass writes each pair i * n + j, i < j, and mirrors it."""
+        n = len(undecided)
         und, known = undecided.ravel(), edge.ravel()
         starts = accumulate((len(c[1]) for c in chunks), initial=len(self.D))
         numbered = [(t, d, g + start, p, s) for (t, d, g, p, s), start in zip(chunks, starts)]
@@ -549,39 +544,44 @@ class _Reads:
             group, pair, sign = group[live], pair[live], sign[live]
             A = np.bincount(group, minlength=G)
             B = np.bincount(group, weights=sign, minlength=G)
+            A[:n] = B[:n] = undecided.sum(axis=1)
+            D[:n] = self.degree - edge.sum(axis=1)
             t = 2.0 * D - B
             size = np.abs(t)
             bad = size > A
             if bad.any():
-                raise self._conflict(int(bad.argmax()), tag, D, A, B, len(undecided))
+                raise self._conflict(int(bad.argmax()), tag, D, A, B, n)
             # +1: the + members are edges and the - members are not; -1: the reverse
-            vote = (np.sign(t) * (size == A))[group] * sign
-            decided = pair[vote != 0]
-            if len(decided):
-                und[decided] = False
-                # an edge wins a pair also read as a non-edge; the group that
-                # read it so raises in the next pass
-                known[pair[vote > 0]] = True
+            vote = np.sign(t) * (size == A)
+            if vote.any():
+                # an edge wins a pair also read as a non-edge; the read that
+                # refused it raises in the next pass
+                row, member = vote[:n, None], vote[group] * sign
+                edge |= undecided & (row > 0)
+                undecided &= row == 0
+                und[pair[member != 0]] = False
+                known[pair[member > 0]] = True
             else:
-                # the groups left with no member passed their last check and go;
+                # the probe reads left with no member passed their last check and go;
                 # then the planarity rule, whose non-edges change no residual
                 keep = A > 0
-                tag, D, group = tag[keep], D[keep], (keep.cumsum() - 1)[group]
+                keep[:n] = True
+                tag, D, group = tag[keep[n:]], D[keep], (keep.cumsum() - 1)[group]
                 G = len(D)
                 decided = _crossing_pairs(self.X, self.Y, und, known, self.tol)
                 if not len(decided):
                     break
                 und[decided] = False
-        undecided &= undecided.T
-        edge |= edge.T
+            undecided &= undecided.T
+            edge |= edge.T
         self.tag, self.D, self.group, self.pair, self.sign = tag, D, group, pair, sign
-        return bool(len(pair))  # every undecided pair is a member of its ends' degree reads
+        return bool(undecided.any())
 
     @staticmethod
     def _conflict(e, tag, D, A, B, n):
         """The error for group e, whose residual D[e] lies outside its range."""
         r, p, m = int(D[e]), int(A[e] + B[e]) // 2, int(A[e] - B[e]) // 2
-        if tag[e] < 0:
-            return DegreeConflict(-1 - int(tag[e]), r, p)
-        probe, u = divmod(int(tag[e]), n)
+        if e < n:
+            return DegreeConflict(e, r, p)
+        probe, u = divmod(int(tag[e - n]), n)
         return BowTieConflict(*divmod(probe, n), u, r, p, m)

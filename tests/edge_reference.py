@@ -77,11 +77,12 @@ def reference_reconstruct_edges(o, V: Sequence[Point2], tol: float = TOLERANCE) 
         src = np.repeat(rows, n - 1 - rows)
         cols = np.concatenate([np.arange(i + 1, n) for i in rows.tolist()])
         tag, D, *_ = edge_recon._probe(o, X, Y, geometry, src, cols, tol)
-        # D(u) for every pair p and vertex u at p * n + u: each pair's read at
-        # its own kept centre c, the first of its tags (c * n + f) * n + u
-        centre = tag[::n] // (n * n)
-        exists = np.abs(D.reshape(-1, n)[np.arange(len(centre)), centre]) == 1
-        edges.update(zip(src[exists].tolist(), cols[exists].tolist()))
+        # each pair's read at its own kept centre c, the one group tagged
+        # (c * n + f) * n + c for its far end f
+        probe, u = np.divmod(tag, n)
+        c, f = np.divmod(probe, n)
+        exists = (u == c) & (np.abs(D) == 1)
+        edges.update(zip(np.minimum(c, f)[exists].tolist(), np.maximum(c, f)[exists].tolist()))
     return EdgeReconResult(frozenset(edges), o.query_count - start, 0)
 
 

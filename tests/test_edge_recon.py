@@ -168,6 +168,16 @@ def test_pair_directions_bowtie_isolates_target():
             assert (err.value.i, err.value.j, err.value.headroom) == (i, i, 0.0)
 
 
+def test_pair_directions_refuse_an_index_outside_the_vertices(monkeypatch):
+    # -1 would wrap to the last vertex as numpy indexing does, and n is past
+    # the end: both raise before anything is certified
+    V = [Point2(0.0, 0.0), Point2(1.0, 0.3), Point2(0.4, 0.9)]
+    monkeypatch.setattr(edge_recon, "_certified_directions", None)
+    for i, j in ((-1, 0), (0, -1), (3, 0), (1, 3), (-1, -1)):
+        with pytest.raises(IndexError, match=rf"^pair \({i}, {j}\) is not a pair of the 3 vertices$"):
+            pair_directions(V, i, j, 0.1)
+
+
 def _halfangle(s1, s2):
     dot = s1.dx * s2.dx + s1.dy * s2.dy
     cross = s1.dx * s2.dy - s1.dy * s2.dx
@@ -403,6 +413,48 @@ def test_reads_settle_pairs_that_are_then_never_asked(monkeypatch):
             if open_before is not None:
                 assert round_asked <= open_before
             open_before = left_open
+
+
+def test_probe_returns_only_groups_that_can_decide():
+    # a group with no member and D(u) = 0 passes its one check for good, so
+    # _probe drops it; every asked pair's read at its kept centre c, tagged
+    # (c * n + f) * n + c, holds the pair itself and is returned once
+    g = random_plane_graph(30, 0.7, 4, margin=1e-6)
+    n = len(g.vertices)
+    X, Y = np.array(g.vertices).T
+    geometry = edge_recon._geometry(X, Y, 1e-9)
+    src, cols = np.triu_indices(n, 1)
+    src, cols = src[::7], cols[::7]
+    tag, D, group, pair, sign = edge_recon._probe(DiagramOracle(g), X, Y, geometry, src, cols, 1e-9)
+    members = np.bincount(group, minlength=len(D))
+    assert len(members) == len(D) == len(tag) < len(src) * n
+    assert ((members > 0) | (D != 0)).all()
+    assert len(np.unique(tag)) == len(tag)
+    probe, u = np.divmod(tag, n)
+    c, f = np.divmod(probe, n)
+    asked = np.minimum(c, f) * n + np.maximum(c, f)
+    at_centre = u == c
+    assert sorted(asked[at_centre].tolist()) == (src * n + cols).tolist()
+    assert (members[at_centre] == 1).all()
+    held = at_centre[group]
+    assert (pair[held] == asked[group[held]]).all()
+
+
+def test_a_counting_only_settle_holds_no_member():
+    # the degree reads are their vertices' rows: a settle with no probe read
+    # leaves the reads holding no member, and both masks symmetric. Counting
+    # settles a star, and only some pairs of the other graph
+    for g, settles in ((_star(8, 1), True), (random_plane_graph(12, 0.7, 3, margin=1e-3), False)):
+        n = len(g.vertices)
+        X, Y = np.array(g.vertices).T
+        reads = edge_recon._Reads(X, Y, 1e-9, edge_recon._degrees(DiagramOracle(g), X, Y, 1e-9))
+        undecided, edge = ~np.eye(n, dtype=bool), np.zeros((n, n), dtype=bool)
+        left = reads.settle(undecided, edge, [])
+        assert len(reads.tag) == len(reads.group) == len(reads.pair) == len(reads.sign) == 0
+        assert len(reads.D) == n and left == undecided.any() != settles
+        assert (undecided == undecided.T).all() and (edge == edge.T).all()
+        found = set(zip(*(a.tolist() for a in np.triu(edge).nonzero())))
+        assert found == set(g.edges) if settles else found < set(g.edges)
 
 
 def test_nearest_orders_every_row_by_the_global_key_on_exact_ties():
@@ -776,15 +828,18 @@ def test_a_read_outside_its_range_raises_bow_tie_conflict(monkeypatch, tmp_path)
 
 
 def test_a_read_at_an_empty_bow_tie_raises_bow_tie_conflict():
+    # the lie is kept though its group has no member, and names its vertex
+    lied = []
+
     def lie(d1, d2, H):
-        u = int(np.flatnonzero(_bowtie_sizes(H) == 0)[0])
-        return d1, _with_cycles(d2, [H[1][u]])
+        lied.append(int(np.flatnonzero(_bowtie_sizes(H) == 0)[0]))
+        return d1, _with_cycles(d2, [H[1][lied[0]]])
 
     o, run = _lying_reconstruction(lie)
     with pytest.raises(BowTieConflict) as err:
         run()
     e = err.value
-    assert (e.residual, e.plus, e.minus) == (-1, 0, 0) and o.lied
+    assert (e.u, e.residual, e.plus, e.minus) == (lied[0], -1, 0, 0) and o.lied
 
 
 def test_a_read_of_a_pair_decided_before_it_was_asked_raises_bow_tie_conflict():
