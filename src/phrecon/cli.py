@@ -1,7 +1,9 @@
 """Command-line surface: gen, diagrams, reconstruct, verify, render.
 
-Exit codes: 0 ok, 1 verification mismatch, 2 generation failure,
-3 degenerate direction, 4 invalid input graph, 64 usage error.
+Each command parses its arguments, calls the library and writes its
+files; `main` alone turns what they raise into exit codes: 0 ok,
+1 verification mismatch, 2 generation failure, 3 degenerate direction,
+4 invalid input graph, 64 usage error or unreadable input.
 """
 
 from __future__ import annotations
@@ -11,14 +13,13 @@ import json
 import math
 import sys
 import time
-from dataclasses import asdict, dataclass
 
 import numpy as np
 
 from . import geometry
 from .edge_recon import reconstruct_edges_detail
-from .errors import DegenerateDirection, GenerationFailed, PhreconError
-from .geometry import Direction, Point2
+from .errors import DegenerateDirection, GenerationFailed, InvalidGraph, PhreconError
+from .geometry import Direction
 from .persistence import DiagramOracle, diagram_to_json, lower_star_diagrams
 from .plane_graph import (
     PlaneGraph,
@@ -38,28 +39,6 @@ EXIT_INVALID_GRAPH = 4
 EXIT_USAGE = 64
 
 
-class _Parser(argparse.ArgumentParser):
-    def error(self, message):
-        self.print_usage(sys.stderr)
-        print(f"{self.prog}: error: {message}", file=sys.stderr)
-        raise SystemExit(EXIT_USAGE)
-
-
-@dataclass
-class RunReport:
-    """Bookkeeping for one reconstruction run."""
-
-    vertex_queries: int
-    edge_queries: int
-    retries: int
-    max_vertex_error: float
-    edge_set_equal: bool
-    wall_time_ms: float
-
-    def to_json(self) -> str:
-        return json.dumps(asdict(self), separators=(", ", ": ")) + "\n"
-
-
 def _parse_direction(text: str) -> Direction:
     try:
         parts = [float(part) for part in text.split(",")]
@@ -72,33 +51,31 @@ def _parse_direction(text: str) -> Direction:
     return Direction(parts[0], parts[1])
 
 
-def _match_vertices(
-    a: list[Point2], b: list[Point2], eps: float
-) -> list[tuple[int, int]] | None:
-    """Optimal one-to-one pairing of two point lists with all matched
-    L-inf distances <= eps, or None when no such pairing exists."""
-    if len(a) != len(b):
+def _compare(a: PlaneGraph, b: PlaneGraph, eps: float) -> tuple[float, list, list] | None:
+    """Compare two graphs up to a pairing of their vertices: the one
+    optimal assignment on the L-inf distance that pairs no vertices
+    farther apart than eps. None when no such pairing exists; otherwise
+    the largest paired distance, the edges only in a and the edges only
+    in b, each list sorted and in its own graph's indices. Raises
+    InvalidGraph for an invalid graph and ValueError for a NaN distance."""
+    (ax, ay, _), (bx, by, _) = a.arrays, b.arrays
+    if a.n != b.n:
         return None
-    if not a:
-        return []
     from scipy.optimize import linear_sum_assignment
 
-    pa = np.asarray(a, dtype=float)
-    pb = np.asarray(b, dtype=float)
-    cost = np.max(np.abs(pa[:, None, :] - pb[None, :, :]), axis=2)
-    penalized = np.where(cost > eps, 1e18, cost)
-    rows, cols = linear_sum_assignment(penalized)
-    if np.any(cost[rows, cols] > eps):
+    cost = np.maximum(abs(ax[:, None] - bx), abs(ay[:, None] - by))
+    try:
+        rows, cols = linear_sum_assignment(np.where(cost > eps, np.inf, cost))
+    except ValueError:  # NaN is refused; pairs beyond eps only make it infeasible
+        if np.isnan(cost).any():
+            raise
         return None
-    return list(zip(rows.tolist(), cols.tolist()))
+    to_b, to_a = cols.tolist(), np.argsort(cols).tolist()  # rows is 0, ..., n - 1
 
+    def only(g, h, to):
+        return sorted((i, j) for i, j in g.edges if tuple(sorted((to[i], to[j]))) not in h.edges)
 
-def _remap_edges(edges, mapping: dict[int, int]) -> set[tuple[int, int]]:
-    out = set()
-    for i, j in edges:
-        a, b = mapping[i], mapping[j]
-        out.add((min(a, b), max(a, b)))
-    return out
+    return float(cost[rows, cols].max(initial=0.0)), only(a, b, to_b), only(b, a, to_a)
 
 
 def cmd_gen(args) -> int:
@@ -106,24 +83,8 @@ def cmd_gen(args) -> int:
     return EXIT_OK
 
 
-def _load_indexed_graph(path) -> PlaneGraph | None:
-    """The graph in `path`, or None after reporting an edge index outside
-    [0, n) or a self-loop, which `PlaneGraph.arrays` refuses and `validate`
-    lists."""
-    g = load_graph(path)
-    try:
-        g.arrays
-    except ValueError as err:
-        print(f"invalid graph: {err}", file=sys.stderr)
-        return None
-    return g
-
-
 def cmd_diagrams(args) -> int:
-    g = _load_indexed_graph(args.graph)
-    if g is None:
-        return EXIT_INVALID_GRAPH
-    d = lower_star_diagrams(g, args.direction, args.tolerance)
+    d = lower_star_diagrams(load_graph(args.graph), args.direction, args.tolerance)
     with open(args.out, "w", encoding="utf-8") as fh:
         fh.write(diagram_to_json(d))
     return EXIT_OK
@@ -145,68 +106,41 @@ def cmd_reconstruct(args) -> int:
     recon = PlaneGraph(vertices, detail.edges)
     save_graph(recon, args.out)
     if args.report:
-        matching = _match_vertices(vertices, list(hidden.vertices), float("inf"))
-        if matching is None:
-            max_err, edges_equal = float("inf"), False
-        else:
-            max_err = max(
-                (
-                    max(
-                        abs(vertices[i].x - hidden.vertices[j].x),
-                        abs(vertices[i].y - hidden.vertices[j].y),
-                    )
-                    for i, j in matching
-                ),
-                default=0.0,
-            )
-            mapping = dict(matching)
-            edges_equal = _remap_edges(detail.edges, mapping) == set(hidden.edges)
-        report = RunReport(
-            vertex_queries=vertex_queries,
-            edge_queries=detail.queries,
-            retries=detail.retries,
-            max_vertex_error=max_err,
-            edge_set_equal=edges_equal,
-            wall_time_ms=wall_ms,
-        )
+        # reconstruct_vertices returns the hidden vertices or raises, so a pairing exists
+        max_err, only_recon, only_hidden = _compare(recon, hidden, math.inf)
+        report = {
+            "vertex_queries": vertex_queries,
+            "edge_queries": detail.queries,
+            "retries": detail.retries,
+            "max_vertex_error": max_err,
+            "edge_set_equal": not only_recon and not only_hidden,
+            "wall_time_ms": wall_ms,
+        }
         with open(args.report, "w", encoding="utf-8") as fh:
-            fh.write(report.to_json())
+            fh.write(json.dumps(report, separators=(", ", ": ")) + "\n")
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    try:
-        ga = _load_indexed_graph(args.a)
-        gb = _load_indexed_graph(args.b)
-    except (OSError, ValueError) as err:
-        print(f"error: cannot parse graphs: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    if ga is None or gb is None:
-        return EXIT_INVALID_GRAPH
-    matching = _match_vertices(list(ga.vertices), list(gb.vertices), args.eps)
-    if matching is None:
+    a, b = load_graph(args.a), load_graph(args.b)
+    compared = _compare(a, b, args.eps)
+    if compared is None:
         print(
-            f"vertex sets do not match within eps={args.eps}: "
-            f"{ga.n} vs {gb.n} vertices",
+            f"vertex sets do not match within eps={args.eps}: {a.n} vs {b.n} vertices",
             file=sys.stderr,
         )
         return EXIT_MISMATCH
-    mapping = dict(matching)
-    ea = _remap_edges(ga.edges, mapping)
-    eb = set(gb.edges)
-    if ea != eb:
-        for e in sorted(ea - eb):
-            print(f"edge only in {args.a}: {e}", file=sys.stderr)
-        for e in sorted(eb - ea):
-            print(f"edge only in {args.b}: {e}", file=sys.stderr)
-        return EXIT_MISMATCH
-    return EXIT_OK
+    _, only_a, only_b = compared
+    for e in only_a:
+        print(f"edge only in {args.a}: {e}", file=sys.stderr)
+    for e in only_b:
+        print(f"edge only in {args.b}: {e}", file=sys.stderr)
+    return EXIT_MISMATCH if only_a or only_b else EXIT_OK
 
 
 def cmd_render(args) -> int:
-    g = _load_indexed_graph(args.graph)
-    if g is None:
-        return EXIT_INVALID_GRAPH
+    g = load_graph(args.graph)
+    g.arrays  # an invalid graph is refused before the bow-tie argument, as render_svg does
     bowtie = None
     if args.bowtie:
         try:
@@ -246,7 +180,7 @@ def _finite_positive(text: str) -> float:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = _Parser(prog="phrecon", description=__doc__)
+    parser = argparse.ArgumentParser(prog="phrecon", description=__doc__)
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("gen", help="generate a random plane graph")
@@ -287,11 +221,10 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
-    except SystemExit as exc:
-        return exc.code if isinstance(exc.code, int) else EXIT_USAGE
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 0 after --help and 2 on a usage error
+        return EXIT_USAGE if exc.code else EXIT_OK
     try:
         return args.func(args)
     except DegenerateDirection as err:
@@ -300,10 +233,10 @@ def main(argv=None) -> int:
     except GenerationFailed as err:
         print(f"generation failed: {err}", file=sys.stderr)
         return EXIT_GENERATION
-    except PhreconError as err:
-        print(f"error: {err}", file=sys.stderr)
-        return EXIT_USAGE
-    except (OSError, ValueError) as err:
+    except InvalidGraph as err:
+        print(f"invalid graph: {err}", file=sys.stderr)
+        return EXIT_INVALID_GRAPH
+    except (PhreconError, OSError, ValueError) as err:
         print(f"error: {err}", file=sys.stderr)
         return EXIT_USAGE
 

@@ -33,7 +33,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from itertools import accumulate
 from typing import NamedTuple, Sequence
 
 import numpy as np
@@ -510,12 +509,12 @@ class _Reads:
         self.tag = self.group = self.pair = np.empty(0, np.intp)
 
     def settle(self, undecided: np.ndarray, edge: np.ndarray, chunks) -> bool:
-        """Take the round's chunks, as `_probe` returns them, then apply
-        every read to a fixpoint and say whether any pair is still
-        undecided. Decided pairs leave `undecided`, and edges join `edge`;
-        both stay symmetric.
+        """Take the round's chunks, as `_probe` returns them, and empty the
+        list; then apply every read to a fixpoint and say whether any pair
+        is still undecided. Decided pairs leave `undecided`, and edges join
+        `edge`; both stay symmetric.
 
-        The chunks' groups are numbered after those held, in order. Each
+        The chunks' groups are numbered in place after those held. Each
         pass first folds the decided members into their groups: D loses the
         signs of their known edges, and they are dropped. The members held
         between settles are all undecided, so the first pass folds only the
@@ -533,10 +532,13 @@ class _Reads:
         either. A pass writes each pair i * n + j, i < j, and mirrors it."""
         n = len(undecided)
         und, known = undecided.ravel(), edge.ravel()
-        starts = accumulate((len(c[1]) for c in chunks), initial=len(self.D))
-        numbered = [(t, d, g + start, p, s) for (t, d, g, p, s), start in zip(chunks, starts)]
-        parts = zip((self.tag, self.D, self.group, self.pair, self.sign), *numbered)
+        start = len(self.D)
+        for _, d, g, _, _ in chunks:
+            g += start
+            start += len(d)
+        parts = zip((self.tag, self.D, self.group, self.pair, self.sign), *chunks)
         tag, D, group, pair, sign = map(np.concatenate, parts)
+        chunks.clear()
         G = len(D)
         while True:
             D = D - np.bincount(group, weights=sign * known[pair], minlength=G)

@@ -36,6 +36,15 @@ class UncertifiedVertices(PhreconError):
         )
 
 
+class InvalidGraph(PhreconError, ValueError):
+    """An edge with a vertex index outside [0, n), or a self-loop (i, i).
+
+    `PlaneGraph.arrays` raises it, so every reader of the array form
+    refuses such a graph; `validate` lists the same edges as data. It is
+    a ValueError too, so `except ValueError` catches it. The command line
+    reports it as `invalid graph: ...` with exit 4."""
+
+
 class DegeneratePoints(PhreconError):
     """A vertex set contains coincident points."""
 

@@ -19,7 +19,7 @@ from typing import Iterator
 
 import numpy as np
 
-from .errors import GenerationFailed
+from .errors import GenerationFailed, InvalidGraph
 from .geometry import TOLERANCE, Point2
 
 Edge = tuple[int, int]
@@ -65,7 +65,7 @@ class PlaneGraph:
         """Read-only array form, built on first use and kept: the float64
         x and y coordinate columns and the (m, 2) integer array of
         `sorted_edges()`. Not a dataclass field, so equality, hashing and
-        JSON see only `vertices` and `edges`. Raises ValueError naming the
+        JSON see only `vertices` and `edges`. Raises InvalidGraph naming the
         first edge, in sorted order, with an index outside [0, n), or else
         the first self-loop (i, i). The rows are put in sorted order by one
         argsort of the keys i * n + j."""
@@ -79,12 +79,12 @@ class PlaneGraph:
             inside = False
         if not inside:
             i, j = min((i, j) for i, j in self.edges if i < 0 or j >= n)
-            raise ValueError(f"edge ({i}, {j}) out of range")
+            raise InvalidGraph(f"edge ({i}, {j}) out of range")
         e = e[(e[:, 0] * n + e[:, 1]).argsort()]
         loops = e[:, 0] == e[:, 1]
         if loops.any():
             i = int(e[loops.argmax(), 0])
-            raise ValueError(f"self-loop edge ({i}, {i})")
+            raise InvalidGraph(f"self-loop edge ({i}, {i})")
         for a in (x, y, e):
             a.flags.writeable = False
         return x, y, e

@@ -61,7 +61,7 @@ def render_svg(
 ) -> str:
     """Render the graph, optionally overlaying the three filtration-line
     families or shading the bow tie probing one vertex pair. Raises
-    ValueError, as `PlaneGraph.arrays` does, for an edge index outside
+    InvalidGraph, as `PlaneGraph.arrays` does, for an edge index outside
     [0, n) or a self-loop."""
     if g.n == 0:
         raise ValueError("cannot render an empty graph")

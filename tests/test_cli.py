@@ -124,6 +124,38 @@ def test_verify_detects_edge_difference(tmp_path, appendix_graph):
     assert run("verify", a, b) == 1
 
 
+def test_verify_prints_each_edge_difference_in_its_own_files_indices(tmp_path, appendix_graph, capsys):
+    """b lists a's vertices 3, 2, 0, 1 in that order, so a's edge (0, 3) is
+    b's (0, 2); b trades it for its (1, 2), which is a's (0, 2)."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_graph(appendix_graph, a)
+    V = appendix_graph.vertices
+    save_graph(PlaneGraph([V[3], V[2], V[0], V[1]], [(1, 3), (0, 3), (0, 1), (1, 2)]), b)
+    assert run("verify", a, b) == 1
+    assert capsys.readouterr().err.splitlines() == [f"edge only in {a}: (0, 3)", f"edge only in {b}: (1, 2)"]
+
+
+def test_verify_finds_the_pairing_within_eps_at_any_scale(tmp_path):
+    """The identity pairing is within eps = 1.5e19; pairing the vertices the
+    other way is cheaper in total but 2e19 and 4e19 apart."""
+    a, b = tmp_path / "a.json", tmp_path / "b.json"
+    save_graph(PlaneGraph([(0.0, 0.0), (3e19, 1.0)], [(0, 1)]), a)
+    save_graph(PlaneGraph([(1e19, 0.0), (4e19, 1.0)], [(0, 1)]), b)
+    assert run("verify", a, b, "--eps", "1.5e19") == 0
+    assert run("verify", a, b, "--eps", "0.5e19") == 1
+
+
+@pytest.mark.parametrize("edge", [[-1, 1], [0, 5], [1, 1]])
+@pytest.mark.parametrize("bad", ["a", "b"])
+def test_verify_invalid_graph_exit4_with_one_line(tmp_path, appendix_file, capsys, bad, edge):
+    gpath = tmp_path / "bad.json"
+    gpath.write_text(json.dumps({"vertices": [[0.1, 0.2], [0.5, 0.9], [0.8, 0.4]], "edges": [edge]}))
+    files = [gpath, appendix_file] if bad == "a" else [appendix_file, gpath]
+    assert run("verify", *files) == 4
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("invalid graph: ")
+
+
 def test_verify_refuses_eps_nan_which_pairs_any_vertices(tmp_path):
     a, b = tmp_path / "a.json", tmp_path / "b.json"
     assert run("gen", "--n", 8, "--density", 0, "--seed", 1, "-o", a) == 0

@@ -9,6 +9,8 @@ from phrecon import (
     DiagramOracle,
     Direction,
     GenerationFailed,
+    InvalidGraph,
+    PhreconError,
     PlaneGraph,
     graph_from_json,
     graph_to_json,
@@ -427,6 +429,15 @@ def test_arrays_refuse_self_loops():
             DiagramOracle(g).query_many([Direction(1.0, 0.3)])
     # validate still reports the loop as data
     assert "self-loop edge (1, 1)" in validate(PlaneGraph(V, [(1, 1)]))
+
+
+def test_arrays_raise_invalid_graph_which_is_a_phrecon_error_and_a_value_error():
+    assert issubclass(InvalidGraph, PhreconError) and issubclass(InvalidGraph, ValueError)
+    V = [(0.1, 0.2), (0.5, 0.9), (0.8, 0.4)]
+    for edges, message in (([(0, 5)], "edge (0, 5) out of range"), ([(2, 2)], "self-loop edge (2, 2)")):
+        with pytest.raises(InvalidGraph) as info:
+            PlaneGraph(V, edges).arrays
+        assert str(info.value) == message
 
 
 def test_arrays_cached_read_only_and_outside_equality():
