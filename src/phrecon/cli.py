@@ -57,7 +57,7 @@ def _compare(a: PlaneGraph, b: PlaneGraph, eps: float) -> tuple[float, list, lis
     farther apart than eps. None when no such pairing exists; otherwise
     the largest paired distance, the edges only in a and the edges only
     in b, each list sorted and in its own graph's indices. Raises
-    InvalidGraph for an invalid graph and ValueError for a NaN distance."""
+    InvalidGraph for an invalid graph."""
     (ax, ay, _), (bx, by, _) = a.arrays, b.arrays
     if a.n != b.n:
         return None
@@ -66,9 +66,7 @@ def _compare(a: PlaneGraph, b: PlaneGraph, eps: float) -> tuple[float, list, lis
     cost = np.maximum(abs(ax[:, None] - bx), abs(ay[:, None] - by))
     try:
         rows, cols = linear_sum_assignment(np.where(cost > eps, np.inf, cost))
-    except ValueError:  # NaN is refused; pairs beyond eps only make it infeasible
-        if np.isnan(cost).any():
-            raise
+    except ValueError:  # pairs beyond eps make it infeasible
         return None
     to_b, to_a = cols.tolist(), np.argsort(cols).tolist()  # rows is 0, ..., n - 1
 

@@ -37,10 +37,11 @@ class UncertifiedVertices(PhreconError):
 
 
 class InvalidGraph(PhreconError, ValueError):
-    """An edge with a vertex index outside [0, n), or a self-loop (i, i).
+    """A vertex with a non-finite coordinate, or an edge with a vertex
+    index outside [0, n) or not an integer, or a self-loop (i, i).
 
     `PlaneGraph.arrays` raises it, so every reader of the array form
-    refuses such a graph; `validate` lists the same edges as data. It is
+    refuses such a graph; `validate` lists the same faults as data. It is
     a ValueError too, so `except ValueError` catches it. The command line
     reports it as `invalid graph: ...` with exit 4."""
 

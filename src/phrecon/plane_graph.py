@@ -2,19 +2,20 @@
 
 A PlaneGraph is a straight-line embedded graph whose vertices are assumed
 to be in general position (pairwise distinct x- and y-coordinates, no three
-collinear) and whose edges do not cross. `validate` reports violations of
-those assumptions as data; `random_plane_graph` produces instances that
+collinear) and whose edges do not cross. It holds its coordinates and edges
+as arrays, converted once when it is built. `validate` reports violations
+of those assumptions as data; `random_plane_graph` produces instances that
 satisfy them by construction. `PlaneGraph.arrays`, the form the oracle
-reads, refuses an edge index outside [0, n) and a self-loop, and
-`graph_from_json` raises ValueError for any malformed entry.
+reads, refuses a non-finite coordinate, an edge index outside [0, n) or
+not an integer, and a self-loop, and `graph_from_json` raises ValueError
+for any malformed entry.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
-from itertools import chain
 from typing import Iterator
 
 import numpy as np
@@ -36,58 +37,130 @@ _MAX_ATTEMPTS = 10_000
 _TRIPLE_CELLS = 1 << 14
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, init=False, eq=False, repr=False)
 class PlaneGraph:
-    """Immutable embedded graph: vertex coordinates plus index-pair edges."""
+    """Immutable embedded graph held as three read-only arrays: the
+    float64 vertex coordinates `x` and `y`, and `edge_rows`, the (m, 2)
+    edges, each row (min(i, j), max(i, j)), sorted lexicographically
+    without repeats.
 
-    vertices: tuple[Point2, ...]
-    edges: frozenset[Edge] = field(default_factory=frozenset)
+    `PlaneGraph(vertices, edges)` takes (x, y) pairs and index pairs,
+    as sequences, iterators or arrays. Edge indices are kept as given, so
+    `validate` can report and `arrays` refuse an index outside [0, n), one
+    that is not an integer, and a self-loop. The rows are intp when numpy
+    reads every index as an integer that intp holds, and otherwise the
+    given objects in an object array.
+    `vertices`, a tuple of Point2, and `edges`, a frozenset of index pairs,
+    are built the first time each is read; equality, hashing and repr read
+    them.
+    """
+
+    x: np.ndarray
+    y: np.ndarray
+    edge_rows: np.ndarray
 
     def __init__(self, vertices, edges=()):
-        object.__setattr__(
-            self, "vertices", tuple(Point2(float(x), float(y)) for x, y in vertices)
-        )
-        object.__setattr__(
-            self,
-            "edges",
-            frozenset((min(i, j), max(i, j)) for i, j in edges),
-        )
+        xy = np.array(vertices if isinstance(vertices, np.ndarray) else list(vertices), np.float64)
+        if xy.shape == (0,):
+            xy = xy.reshape(0, 2)
+        if xy.ndim != 2 or xy.shape[1] != 2:
+            raise ValueError(f"vertices must be (x, y) pairs, got an array of shape {xy.shape}")
+        x, y = xy.T.copy()
+        e = _edge_rows(edges)
+        for a in (x, y, e):
+            a.flags.writeable = False
+        vars(self).update(x=x, y=y, edge_rows=e)
+
+    @cached_property
+    def vertices(self) -> tuple[Point2, ...]:
+        return tuple(map(Point2._make, zip(self.x.tolist(), self.y.tolist())))
+
+    @cached_property
+    def edges(self) -> frozenset[Edge]:
+        return frozenset(map(tuple, self.edge_rows.tolist()))
+
+    def __eq__(self, other):
+        if other.__class__ is not self.__class__:
+            return NotImplemented
+        return (self.vertices, self.edges) == (other.vertices, other.edges)
+
+    def __hash__(self) -> int:
+        return hash((self.vertices, self.edges))
+
+    def __repr__(self) -> str:
+        return f"PlaneGraph(vertices={self.vertices!r}, edges={self.edges!r})"
 
     @property
     def n(self) -> int:
-        return len(self.vertices)
+        return len(self.x)
 
     def sorted_edges(self) -> list[Edge]:
-        return sorted(self.edges)
+        return list(map(tuple, self.edge_rows.tolist()))
 
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Read-only array form, built on first use and kept: the float64
-        x and y coordinate columns and the (m, 2) integer array of
-        `sorted_edges()`. Not a dataclass field, so equality, hashing and
-        JSON see only `vertices` and `edges`. Raises InvalidGraph naming the
-        first edge, in sorted order, with an index outside [0, n), or else
-        the first self-loop (i, i). The rows are put in sorted order by one
-        argsort of the keys i * n + j."""
-        n, m = self.n, len(self.edges)
-        xy = np.fromiter(chain.from_iterable(self.vertices), np.float64, 2 * n)
-        x, y = xy[0::2].copy(), xy[1::2].copy()
-        try:
-            e = np.fromiter(chain.from_iterable(self.edges), np.intp, 2 * m).reshape(m, 2)
-            inside = bool(((e >= 0) & (e < n)).all())
-        except OverflowError:  # an index beyond intp is outside too
-            inside = False
-        if not inside:
-            i, j = min((i, j) for i, j in self.edges if i < 0 or j >= n)
-            raise InvalidGraph(f"edge ({i}, {j}) out of range")
-        e = e[(e[:, 0] * n + e[:, 1]).argsort()]
-        loops = e[:, 0] == e[:, 1]
-        if loops.any():
-            i = int(e[loops.argmax(), 0])
-            raise InvalidGraph(f"self-loop edge ({i}, {i})")
-        for a in (x, y, e):
-            a.flags.writeable = False
-        return x, y, e
+        """The checked array form, kept once checked: `x`, `y` and the
+        edge rows as an (m, 2) intp array. Raises InvalidGraph naming the
+        first vertex with a non-finite coordinate; else the first edge, in
+        sorted order, with an index outside [0, n); else the first with an
+        index that is not an integer; else the first self-loop (i, i)."""
+        bad = ~(np.isfinite(self.x) & np.isfinite(self.y))
+        if bad.any():
+            raise InvalidGraph(f"non-finite coordinate at vertex {int(bad.argmax())}")
+        faults, index = _edge_faults(self.edge_rows, self.n)
+        for fault, message in zip(faults, _EDGE_FAULTS):
+            if fault.any():
+                i, j = self.edge_rows[fault.argmax()].tolist()
+                raise InvalidGraph(message.format(i, j))
+        index.flags.writeable = False
+        return self.x, self.y, index
+
+
+#: The message of each edge fault, in the order `_edge_faults` decides them.
+_EDGE_FAULTS = ("edge ({}, {}) out of range", "non-integer edge ({}, {})", "self-loop edge ({}, {})")
+
+
+def _edge_rows(edges) -> np.ndarray:
+    """The rows (min(i, j), max(i, j)) of the index pairs in edges, sorted
+    lexicographically without repeats: intp when numpy reads every index
+    as an integer that intp holds, else an object array of the given
+    indices, ordered and deduplicated by Python's own comparisons."""
+    pairs = edges if isinstance(edges, np.ndarray) else list(edges)
+    e = np.asarray(pairs)
+    if e.shape == (0,):
+        return np.empty((0, 2), np.intp)
+    if e.ndim != 2 or e.shape[1] != 2:
+        raise ValueError(f"edges must be index pairs, got an array of shape {e.shape}")
+    if e.dtype.kind not in "iu" or not np.can_cast(e.dtype, np.intp):
+        rows = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+        return np.array(rows, dtype=object).reshape(-1, 2)
+    e = np.sort(e, axis=1).astype(np.intp, copy=False)
+    lo, hi = e.T
+    # input in order already, as the generators give it, needs no sort
+    if not ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
+        e = e[np.lexsort((hi, lo))]
+        e = e[np.concatenate([[True], (e[1:] != e[:-1]).any(axis=1)])]
+    return e
+
+
+def _edge_faults(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:
+    """The faults of the edge rows e on n vertices as a (3, m) mask, one
+    row per fault in the order they are decided: an index outside [0, n),
+    an index that is not an integer, a self-loop. An edge's first fault is
+    its fault. Also e as intp, where a faulty row holds no meaning."""
+    # each row is (min, max), so its ends bound it
+    if e.dtype == np.intp:
+        outside = (e[:, 0] < 0) | (e[:, 1] >= n)
+        index, fractional = e, np.zeros(len(e), bool)
+    else:
+        with np.errstate(invalid="ignore"):  # a NaN index is outside, with no warning
+            outside = ~((e[:, 0] >= 0) & (e[:, 1] < n))
+        # an index in [0, n) is a number a float64 holds exactly, if an integer
+        f = np.zeros(e.shape)
+        f[~outside] = e[~outside]
+        fractional = (f != np.floor(f)).any(axis=1)
+        index = f.astype(np.intp)
+    return np.array([outside, fractional, index[:, 0] == index[:, 1]]), index
 
 
 def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
@@ -95,7 +168,7 @@ def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
 
     An empty list means the graph satisfies the standing assumptions:
     finite coordinates, general position (distinct x, distinct y, no three
-    collinear within tol), index-valid non-loop edges, and a plane
+    collinear within tol), integer, index-valid non-loop edges, and a plane
     straight-line embedding (no two edge segments intersect except at a
     shared endpoint).
 
@@ -109,9 +182,7 @@ def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
     no array grows as m^2 or n^3. Non-finite and huge finite coordinates
     are reported, never raised on.
     """
-    n = g.n
-    xy = np.fromiter(chain.from_iterable(g.vertices), np.float64, 2 * n)
-    x, y = xy[0::2], xy[1::2]
+    x, y = g.x, g.y
     bad = ~(np.isfinite(x) & np.isfinite(y))
     issues = [f"non-finite coordinate at vertex {i}" for i in np.flatnonzero(bad).tolist()]
     # non-finite and huge coordinates give NaN or inf, silently as Python floats do
@@ -119,15 +190,11 @@ def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
         issues.extend(_shared_coordinates(x, y, tol))
         for block in _triples_where(x, y, lambda area2: np.abs(area2) <= tol):
             issues.extend(f"collinear vertices ({i}, {j}, {k})" for i, j, k in block.tolist())
-        edges: list[Edge] = []
-        for i, j in g.sorted_edges():
-            if not (0 <= i < n and 0 <= j < n):
-                issues.append(f"edge ({i}, {j}) out of range")
-            elif i == j:
-                issues.append(f"self-loop edge ({i}, {j})")
-            else:
-                edges.append((i, j))
-        e = np.array(edges, dtype=np.intp).reshape(-1, 2)
+        faults, index = _edge_faults(g.edge_rows, g.n)
+        faulty = faults.any(axis=0)
+        kinds, rows = faults.argmax(axis=0)[faulty].tolist(), g.edge_rows[faulty].tolist()
+        issues.extend(_EDGE_FAULTS[k].format(i, j) for k, (i, j) in zip(kinds, rows))
+        e = index[~faulty]
         for block in _touching_edge_pairs(x, y, e, tol):
             issues.extend(f"crossing edges ({a}, {b}) x ({c}, {d})" for a, b, c, d in block.tolist())
     return issues
@@ -277,16 +344,16 @@ def _general_position_ok(pts: np.ndarray, margin: float) -> bool:
     return next(close, None) is None
 
 
-def _delaunay_edges(pts: np.ndarray) -> list[Edge]:
+def _delaunay_edges(pts: np.ndarray) -> np.ndarray:
     from scipy.spatial import Delaunay
 
     n = len(pts)
     tri = np.sort(Delaunay(pts).simplices, axis=1).astype(np.int64)  # int32 keys overflow
     # edge (a, b), a < b, as the key a * n + b: one 1-D unique sorts and
     # dedupes all three edge columns (np.unique with axis=0 costs more than
-    # the set it replaces on small graphs)
+    # the set it replaces on small graphs); its rows come out sorted
     keys = np.unique(tri[:, [0, 1, 0]] * n + tri[:, [1, 2, 2]])
-    return [divmod(k, n) for k in keys.tolist()]
+    return np.array(np.divmod(keys, n)).T
 
 
 def random_plane_graph(
@@ -323,28 +390,31 @@ def random_plane_graph(
             f"no general-position sample with margin {margin} after {_MAX_ATTEMPTS} attempts"
         )
     if n == 1:
-        all_edges: list[Edge] = []
+        all_edges = np.empty((0, 2), np.intp)
     elif n == 2:
-        all_edges = [(0, 1)]
+        all_edges = np.array([[0, 1]])
     else:
         all_edges = _delaunay_edges(pts)
     k = int(round(density * len(all_edges)))
-    if k == 0:
-        chosen: list[Edge] = []
-    else:
-        idx = rng.choice(len(all_edges), size=k, replace=False)
-        chosen = [all_edges[i] for i in sorted(int(i) for i in idx)]
-    return PlaneGraph(((float(x), float(y)) for x, y in pts), chosen)
+    chosen = rng.choice(len(all_edges), size=k, replace=False)
+    return PlaneGraph(pts, all_edges[np.sort(chosen)])
 
 
 def graph_to_json(g: PlaneGraph) -> str:
     """Canonical Graph JSON: vertex order preserved, edges sorted, numbers
     in shortest round-trip decimal form."""
     payload = {
-        "vertices": [[v.x, v.y] for v in g.vertices],
-        "edges": [[i, j] for i, j in g.sorted_edges()],
+        "vertices": np.stack([g.x, g.y], axis=1).tolist(),
+        "edges": g.edge_rows.tolist(),
     }
     return json.dumps(payload, separators=(", ", ": ")) + "\n"
+
+
+def _edge_index(v) -> int:
+    i = int(v)
+    if isinstance(v, float) and i != v:
+        raise ValueError(f"edge index {v!r} is not an integer")
+    return i
 
 
 def graph_from_json(text: str) -> PlaneGraph:
@@ -353,7 +423,7 @@ def graph_from_json(text: str) -> PlaneGraph:
         raise ValueError("graph JSON must contain 'vertices' and 'edges'")
     try:
         vertices = [(float(x), float(y)) for x, y in data["vertices"]]
-        edges = [(int(i), int(j)) for i, j in data["edges"]]
+        edges = [(_edge_index(i), _edge_index(j)) for i, j in data["edges"]]
     except (TypeError, ValueError, OverflowError) as err:
         raise ValueError(f"malformed vertex or edge entry in graph JSON: {err}") from err
     return PlaneGraph(vertices, edges)

@@ -26,7 +26,7 @@ from .persistence import Diagram, DiagramOracle
 AXIS_X = Direction(1.0, 0.0)
 AXIS_Y = Direction(0.0, 1.0)
 
-#: Third direction used when a single vertex leaves no box geometry to
+#: Third direction used when at most one vertex leaves no box geometry to
 #: exploit; any direction independent of both axes works.
 _SINGLE_VERTEX_DIRECTION = Direction(math.sqrt(0.5), math.sqrt(0.5))
 
@@ -59,12 +59,13 @@ def third_direction(xs: np.ndarray, ys: np.ndarray) -> Direction:
     full width of xs and h the smallest adjacent gap of ys, any line
     perpendicular to (w, h/2) rises less than h while crossing the grid
     box, so it cannot meet two horizontal lines inside it. Returns the unit
-    perpendicular with positive y-component.
+    perpendicular with positive y-component, or _SINGLE_VERTEX_DIRECTION
+    for at most one vertex.
     """
     n = len(xs)
-    if n != len(ys) or n < 1:
-        raise ValueError(f"axes must have equal positive size, got {n}, {len(ys)}")
-    if n == 1:
+    if n != len(ys):
+        raise ValueError(f"axes must have equal size, got {n}, {len(ys)}")
+    if n <= 1:
         return _SINGLE_VERTEX_DIRECTION
     w = float(xs[-1] - xs[0])
     h = float((ys[1:] - ys[:-1]).min())

@@ -3,12 +3,16 @@ diagram identities and the indegree read are checked against.
 
 `indegree_direct` counts the lower neighbours of a vertex one edge at a
 time, `connected_components` runs a union-find over the edges and `degree`
-counts the edges at a vertex.
+counts the edges at a vertex. `tuple_form` is what a PlaneGraph showed when
+it held a tuple of points and a frozenset of pairs, the reference its views
+are checked against.
 """
 
 from __future__ import annotations
 
-from phrecon import PlaneGraph, height
+import json
+
+from phrecon import PlaneGraph, Point2, height
 
 
 class UnionFind:
@@ -64,3 +68,14 @@ def indegree_direct(g: PlaneGraph, v: int, s) -> int:
             if height(g.vertices[other], s) <= hv:
                 count += 1
     return count
+
+
+def tuple_form(vertices, edges) -> tuple:
+    """The vertices, edges, hash, repr and graph JSON of the graph on
+    these vertices and edges, built as a tuple of Point2 and a frozenset of
+    (min, max) pairs."""
+    V = tuple(Point2(float(x), float(y)) for x, y in vertices)
+    E = frozenset((min(i, j), max(i, j)) for i, j in edges)
+    payload = {"vertices": [[v.x, v.y] for v in V], "edges": [[i, j] for i, j in sorted(E)]}
+    text = json.dumps(payload, separators=(", ", ": ")) + "\n"
+    return V, E, hash((V, E)), f"PlaneGraph(vertices={V!r}, edges={E!r})", text

@@ -297,6 +297,33 @@ def test_self_loop_exit4_writes_nothing(tmp_path, capsys, command):
     assert not out.exists()
 
 
+@pytest.mark.parametrize("value", ["NaN", "Infinity", "-Infinity"])
+@pytest.mark.parametrize("command", ["diagrams", "reconstruct", "render", "verify"])
+def test_non_finite_coordinate_exit4_writes_nothing(tmp_path, capsys, appendix_file, command, value):
+    gpath = tmp_path / "g.json"
+    gpath.write_text(f'{{"vertices": [[0.1, 0.2], [{value}, 0.9], [0.8, 0.4]], "edges": [[0, 1]]}}')
+    out = tmp_path / "out"
+    argv = {
+        "diagrams": [gpath, "--direction", "1,0.3", "-o", out],
+        "reconstruct": [gpath, "-o", out],
+        "render": [gpath, "--bowtie", "0,1", "-o", out],
+        "verify": [appendix_file, gpath],
+    }[command]
+    assert run(command, *argv) == 4
+    assert capsys.readouterr().err == "invalid graph: non-finite coordinate at vertex 1\n"
+    assert not out.exists()
+
+
+def test_reconstruct_then_verify_the_empty_graph(tmp_path):
+    gpath, out, report = tmp_path / "g.json", tmp_path / "r.json", tmp_path / "report.json"
+    gpath.write_text('{"vertices": [], "edges": []}\n')
+    assert run("reconstruct", gpath, "-o", out, "--report", report) == 0
+    assert out.read_text() == '{"vertices": [], "edges": []}\n'
+    rep = json.loads(report.read_text())
+    assert (rep["vertex_queries"], rep["edge_queries"], rep["edge_set_equal"]) == (3, 0, True)
+    assert run("verify", gpath, out) == 0
+
+
 def test_render_svg_refuses_an_edge_index_out_of_range():
     V = [(0.1, 0.2), (0.5, 0.9), (0.8, 0.4)]
     with pytest.raises(ValueError, match=r"edge \(-1, 1\) out of range"):

@@ -15,6 +15,8 @@ from phrecon import (
     graph_from_json,
     graph_to_json,
     random_plane_graph,
+    reconstruct_edges_detail,
+    reconstruct_vertices,
     validate,
 )
 
@@ -23,7 +25,7 @@ from phrecon.geometry import TOLERANCE
 from phrecon.plane_graph import _delaunay_edges, _general_position_ok
 
 from conftest import components_by_bfs
-from graph_reference import connected_components, degree, indegree_direct
+from graph_reference import connected_components, degree, indegree_direct, tuple_form
 from validate_reference import crossing_messages, shared_coordinate_messages
 
 
@@ -206,7 +208,7 @@ def _pair_check_inputs(seed: int, cases: int = 240):
         n = int(rng.integers(60, 91)) if t % 60 == 0 else int(rng.integers(2, 25))
         tol = float(rng.choice([0.0, 1e-9, 1e-3]))
         pts = rng.random((n, 2))
-        edges = _delaunay_edges(pts) if n >= 3 and t % 2 else []
+        edges = _delaunay_edges(pts).tolist() if n >= 3 and t % 2 else []
         if t % 5 == 0:
             pts = np.round(pts * 8.0) / 8.0  # exact coordinate ties and segment contacts
             tol = float(rng.choice([tol, 0.125]))  # 0.125: exact ties at tol
@@ -307,7 +309,7 @@ def test_delaunay_edges_match_the_set_loop():
         pts = rng.random((n, 2))
         if t % 5 == 1:
             pts = np.round(pts * 4.0) / 4.0 + rng.random(pts.shape) * 1e-9  # near-cocircular grid
-        assert _delaunay_edges(pts) == _delaunay_edges_loop(pts), t
+        assert list(map(tuple, _delaunay_edges(pts).tolist())) == _delaunay_edges_loop(pts), t
 
 
 def test_indegree_star_with_ties():
@@ -391,6 +393,7 @@ def test_graph_json_rejects_malformed():
         '{"vertices": 5, "edges": []}',
         '{"vertices": [[0, 1], [1, 0]], "edges": [[0, [1]]]}',
         '{"vertices": [[0, 1], [1, 0]], "edges": [[0, 1e400]]}',
+        '{"vertices": [[0, 1], [1, 0]], "edges": [[0, 1.5]]}',
     ):
         with pytest.raises(ValueError):
             graph_from_json(text)
@@ -453,3 +456,74 @@ def test_arrays_cached_read_only_and_outside_equality():
     assert g == twin and hash(g) == hash(twin)
     assert graph_to_json(g) == graph_to_json(twin)
     assert PlaneGraph([(0.3, 0.4)], []).arrays[2].shape == (0, 2)
+
+
+def test_arrays_refuse_non_finite_coordinates_and_non_integer_edges():
+    V = [(0.1, 0.2), (0.5, 0.9), (0.8, 0.4)]
+    for vertices, edges, message in (
+        ([(0.1, 0.2), (math.nan, 0.9), (0.8, -math.inf)], [(0, 1)], "non-finite coordinate at vertex 1"),
+        ([(0.1, 0.2), (0.5, 0.9), (0.8, math.inf)], [(0, 5)], "non-finite coordinate at vertex 2"),
+        (V, [(0.0, 1.5)], "non-integer edge (0.0, 1.5)"),
+        (V, [(1, 2), (0.5, 0.5), (0, 7)], "edge (0, 7) out of range"),  # a range error comes first
+        (V, [(0, 0), (0.5, 2)], "non-integer edge (0.5, 2)"),  # then a fraction, then a loop
+        (V, [(math.nan, 1)], "edge (nan, nan) out of range"),  # and no RuntimeWarning
+    ):
+        g = PlaneGraph(vertices, edges)
+        with pytest.raises(InvalidGraph) as info:
+            g.arrays
+        assert str(info.value) == message
+        # the oracle kernel reads the arrays, so no coordinate or index is read wrong
+        with pytest.raises(InvalidGraph, match=re.escape(message)):
+            DiagramOracle(g).query_many([Direction(1.0, 0.3)])
+    # validate reports every fault as data, each edge in sorted order
+    g = PlaneGraph(V, [(2, 2), (1.5, 0), (1.0, 2.0), (0, 7)])
+    assert validate(g) == ["non-integer edge (0, 1.5)", "edge (0, 7) out of range", "self-loop edge (2, 2)"]
+    # an integer held as a float is an index
+    g = PlaneGraph(V, [(1.0, 2.0)])
+    assert validate(g) == [] and g.arrays[2].tolist() == [[1, 2]]
+    assert graph_from_json('{"vertices": [[0, 1], [1, 0]], "edges": [[0, 1.0]]}').edges == {(0, 1)}
+
+
+def test_reconstruction_builds_no_tuple_view():
+    # the oracle reads the arrays the graph was built from, and nothing else
+    for g in (random_plane_graph(9, 1.0, 4), PlaneGraph(*delaunay_lists(40, 3))):
+        o = DiagramOracle(g)
+        o.query_many([Direction(1.0, 0.0), Direction(0.0, 1.0)])
+        assert "vertices" not in vars(g) and "edges" not in vars(g)
+        reconstruct_edges_detail(o, reconstruct_vertices(o))
+        assert "vertices" not in vars(g) and "edges" not in vars(g)
+
+
+def delaunay_lists(n: int, seed: int) -> tuple[list, list]:
+    """n random points and their Delaunay edges, as lists of lists."""
+    pts = np.random.default_rng(seed).random((n, 2))
+    return pts.tolist(), _delaunay_edges(pts).tolist()
+
+
+@pytest.mark.parametrize(
+    "edges",
+    [
+        [(2, 0), (1, 0), (0, 1), (0, 2), (2, 1)],  # reversed and repeated
+        [],
+        [(0, 10**30), (2, 1), (1, 2)],  # beyond int64: kept as given
+        [(0.0, 1.5), (2, 1), (1.0, 2.0)],  # not integers: kept as given
+        [(1, 1), (-3, 0)],
+    ],
+)
+def test_views_hash_repr_and_json_are_those_of_the_tuple_form(edges):
+    V = [(0.5, 0.1), (0.2, -0.0), (0.8, 0.7)]
+    want = tuple_form(V, edges)
+    # numpy reads a float index as a numpy float; as objects they stay as given
+    kind = object if any(isinstance(i, float) for e in edges for i in e) else None
+    for form in (list, tuple, iter, lambda rows: np.array(rows, dtype=kind)):
+        g = PlaneGraph(form(V), form(edges))
+        assert (g.vertices, g.edges, hash(g), repr(g), graph_to_json(g)) == want
+        assert sorted(map(repr, g.edges)) == sorted(map(repr, want[1]))  # the types too
+        assert g == PlaneGraph(want[0], want[1]) and g.n == 3
+    for vertices in ([], np.empty((0, 2))):
+        g = PlaneGraph(vertices, [])
+        assert (g.vertices, g.edges, hash(g), repr(g), graph_to_json(g)) == tuple_form([], [])
+    with pytest.raises(ValueError):
+        PlaneGraph([(0.1, 0.2, 0.3)], [])
+    with pytest.raises(ValueError):
+        PlaneGraph(V, [(0, 1, 2)])

@@ -102,6 +102,7 @@ def test_third_direction_full_width_not_adjacent_gap():
 def test_third_direction_single_vertex_fallback():
     s3 = third_direction(family((1, 0), [0.3]), family((0, 1), [0.7]))
     assert s3 == Direction(math.sqrt(0.5), math.sqrt(0.5))
+    assert third_direction(family((1, 0), []), family((0, 1), [])) == s3  # no vertex
 
 
 def test_match_and_intersect_single():
