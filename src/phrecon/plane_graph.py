@@ -135,12 +135,10 @@ def _edge_rows(edges) -> np.ndarray:
         rows = sorted({(min(i, j), max(i, j)) for i, j in pairs})
         return np.array(rows, dtype=object).reshape(-1, 2)
     e = np.sort(e, axis=1).astype(np.intp, copy=False)
-    lo, hi = e.T
-    # input in order already, as the generators give it, needs no sort
-    if not ((lo[1:] > lo[:-1]) | ((lo[1:] == lo[:-1]) & (hi[1:] > hi[:-1]))).all():
-        e = e[np.lexsort((hi, lo))]
-        e = e[np.concatenate([[True], (e[1:] != e[:-1]).any(axis=1)])]
-    return e
+    e = e[np.lexsort((e[:, 1], e[:, 0]))]
+    first = np.ones(len(e), bool)
+    first[1:] = (e[1:] != e[:-1]).any(axis=1)
+    return e[first]
 
 
 def _edge_faults(e: np.ndarray, n: int) -> tuple[np.ndarray, np.ndarray]:

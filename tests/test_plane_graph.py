@@ -520,8 +520,8 @@ def test_views_hash_repr_and_json_are_those_of_the_tuple_form(edges):
         assert (g.vertices, g.edges, hash(g), repr(g), graph_to_json(g)) == want
         assert sorted(map(repr, g.edges)) == sorted(map(repr, want[1]))  # the types too
         assert g == PlaneGraph(want[0], want[1]) and g.n == 3
-    for vertices in ([], np.empty((0, 2))):
-        g = PlaneGraph(vertices, [])
+    for vertices, no_edges in (([], []), (np.empty((0, 2)), np.empty((0, 2), np.intp))):
+        g = PlaneGraph(vertices, no_edges)
         assert (g.vertices, g.edges, hash(g), repr(g), graph_to_json(g)) == tuple_form([], [])
     with pytest.raises(ValueError):
         PlaneGraph([(0.1, 0.2, 0.3)], [])
