@@ -194,8 +194,13 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
 
     Array kernel over `g.arrays`, one row per direction:
 
-    - Heights come from `geometry.heights`. A stable argsort per row ranks
-      the vertices, and everything below works on ranks.
+    - Heights come from `geometry.heights`. numpy's default argsort per
+      row ranks the vertices: with tol >= 0 a row that passes the tie check
+      has distinct heights, ranked alike by every sort, and only the tied
+      row that raises is ranked again, stably. A tol < 0 (or NaN), which
+      the command line refuses, lets equal heights through; the diagram
+      still equals (`==`) a stable ranking's, but which tied rank holds
+      which death may differ.
     - Descent forest: a vertex's first arriving edge goes to its lowest
       lower neighbour, whose component is older, so every vertex with a
       lower neighbour dies at its own height (a diagonal pair). Pointer
@@ -211,7 +216,7 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
     x, y, edges = g.arrays
     u = np.array(units, dtype=np.float64).reshape(k, 2)
     H = heights(x, y, u)  # (k, n)
-    order = H.argsort(axis=1, kind="stable")
+    order = H.argsort(axis=1)
 
     # Flat indices: r*n + v for vertex v of row r, and r*n + q for rank q,
     # so one 1-d array holds a quantity for every row.
@@ -223,14 +228,13 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
     tied = ascending[:, 1:] - ascending[:, :-1] <= tol
     if tied.any():
         r, t = np.argwhere(tied)[0].tolist()
-        a, b = int(order[r, t]), int(order[r, t + 1])
+        a, b = H[r].argsort(kind="stable")[t : t + 2].tolist()
         raise DegenerateDirection(min(a, b), max(a, b), units[r])
     ranks = np.arange(k * n)
     rank = np.empty_like(ranks)
     rank[by_rank] = ranks
-    ra = rank[(edges[:, 0] + offsets).ravel()]
-    rb = rank[(edges[:, 1] + offsets).ravel()]
-    lo, hi = np.minimum(ra, rb), np.maximum(ra, rb)
+    ra, rb = np.take(rank.reshape(k, n), edges.T, axis=1).swapaxes(0, 1)
+    lo, hi = np.minimum(ra, rb).ravel(), np.maximum(ra, rb).ravel()
 
     lowest = ranks.copy()  # rank of the lowest lower neighbour, else own rank
     np.minimum.at(lowest, hi, lo)

@@ -94,9 +94,6 @@ class PlaneGraph:
     def n(self) -> int:
         return len(self.x)
 
-    def sorted_edges(self) -> list[Edge]:
-        return list(map(tuple, self.edge_rows.tolist()))
-
     @cached_property
     def arrays(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """The checked array form, kept once checked: `x`, `y` and the
@@ -124,7 +121,9 @@ def _edge_rows(edges) -> np.ndarray:
     """The rows (min(i, j), max(i, j)) of the index pairs in edges, sorted
     lexicographically without repeats: intp when numpy reads every index
     as an integer that intp holds, else an object array of the given
-    indices, ordered and deduplicated by Python's own comparisons."""
+    indices, ordered and deduplicated by Python's own comparisons. A pair
+    is swapped only when j < i, so a NaN index stays where it was given
+    and `validate` reports (0, nan) as out of range, not as a self-loop."""
     pairs = edges if isinstance(edges, np.ndarray) else list(edges)
     e = np.asarray(pairs)
     if e.shape == (0,):
@@ -132,7 +131,7 @@ def _edge_rows(edges) -> np.ndarray:
     if e.ndim != 2 or e.shape[1] != 2:
         raise ValueError(f"edges must be index pairs, got an array of shape {e.shape}")
     if e.dtype.kind not in "iu" or not np.can_cast(e.dtype, np.intp):
-        rows = sorted({(min(i, j), max(i, j)) for i, j in pairs})
+        rows = sorted({(i, j) if not j < i else (j, i) for i, j in pairs})
         return np.array(rows, dtype=object).reshape(-1, 2)
     e = np.sort(e, axis=1).astype(np.intp, copy=False)
     e = e[np.lexsort((e[:, 1], e[:, 0]))]

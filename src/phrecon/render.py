@@ -117,7 +117,7 @@ def render_svg(
                     'stroke-dasharray="0.02 0.02"/>'
                 )
 
-    for a, b in g.sorted_edges():
+    for a, b in g.edge_rows.tolist():
         (ax, ay), (bx, by) = pt(g.vertices[a]), pt(g.vertices[b])
         out.append(
             f'<path class="edge" d="M {ax} {ay} L {bx} {by}" stroke="#333333" '

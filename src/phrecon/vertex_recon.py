@@ -16,6 +16,7 @@ the three oracle queries.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 
 import numpy as np
 
@@ -95,6 +96,10 @@ def match_and_intersect(
     UncertifiedVertices, naming the farthest f or, when the bound is too
     wide, the lowest. Raises ParallelLines when |s3.dx| <= PARALLEL_EPS,
     where the lines of s3 are numerically horizontal.
+
+    numpy's default argsort ranks f: two equal f's would lie within bound <
+    half_gap of births 2 half_gap apart, so a certified snap's f's are
+    distinct, ranked alike by every sort. The raise ranks f again, stably.
     """
     if not len(xs) == len(ys) == len(h3):
         raise ValueError(f"family sizes differ: {len(xs)}, {len(ys)}, {len(h3)}")
@@ -105,14 +110,16 @@ def match_and_intersect(
     top = max(-h3[0], h3[-1]) + s3.dy * max(-ys[0], ys[-1]) if len(ys) else 0.0
     bound = 4.0 * _EPS * float(top) / abs(s3.dx)
     half_gap = 0.5 * (xs[1:] - xs[:-1]).min(initial=math.inf)
-    rank = f.argsort(kind="stable")
+    rank = f.argsort()
     off = np.abs(f[rank] - xs)
     if not (bound < half_gap and off.max(initial=0.0) <= bound):
         r = int(off.argmax()) if bound < half_gap else 0
+        rank = f.argsort(kind="stable")
         raise UncertifiedVertices(int(rank[r]), float(f[rank[r]]), float(xs[r]), bound, half_gap)
     x = np.empty_like(f)
     x[rank] = xs
-    return list(map(Point2._make, zip(x.tolist(), ys.tolist())))
+    # each Point2 built in C, as `Point2._make` builds it, without its length check
+    return list(map(tuple.__new__, repeat(Point2), zip(x.tolist(), ys.tolist())))
 
 
 def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point2]:

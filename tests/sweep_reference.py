@@ -28,12 +28,12 @@ def reference_lower_star_diagrams(g: PlaneGraph, s: Direction, tol: float = TOLE
     events: list[tuple[float, int, float, int]] = [
         (heights[v], 0, 0.0, v) for v in range(g.n)
     ]
-    for e_idx, (a, b) in enumerate(g.sorted_edges()):
+    for e_idx, (a, b) in enumerate(g.edge_rows.tolist()):
         lo, hi = sorted((heights[a], heights[b]))
         events.append((hi, 1, lo, e_idx))
     events.sort()
 
-    edges = g.sorted_edges()
+    edges = g.edge_rows.tolist()
     parent = list(range(g.n))
     root_birth: dict[int, float] = {}
 

@@ -466,7 +466,8 @@ def test_arrays_refuse_non_finite_coordinates_and_non_integer_edges():
         (V, [(0.0, 1.5)], "non-integer edge (0.0, 1.5)"),
         (V, [(1, 2), (0.5, 0.5), (0, 7)], "edge (0, 7) out of range"),  # a range error comes first
         (V, [(0, 0), (0.5, 2)], "non-integer edge (0.5, 2)"),  # then a fraction, then a loop
-        (V, [(math.nan, 1)], "edge (nan, nan) out of range"),  # and no RuntimeWarning
+        (V, [(math.nan, 1)], "edge (nan, 1) out of range"),  # and no RuntimeWarning
+        (V, [(0, math.nan)], "edge (0, nan) out of range"),  # a NaN is no self-loop
     ):
         g = PlaneGraph(vertices, edges)
         with pytest.raises(InvalidGraph) as info:
@@ -478,6 +479,8 @@ def test_arrays_refuse_non_finite_coordinates_and_non_integer_edges():
     # validate reports every fault as data, each edge in sorted order
     g = PlaneGraph(V, [(2, 2), (1.5, 0), (1.0, 2.0), (0, 7)])
     assert validate(g) == ["non-integer edge (0, 1.5)", "edge (0, 7) out of range", "self-loop edge (2, 2)"]
+    assert validate(PlaneGraph(V, [(0, math.nan)])) == ["edge (0, nan) out of range"]
+    assert validate(PlaneGraph(V, [(math.nan, 1)])) == ["edge (nan, 1) out of range"]
     # an integer held as a float is an index
     g = PlaneGraph(V, [(1.0, 2.0)])
     assert validate(g) == [] and g.arrays[2].tolist() == [[1, 2]]

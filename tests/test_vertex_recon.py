@@ -160,10 +160,22 @@ def test_locate_point_errors():
         locate_point(dgm0((1, 0), [1.0]), dgm0((2, 0), [0.0]))
 
 
+def _assert_point2s(points):
+    """Each point is exactly a Point2 of two floats and acts as one: the
+    vertex phase builds them without `Point2._make`'s length check."""
+    for p in points:
+        assert type(p) is Point2 and len(p) == 2 and type(p.x) is float and type(p.y) is float
+        assert p._replace(x=0.5) == Point2(0.5, p.y)
+        assert p == (p.x, p.y) and hash(p) == hash((p.x, p.y))
+
+
 def test_reconstruct_single_vertex():
-    o = DiagramOracle(PlaneGraph([(3.0, 7.0)], []))
-    assert reconstruct_vertices(o) == [Point2(3.0, 7.0)]
-    assert o.query_count == 3
+    for points in ([(3.0, 7.0)], []):  # and no vertex
+        o = DiagramOracle(PlaneGraph(points, []))
+        got = reconstruct_vertices(o)
+        assert got == [Point2(*p) for p in points]
+        _assert_point2s(got)
+        assert o.query_count == 3
 
 
 def test_reconstruct_appendix_graph(appendix_graph):
@@ -184,6 +196,7 @@ def test_reconstruct_100_random_vertices():
     o = DiagramOracle(PlaneGraph(pts, []))
     got = reconstruct_vertices(o)
     assert o.query_count == 3
+    _assert_point2s(got)
     assert_points_close(sorted(got), sorted(pts), tol=1e-6)
 
 
@@ -210,6 +223,7 @@ def test_a_wide_flat_pair_comes_back_bit_for_bit():
     g = PlaneGraph([(0.0, 0.5), (1000.0, 0.500000002)], [])
     assert validate(g) == []
     got = reconstruct_vertices(DiagramOracle(g))
+    _assert_point2s(got)
     assert _hex(got) == _hex(g.vertices)
 
 
@@ -246,6 +260,20 @@ def test_an_x_off_every_birth_raises_before_any_edge_query():
     with pytest.raises(UncertifiedVertices) as err:
         reconstruct_vertices(DiagramOracle(g))
     assert err.value.bound >= err.value.half_gap
+
+
+def test_tied_f_are_named_in_their_stable_order():
+    # f = h3 - ys is 1 for vertices 0..19 and 0 for 20..39, exactly; more
+    # than 16 ties, so numpy's default sort need not keep the index order.
+    # The farthest f is the highest one, snapped onto the last birth; in
+    # the stable order that is the last vertex with f = 1
+    k = 20
+    f = np.array([1.0] * k + [0.0] * k)
+    ys = 2.0 * np.arange(2 * k)
+    xs = np.arange(2.0 * k)
+    with pytest.raises(UncertifiedVertices) as err:
+        match_and_intersect(xs, ys, Direction(1.0, 1.0), ys + f)
+    assert (err.value.i, err.value.f, err.value.birth) == (k - 1, 1.0, 2.0 * k - 1)
 
 
 def test_axis_queries_are_one_batch_and_the_first_tie_is_raised():
@@ -309,7 +337,7 @@ def _same_as_reference(g):
     got = reconstruct_vertices(o)
     want = reference_reconstruct_vertices(lines)
     formula = reference_formula_vertices(loop)
-    assert all(type(p) is Point2 and type(p.x) is float and type(p.y) is float for p in got)
+    _assert_point2s(got)
     # float.hex tells signed zeros and every last bit apart
     assert _hex(o.query_log) == _hex(lines.query_log) == _hex(loop.query_log)
     # every vertex is the hidden vertex of the same y-rank; the formula and

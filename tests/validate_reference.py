@@ -54,7 +54,7 @@ def segments_touch(p1: Point2, p2: Point2, p3: Point2, p4: Point2, tol: float) -
 def crossing_messages(g: PlaneGraph, tol: float) -> list[str]:
     """validate's crossing messages from a loop over every edge pair."""
     n = g.n
-    edges = [e for e in g.sorted_edges() if 0 <= e[0] < n and 0 <= e[1] < n and e[0] != e[1]]
+    edges = [e for e in g.edge_rows.tolist() if 0 <= e[0] < n and 0 <= e[1] < n and e[0] != e[1]]
     out = []
     for (a, b), (c, d) in combinations(edges, 2):
         if len({a, b, c, d}) < 4:
