@@ -45,7 +45,7 @@ from .errors import (
     DiagramMismatch,
     UncertifiedPair,
 )
-from .geometry import TOLERANCE, Direction, Point2, height, heights
+from .geometry import TOLERANCE, Direction, Point2, checked_tolerance, height, heights
 from .persistence import Diagram, DiagramOracle, events_at_ranks
 
 Edge = tuple[int, int]
@@ -246,7 +246,11 @@ def reconstruct_edges_detail(
     ends' orders, as the key is global, so no round asks it; after the
     final round it is settled without a query. With P = n(n - 1)/2 pairs,
     at most P - 1 are asked, and the queries number at most
-    2 + 2(P - 1) = n(n - 1)."""
+    2 + 2(P - 1) = n(n - 1).
+
+    A tol outside [0, inf), NaN included, raises ValueError before any
+    query."""
+    checked_tolerance(tol)
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)

@@ -8,8 +8,10 @@ filtration lines. Both round x*dx + y*dy the same way.
 Everything here is pure 64-bit float arithmetic. One constant tolerance,
 `TOLERANCE` = 1e-9, is the default of every height and coincidence test;
 a caller passes another through the `tol=` arguments or the command line's
-``--tolerance``. A tighter constant (`PARALLEL_EPS`) bounds the
-x-component of the vertex phase's third direction away from zero.
+``--tolerance``. The oracle and both reconstruction phases refuse a tol
+outside [0, inf) (`checked_tolerance`). A tighter constant
+(`PARALLEL_EPS`) bounds the x-component of the vertex phase's third
+direction away from zero.
 """
 
 from __future__ import annotations
@@ -56,6 +58,14 @@ class Direction(NamedTuple):
 
     def __neg__(self) -> "Direction":
         return Direction(-self.dx, -self.dy)
+
+
+def checked_tolerance(tol: float) -> float:
+    """tol, when 0 <= tol < inf; else ValueError. A negative or NaN tol
+    would let equal heights through every tie check."""
+    if not 0.0 <= tol < math.inf:
+        raise ValueError(f"tolerance must be finite and >= 0, got {tol}")
+    return tol
 
 
 def height(p: Point2, s: Direction) -> float:

@@ -42,7 +42,7 @@ from typing import NamedTuple, Sequence
 import numpy as np
 
 from .errors import DegenerateDirection
-from .geometry import TOLERANCE, Direction, heights
+from .geometry import TOLERANCE, Direction, checked_tolerance, heights
 from .plane_graph import PlaneGraph
 
 INFINITY = math.inf
@@ -95,12 +95,9 @@ class Diagram:
     @cached_property
     def dim0(self) -> tuple[PersistencePair, ...]:
         # `_make` builds a pair without the namedtuple's Python-level __new__.
-        # The pairs come out in (birth, death) order by ascending birth; the
-        # sort is a linear pass that orders equal births by death, should a
-        # tol < 0 let equal heights through.
-        dim0 = list(map(PersistencePair._make, zip(self.births.tolist(), self.deaths.tolist())))
-        dim0.sort()
-        return tuple(dim0)
+        # The pairs come out in (birth, death) order: the kernel's births are
+        # distinct and ascending, and `__init__` sorts the pairs it is given.
+        return tuple(map(PersistencePair._make, zip(self.births.tolist(), self.deaths.tolist())))
 
     @cached_property
     def dim1(self) -> tuple[PersistencePair, ...]:
@@ -195,12 +192,9 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
     Array kernel over `g.arrays`, one row per direction:
 
     - Heights come from `geometry.heights`. numpy's default argsort per
-      row ranks the vertices: with tol >= 0 a row that passes the tie check
-      has distinct heights, ranked alike by every sort, and only the tied
-      row that raises is ranked again, stably. A tol < 0 (or NaN), which
-      the command line refuses, lets equal heights through; the diagram
-      still equals (`==`) a stable ranking's, but which tied rank holds
-      which death may differ.
+      row ranks the vertices: tol >= 0, as the oracle checks, so a row that
+      passes the tie check has distinct heights, ranked alike by every
+      sort, and only the tied row that raises is ranked again, stably.
     - Descent forest: a vertex's first arriving edge goes to its lowest
       lower neighbour, whose component is older, so every vertex with a
       lower neighbour dies at its own height (a diagonal pair). Pointer
@@ -289,12 +283,13 @@ class DiagramOracle:
     afresh and logged; the count and the log are updated atomically so they
     never disagree under concurrent use. The oracle answers with diagrams
     only: a direction along which two vertex heights coincide within tol
-    raises DegenerateDirection, whether asked alone or in a batch.
+    raises DegenerateDirection, whether asked alone or in a batch. A tol
+    outside [0, inf), NaN included, raises ValueError.
     """
 
     def __init__(self, graph: PlaneGraph, tol: float = TOLERANCE):
         self._graph = graph
-        self._tol = tol
+        self._tol = checked_tolerance(tol)
         self._log: list[Direction] = []
         self._lock = threading.Lock()
 

@@ -33,7 +33,9 @@ GENERATOR_MARGIN = 1e-3
 _MAX_ATTEMPTS = 10_000
 
 #: Cells an array block evaluates: triangle areas in the general-position
-#: and collinearity checks, segment-pair operands in validate's crossing check.
+#: and collinearity checks; four per candidate edge pair (its point-segment
+#: operands) in validate's crossing sweep, so a block holds at most
+#: _TRIPLE_CELLS // 4 pairs.
 _TRIPLE_CELLS = 1 << 14
 
 
@@ -173,11 +175,14 @@ def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
     vertex pairs, triples and edge pairs would, message for message and in
     that order (the tests keep those loops as the reference). Shared
     coordinates sort each axis once: O(n log n) plus the pairs found.
-    Collinearity evaluates all O(n^3) triples (`_triples_where`), and
-    crossings all O(m^2) edge pairs (`_touching_edge_pairs`), in blocks of
-    at most about _TRIPLE_CELLS cells (one row once a row is longer), so
-    no array grows as m^2 or n^3. Non-finite and huge finite coordinates
-    are reported, never raised on.
+    Collinearity evaluates all O(n^3) triples (`_triples_where`), in
+    blocks of at most about _TRIPLE_CELLS areas (one row once a row is
+    longer). Crossings sweep the edges' bounding boxes and decide only the
+    pairs whose boxes come within a certified pad of each other
+    (`_touching_edge_pairs`): O(m log m) plus the candidates, in blocks of
+    at most _TRIPLE_CELLS // 4 pairs. No array grows as m^2 or n^3, even
+    when the pad is infinite and every edge pair is decided. Non-finite
+    and huge finite coordinates are reported, never raised on.
     """
     x, y = g.x, g.y
     bad = ~(np.isfinite(x) & np.isfinite(y))
@@ -192,8 +197,8 @@ def validate(g: PlaneGraph, tol: float = TOLERANCE) -> list[str]:
         kinds, rows = faults.argmax(axis=0)[faulty].tolist(), g.edge_rows[faulty].tolist()
         issues.extend(_EDGE_FAULTS[k].format(i, j) for k, (i, j) in zip(kinds, rows))
         e = index[~faulty]
-        for block in _touching_edge_pairs(x, y, e, tol):
-            issues.extend(f"crossing edges ({a}, {b}) x ({c}, {d})" for a, b, c, d in block.tolist())
+        crossing = _touching_edge_pairs(x, y, e, tol).tolist()
+        issues.extend(f"crossing edges ({a}, {b}) x ({c}, {d})" for a, b, c, d in crossing)
     return issues
 
 
@@ -237,47 +242,105 @@ def _shared_coordinates(x: np.ndarray, y: np.ndarray, tol: float) -> list[str]:
     ]
 
 
-def _touching_edge_pairs(x: np.ndarray, y: np.ndarray, e: np.ndarray, tol: float) -> Iterator[np.ndarray]:
+def _touching_edge_pairs(x: np.ndarray, y: np.ndarray, e: np.ndarray, tol: float) -> np.ndarray:
     """The pairs of edges e[p], e[q], p < q, with no common endpoint whose
     segments cross or come within tol, in lexicographic (p, q) order: a
-    (count, 4) array of their endpoints (a, b, c, d) for each block of
-    first edges p that has any.
+    (count, 4) array of their endpoints (a, b, c, d).
 
-    A block pairs a run of first edges with every later edge, at most about
-    _TRIPLE_CELLS // 4 pairs (one row once 4m exceeds it), and stacks the
-    four operands of each pair on a leading axis. For segments
-    p1p2 = (a, b) and p3p4 = (c, d), operand k is a point p against the
-    segment from o to o + (dx, dy): (p1, p3p4), (p2, p3p4), (p3, p1p2) and
-    (p4, p1p2). The same operand gives the loop's orientation d1..d4,
-    cross(p3, p4, p1) and so on, and its point-segment distance. Every
-    operand is that of the loop kept in tests/validate_reference.py: the
-    distance clamps t to [0, 1] as Python's min(1.0, max(0.0, t)) does (NaN
-    gives 0.0), measures from o when the squared length is 0.0, squares by
-    multiplying and roots with `** 0.5`. So every decision is the loop's,
-    except that squares that overflow give inf where Python's `** 2` raised
-    OverflowError.
+    A sweep picks the candidates. With the edges sorted by their smallest
+    x, the candidates of an edge are the later ones whose smallest x is at
+    most its largest x plus pad; those whose y-ranges also come within pad
+    of its own and that share no endpoint with it are decided. That is
+    O(m log m + k) for k candidates. They are taken in blocks of at most
+    _TRIPLE_CELLS // 4 pairs, so no array grows as m^2 even when every pair
+    is a candidate, and the hits are sorted once.
+
+    A block stacks the four operands of each pair on a leading axis. For
+    segments p1p2 = (a, b) and p3p4 = (c, d), operand k is a point p
+    against the segment from o to o + (dx, dy): (p1, p3p4), (p2, p3p4),
+    (p3, p1p2) and (p4, p1p2). The same operand gives the loop's
+    orientation d1..d4, cross(p3, p4, p1) and so on, and its point-segment
+    distance. Every operand is that of the loop kept in
+    tests/validate_reference.py: the distance clamps t to [0, 1] as
+    Python's min(1.0, max(0.0, t)) does (NaN gives 0.0), measures from o
+    when the squared length is 0.0, squares by multiplying and roots with
+    `** 0.5`. So every decision is the loop's, except that squares that
+    overflow give inf where Python's `** 2` raised OverflowError.
+
+    The pad. Let M be the largest |coordinate| of e's endpoints and
+    u = 2^-53. When 33 u M^2 + 2^-1070 < tol as computed,
+    pad = tol (1 + 8u) + 16 u M + 1e-150, and the loop reports no pair
+    whose boxes lie more than pad apart along x or y. Otherwise (tol <= 0,
+    NaN or inf, M NaN or inf, or M too large for tol) pad = inf: the box
+    tests are skipped, so a NaN drops no pair, and every pair without a
+    shared endpoint is decided. The proof takes
+    fl(a op b) = (a op b)(1 + d) + h with |d| <= u, h = 0 for + and -, and
+    |h| <= 2^-1075 for * (underflow), and a pair whose boxes are g apart:
+
+    - Crossing. The segments are disjoint, so the exact orientations of one
+      of the two operand pairs, say d1 and d2, do not have strictly
+      opposite signs. Every difference in an orientation is at most 2M,
+      each of its two products at most 4M^2, and so the computed
+      orientation is off by at most 8M^2((1 + u)^4 - 1) + 2^-1073
+      <= 32 u M^2 (1 + 2u) + 2^-1073, which the computed test keeps below
+      tol. Computed d1 and d2 are then not beyond tol with opposite signs.
+    - Contact. Say the gap is along x, and take a point p against the
+      segment from o to o + D. Whatever t in [0, 1] the clamp gives,
+      o + tD lies in the segment's box, so |px - (ox + t Dx)| >= g.
+      Rounding dx, t * dx and ox + t * dx moves the subtrahend by at most
+      5 u M (1 + 2u) + 2^-1074, and the difference is rounded once more,
+      so |qx| >= (g - 5.1 u M - 2^-1074)(1 - u). If that is above 1e-154,
+      its square does not underflow; adding the other square does not
+      make the sum smaller; and a root within one unit in the last place
+      (numpy's is correctly rounded, and libm's pow, in the re-check next
+      to tol, is taken to be) loses at most a factor (1 - u)^(1/2)(1 - 2u).
+      So the distance exceeds tol when g > tol (1 + 3.6u) + 5.1 u M + 1e-150 / 2.
+    - Sweep. A pair is dropped only when a smallest coordinate of one box
+      exceeds fl(largest + pad) of the other, with pad rounded three
+      times, so g > pad (1 - 4u) - u M >= tol (1 + 3.9u) + 14 u M + 0.9e-150.
     """
     m = len(e)
-    if m < 2:
-        return
-    rows = max(1, _TRIPLE_CELLS // (4 * m))
-    tie = 2 * np.spacing(tol)
-    ex, ey = x[e].T, y[e].T  # (2, m): first and second endpoint of each edge
-    sx, sy = ex[1] - ex[0], ey[1] - ey[0]
-    ends = np.stack([ex, ey])  # coordinate, endpoint, edge
-    segments = np.stack([ex[0], ey[0], sx, sy, sx * sx + sy * sy])  # ox, oy, dx, dy, dd; edge
-    for start in range(0, m - 1, rows):
-        first, later = slice(start, min(start + rows, m - 1)), slice(start + 1, m)
-        (a, b), (c, d) = e[first].T[:, :, None], e[later].T
-        apart = np.arange(start, first.stop)[:, None] < np.arange(start + 1, m)
-        apart &= (a != c) & (a != d) & (b != c) & (b != d)
-        if not apart.any():
+    if m < 2 or len(x) < 4:  # two edges without a common end need four vertices
+        return np.empty((0, 4), np.intp)
+    order = np.argsort(np.minimum(*x[e].T))
+    s = e[order]  # from here on, edges in order of their smallest x
+    first, second = s.T
+    # per edge: its ends xa, xb, ya, yb, then its segment ox, oy, dx, dy, dd
+    table = np.empty((9, m))
+    table[:2], table[2:4] = x[s].T, y[s].T
+    table[4:6] = table[0:4:2]
+    table[6:8] = table[1:4:2] - table[0:4:2]
+    table[8] = table[6] * table[6] + table[7] * table[7]
+    u, big = 2.0**-53, float(np.abs(table[:4]).max())
+    certified = 33 * u * big * big + 2.0**-1070 < tol
+    pad = tol * (1 + 8 * u) + 16 * u * big + 1e-150 if certified else np.inf
+    boxed = pad < np.inf
+    # each edge's box (x, y), its top widened by pad
+    lo, top = np.minimum(table[0:4:2], table[1:4:2]), np.maximum(table[0:4:2], table[1:4:2]) + pad
+    xlo, ylo, xtop, ytop = lo[0], lo[1], top[0], top[1]
+    end = np.searchsorted(xlo, xtop, side="right") if boxed else np.full(m, m)
+    # edge i pairs with the edges i + 1 .. end[i] - 1: candidate f of the
+    # flat list, counted by stop, is the pair (i, f + shift[i])
+    stop = np.cumsum(end - np.arange(1, m + 1))
+    shift, total = end - stop, int(stop[-1])
+    block, tie, found = max(1, _TRIPLE_CELLS // 4), 2 * np.spacing(tol), []
+    for start in range(0, total, block):
+        f = np.arange(start, min(start + block, total))
+        i = np.searchsorted(stop, f, side="right")
+        j = f + shift[i]
+        a, b, c, d = first[i], second[i], first[j], second[j]
+        keep = (a != c) & (a != d) & (b != c) & (b != d)
+        if boxed:
+            keep &= (ylo[j] <= ytop[i]) & (ylo[i] <= ytop[j])
+        if not keep.any():
             continue
-        ops = np.empty((7, 4, first.stop - start, m - start - 1))
-        ops[:2, :2] = ends[:, :, first, None]
-        ops[:2, 2:] = ends[:, :, None, later]
-        ops[2:, :2] = segments[:, None, None, later]
-        ops[2:, 2:] = segments[:, None, first, None]
+        i, j = i[keep], j[keep]
+        one, other = table[:, i], table[:, j]
+        ops = np.empty((7, 4, len(i)))
+        ops[:2, :2] = one[:4].reshape(2, 2, -1)
+        ops[:2, 2:] = other[:4].reshape(2, 2, -1)
+        ops[2:, :2] = other[4:, None]
+        ops[2:, 2:] = one[4:, None]
         px, py, ox, oy, dx, dy, dd = ops
         rx, ry = px - ox, py - oy
         side = dx * ry - dy * rx
@@ -297,9 +360,14 @@ def _touching_edge_pairs(x: np.ndarray, y: np.ndarray, e: np.ndarray, tol: float
             # float ** 0.5, can be one unit in the last place off, which
             # decides differently only next to tol
             close[near] = [v**0.5 <= tol for v in sums[near].tolist()]
-        p, q = np.nonzero(apart & (cross | close.any(axis=0)))
-        if len(p):
-            yield np.concatenate([e[p + start], e[q + start + 1]], axis=1)
+        hit = cross | close.any(axis=0)
+        if hit.any():
+            found.append(order[np.stack([i[hit], j[hit]])])
+    if not found:
+        return np.empty((0, 4), np.intp)
+    pairs = np.sort(np.concatenate(found, axis=1), axis=0)
+    pairs = pairs[:, np.lexsort(pairs[::-1])]  # edge rows (p, q), p < q, lexicographically
+    return e[pairs].transpose(1, 0, 2).reshape(-1, 4)
 
 
 def _triples_where(x: np.ndarray, y: np.ndarray, hit) -> Iterator[np.ndarray]:

@@ -21,7 +21,7 @@ from itertools import repeat
 import numpy as np
 
 from .errors import DuplicateHeights, ParallelLines, UncertifiedVertices
-from .geometry import PARALLEL_EPS, TOLERANCE, Direction, Point2
+from .geometry import PARALLEL_EPS, TOLERANCE, Direction, Point2, checked_tolerance
 from .persistence import Diagram, DiagramOracle
 
 AXIS_X = Direction(1.0, 0.0)
@@ -128,8 +128,10 @@ def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> list[Point
     Queries (1, 0) and (0, 1) in one `query_many`, then the derived third
     direction. Returns the vertices sorted by ascending y-coordinate, each
     coordinate an axis birth. A single vertex is read off the two axis
-    births, with any -0.0 made 0.0.
+    births, with any -0.0 made 0.0. A tol outside [0, inf), NaN included,
+    raises ValueError before any query.
     """
+    checked_tolerance(tol)
     d1, d2 = o.query_many([AXIS_X, AXIS_Y])
     xs = lines_from_dgm0(d1, tol)
     ys = lines_from_dgm0(d2, tol)

@@ -1089,3 +1089,16 @@ def test_enumerate_overflow_guard():
     V = [Point2(i / 20.0, ((i * 7) % 13) / 13.0) for i in range(13)]
     with pytest.raises(EnumerationOverflow):
         enumerate_compatible_graphs(V, Direction(1.0, 0.0), None)
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_edge_phase_refuses_a_tolerance_outside_zero_to_infinity(tol):
+    g = random_plane_graph(10, 1.0, 3)
+    o = DiagramOracle(g)
+    V = reconstruct_vertices(o)
+    with pytest.raises(ValueError, match="tolerance"):
+        reconstruct_edges_detail(o, V, tol)
+    assert o.query_count == 3
+    for V in ([], [Point2(0.0, 0.0)]):  # refused before the early return, too
+        with pytest.raises(ValueError, match="tolerance"):
+            reconstruct_edges_detail(o, V, tol)

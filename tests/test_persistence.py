@@ -517,3 +517,14 @@ def test_vertex_phase_and_probe_build_no_pair(monkeypatch):
     assert len(reconstruct_edges_detail(o, V).edges) == len(g.edges)
     with pytest.raises(AssertionError, match="pair was built"):
         lower_star_diagrams(g, Direction(1.0, 0.0)).dim0
+
+
+@pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
+def test_oracle_refuses_a_tolerance_outside_zero_to_infinity(tol):
+    # a negative or NaN tol would let equal heights through the tie check
+    g = random_plane_graph(10, 1.0, 3)
+    with pytest.raises(ValueError, match="tolerance"):
+        DiagramOracle(g, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        lower_star_diagrams(g, Direction(1.0, 0.3), tol)
+    assert DiagramOracle(g, 0.0).query(Direction(1.0, 0.3)) == lower_star_diagrams(g, Direction(1.0, 0.3))

@@ -1,5 +1,6 @@
 import math
 import re
+import tracemalloc
 from itertools import combinations
 
 import numpy as np
@@ -24,9 +25,9 @@ from phrecon import plane_graph
 from phrecon.geometry import TOLERANCE
 from phrecon.plane_graph import _delaunay_edges, _general_position_ok
 
-from conftest import components_by_bfs
+from conftest import components_by_bfs, jittered_grid_points
 from graph_reference import connected_components, degree, indegree_direct, tuple_form
-from validate_reference import crossing_messages, shared_coordinate_messages
+from validate_reference import all_pairs_touching, crossing_messages, shared_coordinate_messages
 
 
 def test_validate_ok_segment():
@@ -201,8 +202,9 @@ def _pair_check_inputs(seed: int, cases: int = 240):
     edges plus random crossing ones, vertices planted on an edge's midpoint
     and 0, 0.5, 1 and 1.5 tol off it, coordinates tied exactly or at tol,
     coincident and underflowing endpoints, collinear overlapping segments,
-    NaN, inf and huge coordinates, and a distance whose root libm rounds
-    the other way from sqrt next to tol."""
+    NaN, inf and huge coordinates, a distance whose root libm rounds the
+    other way from sqrt next to tol, and the edge cases of the crossing
+    sweep's pad (`_sweep_edge_cases`)."""
     rng = np.random.default_rng(seed)
     for t in range(cases):
         n = int(rng.integers(60, 91)) if t % 60 == 0 else int(rng.integers(2, 25))
@@ -254,6 +256,70 @@ def _pair_check_inputs(seed: int, cases: int = 240):
         g = PlaneGraph([(-1.0, 0.0), (-0.5, 0.0), (u, h), (u + 0.25, h + 1.0)], [(0, 1), (2, 3)])
         for tol in roots:
             yield g, tol
+    yield from _sweep_edge_cases(rng)
+
+
+def _planted(rng, pts: np.ndarray, tol: float, chords: int = 3) -> PlaneGraph:
+    """All Delaunay edges of pts plus random chords, which cross them, and
+    vertices moved 0, 0.5, 1 or 1.5 tol off an edge's midpoint or
+    tol (1 + k 2^-52), k in -2..2, beyond its end along x or y, each with
+    an edge of its own that shares no endpoint."""
+    n = len(pts)
+    edges = _delaunay_edges(pts).tolist()
+    edges += rng.integers(0, n, size=(chords, 2)).tolist()
+    for _ in range(6):
+        a, b, k, r = rng.choice(n, size=4, replace=False).tolist()
+        if rng.random() < 0.5:
+            d = pts[b] - pts[a]
+            normal = np.array([-d[1], d[0]]) / float(np.hypot(*d))
+            pts[k] = (pts[a] + pts[b]) / 2 + normal * tol * rng.choice([0.0, 0.5, 1.0, 1.5])
+        else:
+            axis = int(rng.integers(2))
+            end = a if pts[a, axis] > pts[b, axis] else b
+            pts[k] = pts[end]
+            pts[k, axis] += tol * (1 + int(rng.integers(-2, 3)) * 2.0**-52)
+        edges += [(a, b), (k, r)]
+    return PlaneGraph(pts, [(a, b) for a, b in edges if a != b])
+
+
+def _sweep_edge_cases(rng):
+    """(graph, tol) cases at the edges of the crossing sweep's pad, where
+    a pair that the loop reports must still be a candidate."""
+    u = 2.0**-53
+    for scale in (1e-3, 1.0, 300.0):
+        tol = 1e-9 * max(scale, 1.0)
+        for k in range(-2, 3):
+            gap = tol * (1 + k * 2.0**-52)
+            for flip in (1, -1):  # along x, then along y
+                # a vertex gap beyond the end (0, 0) of an edge
+                pts = [(-scale, -0.37 * scale), (0.0, 0.0), (gap, 0.0), (gap + 0.5 * scale, scale)]
+                yield PlaneGraph([q[::flip] for q in pts], [(0, 1), (2, 3)]), tol
+                # a vertex gap beside an axis-parallel edge
+                pts = [(0.0, 0.0), (0.0, 2 * scale), (-gap, scale), (-gap - scale, 1.3 * scale)]
+                yield PlaneGraph([q[::flip] for q in pts], [(0, 1), (2, 3)]), tol
+        # coordinates just under and just past the bound 33 u M^2 + 2^-1070 < tol
+        bound = math.sqrt((tol - 2.0**-1070) / (33 * u))
+        for factor in (1 - 1e-6, 1 + 1e-6):
+            g = _planted(rng, (rng.random((12, 2)) * 2 - 1) * 0.9 * bound, tol)
+            far = [(bound * factor, 0.0), (0.5 * bound, -0.95 * bound)]  # M = bound * factor
+            yield PlaneGraph([*g.vertices, *far], [*g.edges, (g.n, g.n + 1)]), tol
+    # no pad: every pair is decided, and a NaN drops none
+    g = _planted(rng, rng.random((10, 2)), 1e-3)
+    for tol in (0.0, -1.0, math.nan, math.inf, 1e-3):
+        yield g, tol
+    x = g.x.copy()
+    x[3] = math.nan
+    for tol in (1e-3, math.inf):
+        yield PlaneGraph(np.column_stack([x, g.y]), g.edge_rows), tol
+    # underflowing squares: tol = 1e-300 on coordinates near 1e-160
+    pts = (1 + rng.random((10, 2))) * 1e-160
+    yield _planted(rng, pts, 1e-300), 1e-300
+    # long chords whose boxes all meet: many blocks when _TRIPLE_CELLS is 64
+    left, right = rng.random((2, 14, 2))
+    left[:, 0] *= 0.1
+    right[:, 0] = 0.9 + 0.1 * right[:, 0]
+    chords = [(i, 14 + j) for i, j in enumerate(rng.permutation(14).tolist())]
+    yield PlaneGraph(np.concatenate([left, right]), chords), 1e-9
 
 
 @pytest.mark.parametrize("cells", [plane_graph._TRIPLE_CELLS, 64])
@@ -267,6 +333,55 @@ def test_validate_edge_pairs_match_the_loop(cells, monkeypatch):
         assert issues[len(issues) - len(want) :] == want
         found += len(want)
     assert found > 0
+
+
+def _sweep_and_all_pairs(g: PlaneGraph, tol: float) -> tuple[np.ndarray, np.ndarray]:
+    """The crossing sweep's rows and those of the blocked all-pairs kernel
+    it replaced, on g's edges."""
+    x, y, e = g.arrays
+    with np.errstate(invalid="ignore", over="ignore"):
+        want = np.concatenate([np.empty((0, 4), np.intp), *all_pairs_touching(x, y, e, tol)])
+        return plane_graph._touching_edge_pairs(x, y, e, tol), want
+
+
+@pytest.mark.parametrize("n", [300, 1000])
+def test_crossing_sweep_matches_all_pairs_on_planted_grids(n):
+    rng = np.random.default_rng(n)
+    g = _planted(rng, np.array(jittered_grid_points(n, n)), 1e-9, chords=10)
+    got, want = _sweep_and_all_pairs(g, 1e-9)
+    assert len(want) > 0
+    assert got.tolist() == want.tolist()
+
+
+def test_crossing_sweep_matches_all_pairs_on_edge_dense_graphs():
+    found = 0
+    for i in range(40):
+        g = random_plane_graph(60, 1.0, 7_000_000 + i, margin=1e-5)
+        for tol in (1e-9, 1e-2):
+            got, want = _sweep_and_all_pairs(g, tol)
+            assert got.tolist() == want.tolist(), (i, tol)
+            found += len(want)
+    assert found > 0
+
+
+def test_validate_memory_stays_blocked_when_every_pair_is_decided():
+    # coordinates near 1e8 put 33 u M^2 above tol: the pad is infinite, and
+    # all ~1.1 million pairs of the ~1 500 edges are decided
+    pts = np.array(jittered_grid_points(500, 5)) * 1e8
+    g = PlaneGraph(pts, _delaunay_edges(pts))
+    m = len(g.edge_rows)
+    assert m > 1400
+    tracemalloc.start()
+    try:
+        assert validate(g) == []
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    # m^2 index pairs alone would take ~18 MB. A block of candidate pairs
+    # takes under 4 MB, and the collinearity check's one row of n^2
+    # doubled areas about 6.5 MB.
+    assert m * m * np.dtype(np.intp).itemsize > 16 * 2**20
+    assert peak < 8 * 2**20, peak
 
 
 def test_validate_shared_coordinates_match_the_loop():
@@ -289,6 +404,20 @@ def test_validate_reports_huge_coordinates_instead_of_raising():
     issues = validate(g)
     assert isinstance(issues, list)
     assert [m for m in issues if m.startswith("crossing")] == crossing_messages(g, TOLERANCE)
+
+
+def test_validate_reports_the_rounded_crossing_of_far_collinear_segments():
+    # the orientations of these disjoint collinear segments, 1.4e8 apart,
+    # round to a crossing, so the loop reports them: with coordinates this
+    # large for tol the pad must be infinite
+    pts = [
+        (5072713.387665059, 11999672.3325338),
+        (11383565.154225148, 26928202.204151556),
+        (152597108.64255902, 360973538.74858314),
+        (310698415.52616346, 734967441.6096863),
+    ]
+    g = PlaneGraph(pts, [(0, 1), (2, 3)])
+    assert validate(g) == crossing_messages(g, TOLERANCE) == ["crossing edges (0, 1) x (2, 3)"]
 
 
 def _delaunay_edges_loop(pts: np.ndarray) -> list:

@@ -384,3 +384,12 @@ def test_vertex_phase_equals_line_reference_on_jittered_grid():
     ys = (np.arange(n) + 0.1 + 0.8 * rng.random(n)) / n
     _same_as_reference(PlaneGraph(list(zip(xs.tolist(), rng.permutation(ys).tolist())), []))
 
+
+
+@pytest.mark.parametrize("tol", [-1.0, math.nan, math.inf])
+def test_vertex_phase_refuses_a_tolerance_outside_zero_to_infinity(tol):
+    o = DiagramOracle(random_plane_graph(10, 1.0, 3))
+    with pytest.raises(ValueError, match="tolerance"):
+        reconstruct_vertices(o, tol)
+    assert o.query_count == 0
+    assert len(reconstruct_vertices(o, 0.0)) == 10
