@@ -196,14 +196,14 @@ class EdgeReconResult:
 
 
 def reconstruct_edges_detail(
-    o: DiagramOracle, V: Sequence[Point2], tol: float = TOLERANCE
+    o: DiagramOracle, V: np.ndarray | Sequence[Point2], tol: float = TOLERANCE
 ) -> EdgeReconResult:
     """Decide every unordered pair (i, j), asking the oracle only about the
     pairs that the reads of the degree diagrams and of earlier probe pairs
     cannot settle.
 
-    V must be the vertices exactly, as `reconstruct_vertices` returns them:
-    each probe diagram is checked against V's heights.
+    V must be the vertices exactly, as `reconstruct_vertices` returns them
+    or as (x, y) pairs: each probe diagram is checked against V's heights.
 
     Degrees first: indeg(v, s) + indeg(v, -s) = deg(v), so the diagrams of
     (1, 0) and (-1, 0), asked in one `query_many`, give every degree

@@ -9,7 +9,7 @@ kernel reads these events off the descent forest, in which each vertex
 points to its lowest lower neighbour: that first arriving edge always kills
 the vertex at its own height, leaving a diagonal (h, h) pair that the
 indegree machinery downstream counts. Only edges between the basins of two
-local minima need an elder-rule union-find, and a triangulation has none.
+local minima need a union-find; a triangulation has one basin per direction.
 `DiagramOracle.query_many` is its entry and `lower_star_diagrams` a fresh
 oracle's `query` of one direction. Either returns diagrams only: a batch
 with a tied direction, two vertex heights within the tolerance, raises the
@@ -197,12 +197,14 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
       sort, and only the tied row that raises is ranked again, stably.
     - Descent forest: a vertex's first arriving edge goes to its lowest
       lower neighbour, whose component is older, so every vertex with a
-      lower neighbour dies at its own height (a diagonal pair). Pointer
-      jumping takes each vertex to the local minimum of its basin, and a
-      non-forest edge within one basin closes a cycle at its top height.
-    - Edges between basins (none on a triangulation) go through a small
-      elder-rule union-find over basin minima in arrival order: the younger
-      minimum dies at the edge's top height, or the edge closes a cycle.
+      lower neighbour dies at its own height (a diagonal pair). A batch
+      with k local minima, one per row as on a triangulation, is one basin
+      per row: every other edge closes a cycle at its top height.
+    - Otherwise pointer jumping takes each vertex to the local minimum of
+      its basin, and a non-forest edge within one basin closes a cycle.
+      Edges between basins go through a small elder-rule union-find over
+      basin minima in arrival order: the younger minimum dies at the
+      edge's top height, or the edge closes a cycle.
     - Cycle births are the ascending heights, each repeated by the number
       of cycles arriving at that rank, so no edge table is sorted.
     """
@@ -214,8 +216,7 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
 
     # Flat indices: r*n + v for vertex v of row r, and r*n + q for rank q,
     # so one 1-d array holds a quantity for every row.
-    offsets = (np.arange(k) * n)[:, None]
-    by_rank = (order + offsets).ravel()
+    by_rank = (order + (np.arange(k) * n)[:, None]).ravel()
     level = H.ravel()[by_rank]  # the height at every flat rank
     level.flags.writeable = False
     ascending = level.reshape(k, n)
@@ -232,34 +233,27 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
 
     lowest = ranks.copy()  # rank of the lowest lower neighbour, else own rank
     np.minimum.at(lowest, hi, lo)
-    basin = lowest
-    while True:  # pointer jumping down the descent forest
-        below = basin[basin]
-        if (below == basin).all():
-            break
-        basin = below
     death = np.where(lowest < ranks, level, INFINITY)
-    within = basin[lo] == basin[hi]
-    arrivals = np.bincount(hi[within & (lowest[hi] != lo)], minlength=k * n)
-
-    if not within.all():
-        # arrival order is (top rank, lower-endpoint rank): ranks are
-        # distinct, so the pair names the edge and no index tie-break is left
-        across = np.flatnonzero(~within)
-        lo, hi = lo[across], hi[across]
-        arrival = sorted(zip(hi.tolist(), lo.tolist(), basin[lo].tolist(), basin[hi].tolist()))
+    closes = lowest[hi] != lo  # every edge but the forest's: a cycle within one basin
+    if np.count_nonzero(lowest == ranks) > k:  # a row with two minima has two basins
+        basin, below = lowest, lowest[lowest]
+        while np.count_nonzero(below != basin):  # pointer jumping down the descent forest
+            basin, below = below, below[below]
+        a, b = basin[lo], basin[hi]
+        across = (a != b).nonzero()[0]
+        # arrival order is (top rank, lower-endpoint rank): distinct ranks name the edge
+        arrival = sorted(zip(*(v[across].tolist() for v in (hi, lo, a, b)), across.tolist()))
         up: dict[int, int] = {}
-        for top, _, a, b in arrival:
+        for top, _, a, b, e in arrival:
             while a in up:
                 a = up[a]
             while b in up:
                 b = up[b]
-            if a == b:
-                arrivals[top] += 1
-            else:  # elder rule: the lower minimum survives
+            closes[e] = a == b
+            if a != b:  # elder rule: the lower minimum survives
                 up[max(a, b)] = min(a, b)
                 death[max(a, b)] = level[top]
-
+    arrivals = np.bincount(hi[closes], minlength=k * n)
     cycles = np.repeat(level, arrivals)
     death.flags.writeable = cycles.flags.writeable = False
     ends = arrivals.reshape(k, n).sum(axis=1).cumsum().tolist()

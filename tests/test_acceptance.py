@@ -54,7 +54,7 @@ class SweepRecord:
     n: int
     density: float
     graph: PlaneGraph
-    recon_vertices: list
+    recon_vertices: np.ndarray
     vertex_queries: int
     edge_queries: int
     retries: int
@@ -178,9 +178,9 @@ def test_criterion_6_vertex_oracle_equivalence(sweep):
         matched = match_and_intersect(xs, ys, d3.direction, lines_from_dgm0(d3))
         brute = triple_intersections(d1, d2, d3)
         ok = ok and len(matched) == len(brute)
-        for p in matched:
+        for x, y in matched.tolist():
             ok = ok and any(
-                abs(p.x - q.x) <= 1e-9 and abs(p.y - q.y) <= 1e-9 for q in brute
+                abs(x - q.x) <= 1e-9 and abs(y - q.y) <= 1e-9 for q in brute
             )
     _report("6 match_and_intersect equals triple_intersections", ok)
 
@@ -229,6 +229,29 @@ def test_criterion_8_vertex_phase_scaling():
     )
     print(f"  timings: n=1e3 {t3:.3f}s, n=1e4 {t4:.3f}s, n=1e5 {t5:.3f}s", flush=True)
     _report("8 vertex phase n=1e5 under 5s, sub-quadratic ratios", ok)
+
+
+def test_vertex_phase_at_n1e5_sets_off_no_older_collection():
+    # criterion 8's points: the answer is one array, so the phase allocates
+    # no object per vertex and never fills the collector's younger
+    # generations enough to walk the older ones, whatever the heap holds
+    g = PlaneGraph(jittered_grid_points(100_000, 7), [])
+    g.arrays
+    o = DiagramOracle(g)
+    generations = []
+
+    def note(phase, info):
+        if phase == "start":
+            generations.append(info["generation"])
+
+    gc.collect()
+    gc.callbacks.append(note)
+    try:
+        vs = reconstruct_vertices(o)
+    finally:
+        gc.callbacks.remove(note)
+    assert vs.shape == (100_000, 2)
+    assert [k for k in generations if k > 0] == []
 
 
 def test_criterion_9_pipeline_determinism(tmp_path):

@@ -21,11 +21,11 @@ from phrecon import (
     reconstruct_edges_detail,
     reconstruct_vertices,
 )
-from phrecon import geometry
+from phrecon import geometry, plane_graph
 from phrecon.edge_recon import global_bowtie_width
 from phrecon.persistence import events_at_ranks
 
-from conftest import match_to_hidden, n_components, tie_free_direction
+from conftest import jittered_grid_points, match_to_hidden, n_components, tie_free_direction
 from edge_reference import reference_probe_edge
 from graph_reference import connected_components
 from sweep_reference import reference_lower_star_diagrams
@@ -255,6 +255,60 @@ def test_lower_star_many_across_basins():
         want = _entry(lower_star_diagrams, g, tied[0])
         assert isinstance(want, DegenerateDirection) and _same_entry(err.value, want)
         assert _same_entry(err.value, _entry(reference_lower_star_diagrams, g, tied[0]))
+
+
+def _minima(g, s):
+    """The local minima along s: vertices with no neighbour below them."""
+    h = [height(v, s) for v in g.vertices]
+    below = {max(e, key=h.__getitem__) for e in g.edges}
+    return g.n - len(below)
+
+
+def _batch_equals_reference(g, S):
+    """One query_many batch over S equals the reference sweep row by row; a
+    tied row put in the middle raises the reference's DegenerateDirection.
+    Returns the minima of each row and the batch."""
+    batch = DiagramOracle(g).query_many(S)
+    for s, got in zip(S, batch):
+        assert _same_entry(got, reference_lower_star_diagrams(g, s)), s
+    tied = S[:2] + [_tied_direction(g, 0, g.n - 1)] + S[2:]
+    with pytest.raises(DegenerateDirection) as err:
+        DiagramOracle(g).query_many(tied)
+    assert _same_entry(err.value, _entry(reference_lower_star_diagrams, g, tied[2]))
+    return [_minima(g, d.direction) for d in batch], batch
+
+
+def test_one_minimum_rows_and_basin_rows_equal_the_reference():
+    # a batch whose rows have one local minimum each, k in all, is one
+    # basin per row and walks no basin; any other batch walks them all
+    rng = np.random.default_rng(23)
+    pts = np.array(jittered_grid_points(60, 3))
+    delaunay = PlaneGraph(pts, plane_graph._delaunay_edges(pts))
+    S = [Direction(1.0, 0.0), Direction(0.0, 1.0)] + [tie_free_direction(delaunay, rng) for _ in range(4)]
+    minima, batch = _batch_equals_reference(delaunay, S)
+    assert minima == [1] * len(S)
+    assert all((d.deaths[1:] == d.births[1:]).all() for d in batch)  # every death diagonal
+
+    edgeless = PlaneGraph(pts[:12], [])
+    minima, _ = _batch_equals_reference(edgeless, S[:2] + [tie_free_direction(edgeless, rng)])
+    assert minima == [12] * 3
+
+    # a zig-zag path: one minimum along (1, 0) and (-1, 0), two along (0, 1)
+    # and (0, -1), where its middle edge joins two basins
+    zigzag = PlaneGraph([(0.0, 0.0), (1.0, 1.0), (2.0, 0.1), (3.0, 1.1)], [(0, 1), (1, 2), (2, 3)])
+    S = [Direction(1.0, 0.0), Direction(0.0, 1.0), Direction(-1.0, 0.0), Direction(0.0, -1.0)]
+    minima, batch = _batch_equals_reference(zigzag, S)
+    assert minima == [1, 2, 1, 2]
+    assert pairs(batch[1].dim0) == [(0.0, INF), (0.1, 1.0), (1.0, 1.0), (1.1, 1.1)]
+
+    # sparse graphs whose edges between basins go through the union-find:
+    # a component dies above its own birth
+    for seed in range(6):
+        g = random_plane_graph(14, 0.3, seed, margin=1e-6)
+        S = [tie_free_direction(g, rng) for _ in range(3)]
+        minima, batch = _batch_equals_reference(g, S)
+        assert max(minima) > 1
+        assert any((np.isfinite(d.deaths) & (d.deaths > d.births)).any() for d in batch), seed
 
 
 def test_query_many_matches_successive_queries():
@@ -507,12 +561,13 @@ def test_vertex_phase_and_probe_build_no_pair(monkeypatch):
         raise AssertionError("a persistence pair was built")
 
     monkeypatch.setattr(PersistencePair, "_make", refuse)
-    assert reconstruct_vertices(DiagramOracle(PlaneGraph([(0.3, 0.7)], []))) == [Point2(0.3, 0.7)]
+    assert reconstruct_vertices(DiagramOracle(PlaneGraph([(0.3, 0.7)], []))).tolist() == [[0.3, 0.7]]
     g = random_plane_graph(9, 1.0, 5)
     o = DiagramOracle(g)
     V = reconstruct_vertices(o)
+    P = [Point2(*p) for p in V.tolist()]  # the reference probe finds its pair in a list
     a, b = match_to_hidden(V[:2], g).values()
-    exists = reference_probe_edge(o, V[0], V[1], global_bowtie_width(V), V)
+    exists = reference_probe_edge(o, P[0], P[1], global_bowtie_width(V), P)
     assert exists == ((min(a, b), max(a, b)) in g.edges)
     assert len(reconstruct_edges_detail(o, V).edges) == len(g.edges)
     with pytest.raises(AssertionError, match="pair was built"):

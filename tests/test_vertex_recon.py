@@ -110,7 +110,7 @@ def test_match_and_intersect_single():
     s3 = Direction(math.sqrt(0.5), math.sqrt(0.5))
     xs, ys = family((1, 0), [0.3]), family((0, 1), [0.7])
     pts = match_and_intersect(xs, ys, s3, family(s3, [height(target, s3)]))
-    assert pts == [target]
+    _assert_vertices(pts, [target])
 
 
 def test_match_and_intersect_2x2_grid():
@@ -120,8 +120,8 @@ def test_match_and_intersect_2x2_grid():
     s3 = third_direction(lines_from_dgm0(d1), lines_from_dgm0(d2))
     d3 = dgm0(s3, [height(p, s3) for p in truth])
     got = match_and_intersect(lines_from_dgm0(d1), lines_from_dgm0(d2), d3.direction, lines_from_dgm0(d3))
-    assert got == truth
-    assert triple_intersections(d1, d2, d3) == set(got)
+    _assert_vertices(got, truth)
+    assert triple_intersections(d1, d2, d3) == set(map(tuple, got.tolist()))
 
 
 def test_match_equals_triple_intersections_on_random_instance():
@@ -133,8 +133,8 @@ def test_match_equals_triple_intersections_on_random_instance():
     matched = match_and_intersect(xs, ys, d3.direction, lines_from_dgm0(d3))
     brute = triple_intersections(d1, d2, d3)
     assert len(matched) == len(brute) == 4
-    for p in matched:
-        assert any(abs(p.x - q.x) <= 1e-9 and abs(p.y - q.y) <= 1e-9 for q in brute)
+    for x, y in matched.tolist():
+        assert any(abs(x - q.x) <= 1e-9 and abs(y - q.y) <= 1e-9 for q in brute)
 
 
 def test_triple_intersections_disjoint_families():
@@ -160,21 +160,18 @@ def test_locate_point_errors():
         locate_point(dgm0((1, 0), [1.0]), dgm0((2, 0), [0.0]))
 
 
-def _assert_point2s(points):
-    """Each point is exactly a Point2 of two floats and acts as one: the
-    vertex phase builds them without `Point2._make`'s length check."""
-    for p in points:
-        assert type(p) is Point2 and len(p) == 2 and type(p.x) is float and type(p.y) is float
-        assert p._replace(x=0.5) == Point2(0.5, p.y)
-        assert p == (p.x, p.y) and hash(p) == hash((p.x, p.y))
+def _assert_vertices(got, want):
+    """got is the vertex phase's answer, one read-only float64 (n, 2) array,
+    and its rows are the points of want, float.hex for float.hex."""
+    assert got.dtype == np.float64 and got.shape == (len(want), 2)
+    assert not got.flags.writeable
+    assert _hex(got) == _hex(want)
 
 
 def test_reconstruct_single_vertex():
     for points in ([(3.0, 7.0)], []):  # and no vertex
         o = DiagramOracle(PlaneGraph(points, []))
-        got = reconstruct_vertices(o)
-        assert got == [Point2(*p) for p in points]
-        _assert_point2s(got)
+        _assert_vertices(reconstruct_vertices(o), points)
         assert o.query_count == 3
 
 
@@ -196,8 +193,8 @@ def test_reconstruct_100_random_vertices():
     o = DiagramOracle(PlaneGraph(pts, []))
     got = reconstruct_vertices(o)
     assert o.query_count == 3
-    _assert_point2s(got)
-    assert_points_close(sorted(got), sorted(pts), tol=1e-6)
+    _assert_vertices(got, sorted(pts, key=lambda p: p[1]))
+    assert_points_close(sorted(got.tolist()), sorted(pts), tol=1e-6)
 
 
 def test_reconstruct_rejects_degenerate_hidden_graph():
@@ -222,9 +219,7 @@ def test_a_wide_flat_pair_comes_back_bit_for_bit():
     # the first; the snap returns the (1, 0) births, the hidden x's
     g = PlaneGraph([(0.0, 0.5), (1000.0, 0.500000002)], [])
     assert validate(g) == []
-    got = reconstruct_vertices(DiagramOracle(g))
-    _assert_point2s(got)
-    assert _hex(got) == _hex(g.vertices)
+    _assert_vertices(reconstruct_vertices(DiagramOracle(g)), g.vertices)
 
 
 class ShiftedThirdOracle(DiagramOracle):
@@ -337,12 +332,17 @@ def _same_as_reference(g):
     got = reconstruct_vertices(o)
     want = reference_reconstruct_vertices(lines)
     formula = reference_formula_vertices(loop)
-    _assert_point2s(got)
     # float.hex tells signed zeros and every last bit apart
     assert _hex(o.query_log) == _hex(lines.query_log) == _hex(loop.query_log)
     # every vertex is the hidden vertex of the same y-rank; the formula and
     # the line reference only name which x
-    assert got == sorted(g.vertices, key=lambda p: p.y)
+    hidden = sorted(g.vertices, key=lambda p: p.y)
+    assert list(map(tuple, got.tolist())) == hidden
+    # bit for bit, each coordinate is its axis birth: 1.0 * x + 0.0 * y along
+    # (1, 0), which differs from the hidden x at most in the sign of a zero;
+    # a single vertex has its zeros made 0.0
+    births = [(height(p, AXIS_X), height(p, AXIS_Y)) for p in hidden]
+    _assert_vertices(got, [(x + 0.0, y + 0.0) for x, y in births] if g.n == 1 else births)
     assert all(math.isclose(p.x, q.x, rel_tol=1e-12) for p, q in zip(formula, want))
     assert len(got) == len(want) == g.n
 
