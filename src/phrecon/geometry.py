@@ -36,6 +36,27 @@ class Point2(NamedTuple):
     y: float
 
 
+class VertexArray(np.ndarray):
+    """The vertex phase's answer: a read-only float64 (n, 2) array of (x, y)
+    rows. A row read alone, V[i] or by iterating, is its Point2, so code
+    written for a list of points runs unchanged, and no object is made for
+    a row that is not read so. Other indices and computed arrays are plain."""
+
+    def __getitem__(self, key):
+        item = self.view(np.ndarray)[key]
+        if self.shape[1:] != (2,) or self.strides[1] != self.itemsize:
+            return item  # not (x, y) side by side, as in V.T
+        if isinstance(key, slice):
+            return item.view(VertexArray)
+        if isinstance(key, (int, np.integer)) and not isinstance(key, bool):
+            return Point2(*item.tolist())
+        return item
+
+    def __array_wrap__(self, out, context=None, return_scalar=False):
+        # a 0-d result is a scalar, also on numpy 1.x, which passes no return_scalar
+        return out[()] if out.ndim == 0 else out.view(np.ndarray)
+
+
 class Direction(NamedTuple):
     """A non-zero direction vector; unit length unless stated otherwise."""
 

@@ -216,7 +216,8 @@ def _lower_star_units(g: PlaneGraph, units: Sequence[Direction], tol: float) -> 
 
     # Flat indices: r*n + v for vertex v of row r, and r*n + q for rank q,
     # so one 1-d array holds a quantity for every row.
-    by_rank = (order + (np.arange(k) * n)[:, None]).ravel()
+    offsets = (np.arange(k) * n)[:, None]
+    by_rank = (order + offsets).ravel()
     level = H.ravel()[by_rank]  # the height at every flat rank
     level.flags.writeable = False
     ascending = level.reshape(k, n)

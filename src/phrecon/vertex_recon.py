@@ -20,7 +20,7 @@ import math
 import numpy as np
 
 from .errors import DuplicateHeights, ParallelLines, UncertifiedVertices
-from .geometry import PARALLEL_EPS, TOLERANCE, Direction, checked_tolerance
+from .geometry import PARALLEL_EPS, TOLERANCE, Direction, VertexArray, checked_tolerance
 from .persistence import Diagram, DiagramOracle
 
 AXIS_X = Direction(1.0, 0.0)
@@ -74,10 +74,10 @@ def third_direction(xs: np.ndarray, ys: np.ndarray) -> Direction:
 
 def match_and_intersect(
     xs: np.ndarray, ys: np.ndarray, s3: Direction, h3: np.ndarray
-) -> np.ndarray:
+) -> VertexArray:
     """Pair the i-th lowest y with the i-th lowest height h3 along s3, and
     snap each vertex's x onto the (1, 0) birth in xs it stands for: row i
-    of the read-only float64 (n, 2) array returned is (x, ys[i]).
+    of the read-only float64 (n, 2) `VertexArray` returned is (x, ys[i]).
 
     s3 is the third diagram's unit direction, with s3.dy > 0, so ascending
     h3 is the order in which its lines cross any vertical line. Under the
@@ -116,21 +116,22 @@ def match_and_intersect(
         r = int(off.argmax()) if bound < half_gap else 0
         rank = f.argsort(kind="stable")
         raise UncertifiedVertices(int(rank[r]), float(f[rank[r]]), float(xs[r]), bound, half_gap)
-    V = np.empty((len(ys), 2))
+    V = np.empty((len(ys), 2)).view(VertexArray)
     V[rank, 0] = xs
     V[:, 1] = ys
     V.flags.writeable = False
     return V
 
 
-def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> np.ndarray:
+def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> VertexArray:
     """Recover all vertex coordinates using exactly three oracle queries.
 
     Queries (1, 0) and (0, 1) in one `query_many`, then the derived third
-    direction. Returns the vertices as a read-only float64 (n, 2) array of
-    (x, y) rows in ascending y, each coordinate an axis birth. A single
-    vertex is read off the two axis births, with any -0.0 made 0.0. A tol
-    outside [0, inf), NaN included, raises ValueError before any query.
+    direction. Returns the vertices as a read-only float64 (n, 2)
+    `VertexArray` of (x, y) rows in ascending y, each coordinate an axis
+    birth; a row read alone is its Point2. A single vertex is read off the
+    two axis births, with any -0.0 made 0.0. A tol outside [0, inf), NaN
+    included, raises ValueError before any query.
     """
     checked_tolerance(tol)
     d1, d2 = o.query_many([AXIS_X, AXIS_Y])
@@ -138,7 +139,7 @@ def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> np.ndarray
     ys = lines_from_dgm0(d2, tol)
     d3 = o.query(third_direction(xs, ys))
     if len(xs) == 1:
-        V = np.array([xs, ys]).T + 0.0
+        V = (np.array([xs, ys]).T + 0.0).view(VertexArray)
         V.flags.writeable = False
         return V
     return match_and_intersect(xs, ys, d3.direction, lines_from_dgm0(d3, tol))

@@ -178,9 +178,9 @@ def test_criterion_6_vertex_oracle_equivalence(sweep):
         matched = match_and_intersect(xs, ys, d3.direction, lines_from_dgm0(d3))
         brute = triple_intersections(d1, d2, d3)
         ok = ok and len(matched) == len(brute)
-        for x, y in matched.tolist():
+        for p in matched:
             ok = ok and any(
-                abs(x - q.x) <= 1e-9 and abs(y - q.y) <= 1e-9 for q in brute
+                abs(p.x - q.x) <= 1e-9 and abs(p.y - q.y) <= 1e-9 for q in brute
             )
     _report("6 match_and_intersect equals triple_intersections", ok)
 

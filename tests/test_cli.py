@@ -1,4 +1,5 @@
 import json
+import math
 from pathlib import Path
 
 import pytest
@@ -77,9 +78,9 @@ def test_reconstruct_appendix_roundtrip(tmp_path, appendix_file, appendix_graph)
     assert rep["retries"] == 0
     assert rep["edge_set_equal"] is True
     assert rep["max_vertex_error"] <= 1e-6
-    # the two phases' times, back to back, make up the wall time
+    # the two phases' times split the wall time between them
     assert rep["vertex_ms"] >= 0.0 and rep["edge_ms"] >= 0.0
-    assert rep["vertex_ms"] + rep["edge_ms"] <= rep["wall_time_ms"]
+    assert math.isclose(rep["vertex_ms"] + rep["edge_ms"], rep["wall_time_ms"])
     assert run("verify", appendix_file, out, "--eps", "1e-6") == 0
 
 

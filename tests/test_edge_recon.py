@@ -497,8 +497,7 @@ def test_edge_phase_round_trips_the_n1000_jittered_grid():
     vs = reconstruct_vertices(o)
     hidden = {p: k for k, p in enumerate(g.vertices)}  # every vertex comes back exactly
     detail = reconstruct_edges_detail(o, vs)
-    back = {i: hidden[p] for i, p in enumerate(map(tuple, vs.tolist()))}
-    assert remap_edges(detail.edges, back) == set(g.edges)
+    assert remap_edges(detail.edges, {i: hidden[p] for i, p in enumerate(vs)}) == set(g.edges)
     assert detail.queries == 2572  # 3 492 without the planarity rule
 
 

@@ -6,7 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from phrecon import Direction, ParallelLines, Point2, height
-from phrecon.geometry import heights
+from phrecon.geometry import VertexArray, heights
 
 from edge_reference import CoincidentPoints, line_angle_mod_pi, rotate
 from vertex_reference import Line, filtration_line, intersect_lines
@@ -42,6 +42,26 @@ def test_heights_round_as_height_bit_for_bit():
             assert H.shape == directions.shape[:-1] + (50,)
             want = [[height(p, Direction(*s)) for p in points] for s in directions.reshape(-1, 2).tolist()]
             assert H.reshape(-1, 50).tolist() == want
+
+
+def test_vertex_array_reads_a_row_alone_as_its_point2():
+    V = np.array([[0.5, -0.0], [2.0, 1.0], [-3.0, 4.0]]).view(VertexArray)
+    # a row by index or by iteration is a Point2, as in a list of points
+    assert type(V[0]) is Point2 and V[-1] == Point2(-3.0, 4.0)
+    assert V[np.int64(1)]._replace(x=V[1].x + 1.0) == Point2(3.0, 1.0)
+    assert list(V) == [Point2(0.5, -0.0), Point2(2.0, 1.0), Point2(-3.0, 4.0)]
+    assert math.copysign(1.0, V[0].y) == -1.0
+    assert type(V[1:]) is VertexArray and list(V[::-2]) == [V[2], V[0]]
+    with pytest.raises(IndexError):
+        V[3]
+    # any other index, and any array computed from V, is a plain ndarray
+    for other in (V[:, 0], V[[0, 2]], V[V[:, 0] > 0], V[True], V + 1.0, V == V, np.asarray(V)):
+        assert type(other) is np.ndarray
+    assert type(V.sum()) is np.float64 and V.max() == 4.0
+    x, y = V.T  # columns, not rows of (x, y)
+    assert x.tolist() == [0.5, 2.0, -3.0] and type(V.T[0]) is np.ndarray
+    square = V[:2]
+    assert type(square.T[0]) is np.ndarray and square.T[0].tolist() == [0.5, 2.0]
 
 
 def test_filtration_line_axis_cases():

@@ -12,7 +12,6 @@ from phrecon import (
     Direction,
     PersistencePair,
     PlaneGraph,
-    Point2,
     diagram_from_json,
     diagram_to_json,
     height,
@@ -565,7 +564,7 @@ def test_vertex_phase_and_probe_build_no_pair(monkeypatch):
     g = random_plane_graph(9, 1.0, 5)
     o = DiagramOracle(g)
     V = reconstruct_vertices(o)
-    P = [Point2(*p) for p in V.tolist()]  # the reference probe finds its pair in a list
+    P = list(V)  # the reference probe finds its pair in a list
     a, b = match_to_hidden(V[:2], g).values()
     exists = reference_probe_edge(o, P[0], P[1], global_bowtie_width(V), P)
     assert exists == ((min(a, b), max(a, b)) in g.edges)

@@ -162,9 +162,11 @@ def test_locate_point_errors():
 
 def _assert_vertices(got, want):
     """got is the vertex phase's answer, one read-only float64 (n, 2) array,
-    and its rows are the points of want, float.hex for float.hex."""
+    and its rows are the points of want, float.hex for float.hex, each
+    row read alone a Point2."""
     assert got.dtype == np.float64 and got.shape == (len(want), 2)
     assert not got.flags.writeable
+    assert all(type(p) is Point2 for p in got)
     assert _hex(got) == _hex(want)
 
 
