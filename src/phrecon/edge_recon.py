@@ -184,7 +184,8 @@ def _uncertified(h: np.ndarray, i, j, headroom) -> UncertifiedPair:
 def indegree_from_diagrams(d: Diagram, v: Point2, tol: float = TOLERANCE) -> int:
     """Indegree of v read off one diagram: dim-0 deaths at v's height
     (diagonal pairs included) plus dim-1 births there. Infinite deaths
-    never match."""
+    never match. A tol outside [0, inf) raises ValueError, as in
+    `Diagram.events_at`."""
     return d.events_at(height(v, d.direction), tol)
 
 

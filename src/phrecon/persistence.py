@@ -116,7 +116,9 @@ class Diagram:
 
     def events_at(self, h: float, tol: float = TOLERANCE) -> int:
         """Finite dim-0 deaths plus dim-1 births within tol of height h
-        (diagonal pairs included): the indegree of a vertex at height h."""
+        (diagonal pairs included): the indegree of a vertex at height h.
+        A tol outside [0, inf), NaN included, raises ValueError."""
+        checked_tolerance(tol)
         x = np.concatenate([self.deaths, self.cycles])
         return int(np.count_nonzero(np.abs(x[~np.isinf(x)] - h) <= tol))
 
@@ -133,9 +135,9 @@ def events_at_ranks(
     dim-0 deaths and dim-1 births x of entry e with abs(x - H[e, v]) <= tol,
     as `Diagram.events_at` counts them, but each event at one height only,
     which matters only where two heights of a row lie within 2 tol;
-    mismatched[e] flags an entry whose dim-0 births are not within tol of
-    its row rank by rank, or with an event within tol of no height of its
-    row.
+    mismatched[e] flags an entry whose dim-0 births are not n or not within
+    tol of its row rank by rank, or with an event within tol of no height
+    of its row.
 
     The births check lines each dim-0 pair up with the height of its birth's
     rank, so the common diagonal death is counted by one elementwise test.
@@ -147,8 +149,11 @@ def events_at_ranks(
     k, n = H.shape
     by_rank = (H.argsort(axis=1) + np.arange(0, k * n, n)[:, None]).ravel()
     ascending = H.ravel()[by_rank].reshape(k, n)
-    births = np.array([d.births for d in entries]).reshape(k, n)
-    death = np.array([d.deaths for d in entries]).reshape(k, n)
+    # an entry of other than n dim-0 pairs reads as births and deaths at
+    # infinity: it matches no row and has no own death
+    blank = np.full(n, INFINITY)
+    births = np.array([d.births if len(d.births) == n else blank for d in entries]).reshape(k, n)
+    death = np.array([d.deaths if len(d.births) == n else blank for d in entries]).reshape(k, n)
     mismatched = (np.abs(births - ascending) > tol).any(axis=1)
     own = np.abs(death - ascending) <= tol
     # every other event x: the finite deaths off their own height (an own

@@ -14,6 +14,9 @@ of V at a chosen width: the two certified directions of `pair_directions`
 at their indices, asked in one
 `query_many`, read by `indegree_from_diagrams`, an edge iff the indegrees
 differ by exactly one.
+
+`reference_bowtie_members` is the height test every read of a probe pair
+must hold exactly, over every vertex rather than a window of chords.
 """
 
 from __future__ import annotations
@@ -84,6 +87,24 @@ def reference_reconstruct_edges(o, V: Sequence[Point2], tol: float = TOLERANCE) 
         exists = (u == c) & (np.abs(D) == 1)
         edges.update(zip(np.minimum(c, f)[exists].tolist(), np.maximum(c, f)[exists].tolist()))
     return EdgeReconResult(frozenset(edges), o.query_count - start, 0)
+
+
+def reference_bowtie_members(H: np.ndarray, centre, far) -> dict:
+    """The members of every read of the probe pairs (centre[p], far[p]),
+    from H, the (2, k, n) vertex heights along their s1 and s2, by the
+    height test over every other vertex: {(centre, far, u): {pair: sign}},
+    with pair i * n + j, i < j, and sign +1 where w lies below u along s1
+    only and -1 where along s2 only. Reads with no member are left out."""
+    k, n = H.shape[1:]
+    out = {}
+    for p in range(k):
+        h1, h2 = H[0, p], H[1, p]
+        for u in range(n):
+            below1, below2 = h1 < h1[u], h2 < h2[u]
+            members = {min(u, w) * n + max(u, w): 1 if below1[w] else -1 for w in np.flatnonzero(below1 != below2).tolist()}
+            if members:
+                out[int(centre[p]), int(far[p]), u] = members
+    return out
 
 
 def _row_batches(n: int) -> Iterator[np.ndarray]:

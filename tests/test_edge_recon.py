@@ -40,6 +40,7 @@ from edge_reference import (
     EnumerationOverflow,
     enumerate_compatible_graphs,
     line_angle_mod_pi,
+    reference_bowtie_members,
     reference_probe_edge,
     reference_reconstruct_edges,
     rotate,
@@ -440,6 +441,38 @@ def test_probe_returns_only_groups_that_can_decide():
     assert (pair[held] == asked[group[held]]).all()
 
 
+def _jittered_grid_graph(n: int, scale: float = 1.0, offset: float = 0.0) -> PlaneGraph:
+    """`jittered_grid_points(n, 7)` scaled, then offset, with the unit
+    grid's Delaunay edges."""
+    pts = np.array(jittered_grid_points(n, 7))
+    return PlaneGraph((pts * scale + offset).tolist(), plane_graph._delaunay_edges(pts))
+
+
+def test_probe_reads_hold_exactly_the_height_test_of_every_vertex():
+    # `_probe` finds members in a padded window of chord angles, then sides
+    # them by height; the reference sides every vertex by height. Each read
+    # kept must hold the reference's members with its signs, and every
+    # read with a member must be kept, at unit scale and at 1e6, where a
+    # certified vertex can lie a few ulps of pi off a bow tie's boundary
+    graphs = [random_plane_graph(60, 1.0, seed, margin=1e-5) for seed in (1, 2, 3)]
+    for g in graphs + [_jittered_grid_graph(300, 1e6)]:
+        n = len(g.vertices)
+        X, Y = np.asarray(g.vertices).T
+        geometry = edge_recon._geometry(X, Y, 1e-9)
+        src, cols = np.unique(np.sort(np.c_[np.arange(n), geometry.nearest[:, 0]], axis=1), axis=0).T
+        tag, D, group, pair, sign = edge_recon._probe(DiagramOracle(g), X, Y, geometry, src, cols, 1e-9)
+        got = {}
+        for t, p, s in zip(tag[group].tolist(), pair.tolist(), sign.tolist()):
+            c, f, u = t // (n * n), t // n % n, t % n
+            got.setdefault((c, f, u), {})[p] = s
+        # the certificate `_probe` keeps: the end with the larger headroom
+        k = len(src)
+        centre, far = np.concatenate([src, cols]), np.concatenate([cols, src])
+        _, headroom, H = edge_recon._certified_directions(X, Y, centre, far, geometry.width[centre, far], 1e-9)
+        kept = np.arange(k) + k * (headroom[k:] > headroom[:k])
+        assert got == reference_bowtie_members(H[:, kept], centre[kept], far[kept])
+
+
 def test_a_counting_only_settle_holds_no_member():
     # the degree reads are their vertices' rows: a settle with no probe read
     # leaves the reads holding no member, and both masks symmetric. Counting
@@ -499,6 +532,47 @@ def test_edge_phase_round_trips_the_n1000_jittered_grid():
     detail = reconstruct_edges_detail(o, vs)
     assert remap_edges(detail.edges, {i: hidden[p] for i, p in enumerate(vs)}) == set(g.edges)
     assert detail.queries == 2572  # 3 492 without the planarity rule
+
+
+@pytest.mark.parametrize("scale, offset", [(1e3, 0.0), (1e6, 0.0), (1.0, 1e6)])
+def test_scaled_and_offset_grids_round_trip(scale, offset):
+    # the n = 300 grid with its 887 Delaunay edges, far from the unit
+    # square: at 1e6 a certified vertex can lie within a few ulps of pi of
+    # a bow tie's boundary, and the offset grid's chords are 1e-7 of its
+    # coordinates. Both phases come back exactly, with the unit grid's 772
+    # edge queries
+    g = _jittered_grid_graph(300, scale, offset)
+    assert len(g.edges) == 887
+    o = DiagramOracle(g)
+    vs = reconstruct_vertices(o)
+    hidden = {p: k for k, p in enumerate(g.vertices)}  # every vertex comes back exactly
+    detail = reconstruct_edges_detail(o, vs)
+    assert remap_edges(detail.edges, {i: hidden[p] for i, p in enumerate(map(tuple, vs.tolist()))}) == set(g.edges)
+    assert detail.queries == 772
+
+
+def test_a_grid_scaled_past_the_tolerance_raises_a_phrecon_error():
+    # at 1e7 the heights round by more than tol = 1e-9, so some diagram
+    # disagrees with the heights it is read at: a typed error, not a wrong
+    # edge set
+    g = _jittered_grid_graph(300, 1e7)
+    o = DiagramOracle(g)
+    with pytest.raises(PhreconError):
+        reconstruct_edges_detail(o, reconstruct_vertices(o))
+
+
+@pytest.mark.parametrize("wrong", ["one short", "one extra"])
+def test_vertices_of_the_wrong_number_raise_diagram_mismatch(wrong):
+    # a degree diagram holds one dim-0 pair per hidden vertex, so it cannot
+    # be read at the heights of more or fewer vertices
+    g = random_plane_graph(6, 1.0, 3)
+    V = np.asarray(g.vertices)
+    V = V[:-1] if wrong == "one short" else np.vstack([V, [[0.5, 0.123]]])
+    o = DiagramOracle(g)
+    with pytest.raises(DiagramMismatch, match="degree diagram") as err:
+        reconstruct_edges_detail(o, V)
+    assert err.value.direction == Direction(1.0, 0.0)
+    assert o.query_count == 2
 
 
 def test_uncertifiable_pair_raises_before_its_row_is_queried():
@@ -1102,3 +1176,5 @@ def test_edge_phase_refuses_a_tolerance_outside_zero_to_infinity(tol):
     for V in ([], [Point2(0.0, 0.0)]):  # refused before the early return, too
         with pytest.raises(ValueError, match="tolerance"):
             reconstruct_edges_detail(o, V, tol)
+    with pytest.raises(ValueError, match="tolerance"):
+        indegree_from_diagrams(o.query(Direction(1.0, 0.3)), g.vertices[0], tol)

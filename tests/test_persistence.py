@@ -487,7 +487,7 @@ def test_swept_diagram_equals_its_pairs_through_the_constructor():
         d = lower_star_diagrams(g, tie_free_direction(g, rng))
         heights = [height(v, d.direction) for v in g.vertices]
         probes = heights + [h + 0.7e-9 for h in heights] + [0.5 * (a + b) for a, b in zip(heights, heights[1:])]
-        tols = (0.0, 1e-9, 1e-3, 0.2, INF)
+        tols = (0.0, 1e-9, 1e-3, 0.2, sys.float_info.max)  # the last counts every finite event
         # read from the sweep before the pairs exist
         arrays, components = (d.births, d.deaths, d.cycles), n_components(d)
         events = [d.events_at(h, tol) for h in probes for tol in tols]
@@ -510,7 +510,8 @@ def test_events_at_on_unsorted_constructed_pairs():
     d = Diagram(Direction(1.0, 0.0), dim0, dim1)
     assert d.events_at(0.5, 1e-9) == 3
     assert d.events_at(0.9, 0.0) == 1
-    assert d.events_at(0.7, INF) == _scan_events(d, 0.7, INF) == 4
+    every = sys.float_info.max  # the largest tolerance, inf, is refused
+    assert d.events_at(0.7, every) == _scan_events(d, 0.7, every) == 4
     assert d.births.tolist() == [0.0, 0.2, 0.5]
     assert n_components(d) == 1
     # the constructor sorts the pairs: canonical pairs and JSON, whatever the order given
@@ -573,6 +574,25 @@ def test_vertex_phase_and_probe_build_no_pair(monkeypatch):
         lower_star_diagrams(g, Direction(1.0, 0.0)).dim0
 
 
+def test_events_at_ranks_flags_an_entry_of_the_wrong_size():
+    # an entry whose dim-0 pairs are not one per height of its row is
+    # mismatched, and the other entries are read as before
+    g = random_plane_graph(6, 1.0, 3)
+    units = [Direction(1.0, 0.0), Direction(0.6, 0.8)]
+    entries = [lower_star_diagrams(g, s) for s in units]
+    x, y = np.asarray(g.vertices).T
+    H = geometry.heights(x, y, np.array(units))
+    counts, mismatched = events_at_ranks(entries, H)
+    assert not mismatched.any()
+    for H_wrong in (H[:, :-1], np.hstack([H, H[:, :1] + 0.5])):
+        got, mismatched = events_at_ranks(entries, H_wrong)
+        assert mismatched.tolist() == [True, True]
+    small = random_plane_graph(5, 1.0, 3)
+    mixed = [entries[0], lower_star_diagrams(small, units[1])]
+    got, mismatched = events_at_ranks(mixed, H)
+    assert mismatched.tolist() == [False, True] and got[0].tolist() == counts[0].tolist()
+
+
 @pytest.mark.parametrize("tol", [-1.0, -1e-300, math.nan, math.inf])
 def test_oracle_refuses_a_tolerance_outside_zero_to_infinity(tol):
     # a negative or NaN tol would let equal heights through the tie check
@@ -581,4 +601,6 @@ def test_oracle_refuses_a_tolerance_outside_zero_to_infinity(tol):
         DiagramOracle(g, tol)
     with pytest.raises(ValueError, match="tolerance"):
         lower_star_diagrams(g, Direction(1.0, 0.3), tol)
+    with pytest.raises(ValueError, match="tolerance"):  # a NaN tol counted 0 events
+        lower_star_diagrams(g, Direction(1.0, 0.3)).events_at(0.5, tol)
     assert DiagramOracle(g, 0.0).query(Direction(1.0, 0.3)) == lower_star_diagrams(g, Direction(1.0, 0.3))
