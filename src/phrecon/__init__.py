@@ -16,6 +16,7 @@ from .errors import (
     DiagramMismatch,
     DuplicateHeights,
     GenerationFailed,
+    HalfPlaneConflict,
     InvalidGraph,
     ParallelLines,
     PhreconError,

@@ -14,19 +14,26 @@ indeg(u, s1) - indeg(u, s2) sums +1 for each edge of u to a w below u
 along s1 only and -1 for each to a w below u along s2 only, and it settles
 every pair in the bow tie that it pins down.
 
+Any one diagram is a read too: indeg(u, s) counts u's edges to the
+vertices below u along s, a half-plane at u. The vertex phase's array
+carries its three diagrams, (1, 0), (0, 1) and s3, so the edge phase asks
+only (-1, 0) before it reads all four at every vertex, with the degrees
+indeg(u, (1, 0)) + indeg(u, (-1, 0)).
+
 The input is a plane graph, so no edge properly crosses another: a pair
 that crosses a known edge is not an edge. This planarity rule needs no
-query, and certified orientations decide each crossing.
+query, and certified orientations decide each crossing. On a graph whose
+edges cross, the reads and the rule can settle a wrong edge set.
 
-`reconstruct_edges_detail` reads every degree off two axis diagrams first,
-then asks, nearest first and in batched rounds, only pairs that counting,
-the planarity rule and the reads of earlier probe pairs leave open; it
-stays within the paper's n(n-1) queries. Each asked pair's bow tie has its
-own width (`bowtie_widths`), both ends are tried as its centre, and the
-better one is certified once, with no retry; `pair_directions` is the
-certifier's one-pair call. The certifier works on vertex indices, and its
-heights, from `geometry.heights`, are the rows every probe diagram is read
-at.
+`reconstruct_edges_detail` reads every degree and half-plane first, then
+asks, nearest first and in batched rounds, only pairs that counting, the
+planarity rule and the reads of earlier probe pairs leave open; it stays
+within the paper's n(n-1) queries, one fewer after the vertex phase. Each
+asked pair's bow tie has its own width (`bowtie_widths`), both ends are
+tried as its centre, and the better one is certified once, with no retry;
+`pair_directions` is the certifier's one-pair call. The certifier works on
+vertex indices, and its heights, from `geometry.heights`, are the rows
+every probe diagram is read at.
 """
 
 from __future__ import annotations
@@ -43,16 +50,26 @@ from .errors import (
     DegeneratePoints,
     DegreeConflict,
     DiagramMismatch,
+    HalfPlaneConflict,
     UncertifiedPair,
 )
-from .geometry import TOLERANCE, Direction, Point2, checked_tolerance, height, heights
+from .geometry import (
+    TOLERANCE,
+    Direction,
+    Point2,
+    VertexArray,
+    checked_tolerance,
+    height,
+    heights,
+)
 from .persistence import Diagram, DiagramOracle, events_at_ranks
 
 Edge = tuple[int, int]
 
 #: Directions times 4n (a bound on the simplices per direction) that one
-#: edge-phase chunk may hold, and crossing tests that one block of the
-#: planarity rule may hold; the arrays of both grow with it.
+#: edge-phase chunk may hold, crossing tests that one block of the
+#: planarity rule may hold, and closed pairs that one block of
+#: `_Reads._decide` counts; the arrays of all three grow with it.
 _BATCH_CELLS = 1 << 15
 
 
@@ -200,30 +217,38 @@ def reconstruct_edges_detail(
     o: DiagramOracle, V: np.ndarray | Sequence[Point2], tol: float = TOLERANCE
 ) -> EdgeReconResult:
     """Decide every unordered pair (i, j), asking the oracle only about the
-    pairs that the reads of the degree diagrams and of earlier probe pairs
-    cannot settle.
+    pairs that the reads of the diagrams already held and of earlier probe
+    pairs cannot settle.
 
     V must be the vertices exactly, as `reconstruct_vertices` returns them
-    or as (x, y) pairs: each probe diagram is checked against V's heights.
+    or as (x, y) pairs: each diagram is checked against V's heights. The
+    oracle's graph must be plane, as `validate` checks: the reads and the
+    planarity rule below assume it, and on a graph whose edges cross a
+    wrong edge set can come back.
 
-    Degrees first: indeg(v, s) + indeg(v, -s) = deg(v), so the diagrams of
-    (1, 0) and (-1, 0), asked in one `query_many`, give every degree
-    (`_degrees`); this needs V's x-coordinates more than tol apart, as the
-    vertex phase does. Each degree is a read of its vertex's row.
-    `_Reads.settle` applies one rule to these reads and to those of the
-    asked probe pairs, to one joint fixpoint, and says whether any pair is
-    still undecided. With r(v) the degree v has left and open(v) its
-    undecided pairs, the rule on a degree read is counting: r(v) = 0 closes
-    v's pairs as non-edges, r(v) = open(v) closes them as edges, and r(v)
-    outside [0, open(v)] raises DegreeConflict naming v. Whenever the reads
+    The diagrams held first (`_degrees`). When V is the array
+    `reconstruct_vertices(o)` returned for this same o, it carries the
+    vertex phase's (1, 0), (0, 1) and s3 diagrams (`VertexArray.diagrams_of`);
+    any other V carries none. The phase asks, in one `query_many`, whichever
+    of (1, 0) and (-1, 0) it does not hold: (-1, 0) alone after the vertex
+    phase, both otherwise. indeg(v, s) + indeg(v, -s) = deg(v) gives every
+    degree; this needs V's x-coordinates more than tol apart, as the vertex
+    phase does. Each degree is a read of its vertex's row, and each
+    diagram held is a half-plane read at every vertex u: D = indeg(u, s),
+    over the pairs (u, w) with w below u along s. `_Reads.settle` applies
+    one rule to these reads and to those of the asked probe pairs, to one
+    joint fixpoint, and says whether any pair is still undecided. With r(v)
+    the degree v has left and open(v) its undecided pairs, the rule on a
+    degree read is counting: r(v) = 0 closes v's pairs as non-edges,
+    r(v) = open(v) closes them as edges, and r(v) outside [0, open(v)]
+    raises DegreeConflict naming v. A half-plane read counts the same way
+    over its lower pairs and raises HalfPlaneConflict. Whenever the reads
     decide nothing more, the planarity rule (`_crossing_pairs`) closes as a
     non-edge every undecided pair that properly crosses a known edge, and
-    the reads go on from there. A crossing counts only when its four
-    orientations have certified signs: each larger than tol and than its
-    rounding-error bound. A pair whose crossing is not certified stays open
-    and is asked as any other. The oracle's graph must therefore be plane,
-    as `validate` checks: on a graph whose edges cross, the rule can close
-    an edge, and a wrong edge set can come back.
+    the reads go on. A crossing counts only when its four orientations have
+    certified signs: each larger than tol and than its rounding-error
+    bound. A pair whose crossing is not certified stays open and is asked
+    as any other.
 
     While pairs stay undecided, a round asks more. Each vertex with pairs
     left proposes its min(r(v), 2) nearest open pairs, by one global key
@@ -247,7 +272,8 @@ def reconstruct_edges_detail(
     ends' orders, as the key is global, so no round asks it; after the
     final round it is settled without a query. With P = n(n - 1)/2 pairs,
     at most P - 1 are asked, and the queries number at most
-    2 + 2(P - 1) = n(n - 1).
+    2 + 2(P - 1) = n(n - 1), or 1 + 2(P - 1) < n(n - 1) when V carries the
+    vertex phase's (1, 0) diagram.
 
     A tol outside [0, inf), NaN included, raises ValueError before any
     query."""
@@ -255,12 +281,14 @@ def reconstruct_edges_detail(
     n = len(V)
     if n < 2:
         return EdgeReconResult(frozenset(), 0, 0)
+    held = V.diagrams_of(o) if isinstance(V, VertexArray) else ()
     X, Y = np.array(V, dtype=np.float64).T
     start = o.query_count
-    degree = _degrees(o, X, Y, tol)
+    degree, directions, H, indegree = _degrees(o, X, Y, tol, held)
+    reads = _Reads(X, Y, tol, degree, directions, H, indegree)
     undecided = ~np.eye(n, dtype=bool)
     edge = np.zeros((n, n), dtype=bool)
-    reads, geometry, chunks = _Reads(X, Y, tol, degree), None, []
+    geometry, chunks = None, []
     rows = np.arange(n)[:, None]
     chunk = max(1, _BATCH_CELLS // (8 * n))
     while reads.settle(undecided, edge, chunks):
@@ -268,7 +296,7 @@ def reconstruct_edges_detail(
             geometry = _geometry(X, Y, tol)
         nearest = geometry.nearest
         ranked = undecided[rows, nearest]
-        left = degree - edge.sum(axis=1)
+        left = reads.residual[:n]  # the degree each vertex has left
         pick = ranked & (ranked.cumsum(axis=1) <= np.minimum(left, 2)[:, None])
         ask = np.zeros_like(undecided)
         ask[pick.nonzero()[0], nearest[pick]] = True
@@ -281,18 +309,29 @@ def reconstruct_edges_detail(
     return EdgeReconResult(frozenset(zip(i.tolist(), j.tolist())), o.query_count - start, 0)
 
 
-def _degrees(o: DiagramOracle, X: np.ndarray, Y: np.ndarray, tol: float) -> np.ndarray:
-    """Every vertex's degree, indeg(v, s) + indeg(v, -s) for s = (1, 0),
-    from the two diagrams asked in one `query_many` and read in one
-    `events_at_ranks` call at the vertex heights along each diagram's own
-    direction. A diagram that does not match the heights raises
-    DiagramMismatch."""
-    answers = o.query_many([Direction(1.0, 0.0), Direction(-1.0, 0.0)])
-    H = heights(X, Y, np.array([d.direction for d in answers]))
+def _degrees(
+    o: DiagramOracle, X: np.ndarray, Y: np.ndarray, tol: float, held: Sequence[Diagram]
+):
+    """The diagrams the edge phase reads before any probe: those held, then
+    whichever of (1, 0) and (-1, 0) they lack, asked in one `query_many`.
+    All are read in one `events_at_ranks` call at the vertex heights along
+    each diagram's own direction; a diagram that does not match the heights
+    raises DiagramMismatch.
+
+    Returns (degree, directions, H, indegree): every vertex's degree,
+    indeg(v, s) + indeg(v, -s) for s = (1, 0); the diagrams' directions;
+    the (k, n) vertex heights along them; and indegree[e, v], the events of
+    diagram e at vertex v."""
+    axes = [Direction(1.0, 0.0), Direction(-1.0, 0.0)]
+    have = [d.direction for d in held]
+    answers = [*held, *o.query_many([s for s in axes if s not in have])]
+    directions = [d.direction for d in answers]
+    H = heights(X, Y, np.array(directions))
     indegree, mismatched = events_at_ranks(answers, H, tol)
     if mismatched.any():
-        raise DiagramMismatch(direction=answers[int(mismatched.argmax())].direction)
-    return indegree.sum(axis=0)
+        raise DiagramMismatch(direction=directions[int(mismatched.argmax())])
+    degree = sum(indegree[directions.index(s)] for s in axes)
+    return degree, directions, H, indegree
 
 
 #: How far past the bow tie's half-angle the chord window reaches, in
@@ -487,30 +526,54 @@ def _orientation(X, Y, o, p, q, tol: float) -> np.ndarray:
 
 
 class _Reads:
-    """The reads, each kept while it can still decide: the n degree reads,
-    groups 0 to n - 1, and every asked probe pair read at every vertex
-    (`_probe`) while it holds an undecided pair.
+    """The reads, each kept while it can still decide: a degree read and a
+    half-plane read of every diagram held (`_degrees`) at every vertex, and
+    every asked probe pair read at every vertex (`_probe`).
 
-    A group is one read: a count D and its members, pairs of sign +1 or
-    -1, with D the sum of the signs of the members that are edges. With the
-    pairs already decided, its residual is D less the sign of every known
-    edge among its members, and with p and q its undecided members of sign
-    +1 and -1 the residual must lie in [-q, p]; outside it raises
-    DegreeConflict for a degree read and BowTieConflict for a probe read. A
-    residual of p makes the + members edges and the - members non-edges,
-    and a residual of -q the reverse. The degree read of v is its row of
-    pairs, each of sign +1, so its residual is r(v), p = open(v) and q = 0:
-    for it the rule is counting, and the centre read of an asked pair is
-    the case p + q = 1. Both conclusions only grow more certain as pairs get
-    decided, so applying them to a fixpoint settles the same pairs in any
-    order. The planarity rule closes pairs between the passes; a non-edge
-    changes no residual, and a read that needed such a pair as an edge
-    raises in the next pass.
+    A read is a count D and its members, pairs of sign +1 or -1, with D the
+    sum of the signs of the members that are edges. With the pairs already
+    decided, its residual is D less the sign of every known edge among its
+    members, and with p and q its undecided members of sign +1 and -1 the
+    residual must lie in [-q, p]; outside it raises DegreeConflict for a
+    degree read, HalfPlaneConflict for a half-plane read and BowTieConflict
+    for a probe read. A residual of p makes the + members edges and the -
+    members non-edges, and a residual of -q the reverse. Both conclusions
+    only grow more certain as pairs get decided, so applying them to a
+    fixpoint settles the same pairs in any order. The planarity rule closes
+    pairs between the passes; a non-edge changes no residual, and a read
+    that needed such a pair as an edge raises in the next pass.
+
+    Two layouts hold them:
+
+    - Row reads, one per vertex u and level: level 0 is the degree read,
+      whose members are all of u's pairs, and level 1 + e the half-plane
+      read of diagram e, whose members are the pairs (u, w) with w below u
+      along `directions[e]`. `rank` says which: the read at level L and u
+      holds the pairs (u, w), w != u, with rank[L, w] <= rank[L, u], and
+      rank[0] is all 0. Every member has sign +1, so q = 0 and the rule is
+      counting. A row read stores neither members nor a mask row: it is two
+      counters at index L * n + u, its residual and p (`open`), which
+      `_decide` lowers by each pair it closes, and its members are found
+      from `rank` only when it votes. A read with no undecided pair left
+      costs one entry of each check and is not dropped. Row reads are
+      checked first, the degree reads foremost: a pass in which a degree
+      read is out of range raises its DegreeConflict before any other.
+    - Probe reads, with explicit members: `tag`, `D`, and per member its
+      `group`, `pair` and `sign`, as `_probe` returns them. The centre read
+      of an asked pair is the case p + q = 1, the paper's rule.
     """
 
-    def __init__(self, X, Y, tol, degree):
+    def __init__(self, X, Y, tol, degree, directions, H, indegree):
         self.X, self.Y, self.tol = X, Y, tol  # the vertices, for the planarity rule
-        self.degree, self.D, self.sign = degree, degree, np.empty(0)
+        self.directions = directions
+        n = len(X)
+        self.rank = np.zeros((len(H) + 1, n), dtype=np.int32)  # level 0: the degree reads
+        self.rank[1:] = H.argsort(axis=1).argsort(axis=1)
+        self.level = np.arange(0, self.rank.size, n)[:, None]  # where each level's reads start
+        self.residual = np.concatenate([degree, indegree.ravel()])
+        self.open = self.rank.ravel().astype(np.intp)  # every pair is undecided
+        self.open[:n] = n - 1
+        self.D, self.sign = np.empty(0), np.empty(0)
         self.tag = self.group = self.pair = np.empty(0, np.intp)
 
     def settle(self, undecided: np.ndarray, edge: np.ndarray, chunks) -> bool:
@@ -519,22 +582,28 @@ class _Reads:
         is still undecided. Decided pairs leave `undecided`, and edges join
         `edge`; both stay symmetric.
 
-        The chunks' groups are numbered in place after those held. Each
-        pass first folds the decided members into their groups: D loses the
+        Each pass checks and applies the row reads alone, and only when
+        none of them decides a pair, the probe reads. For a row read, with
+        r its residual, r = p makes its members edges, r = 0 makes them
+        non-edges, and r outside [0, p] raises. The chunks' groups are
+        numbered in place after those held. A pass that reaches the probe
+        reads first folds their decided members into them: D loses the
         signs of their known edges, and they are dropped. The members held
-        between settles are all undecided, so the first pass folds only the
+        between settles are all undecided, so the first fold takes in the
         new reads, whose members are every pair in their bow ties, the
         decided ones too. Every member is then undecided, and D is its
-        group's residual; a degree read's residual and members are its rows
-        of `edge` and `undecided`. With A the group's members and B the sum
-        of their signs (so p = (A + B)/2 and q = (A - B)/2), t = 2D - B must
-        lie in [-A, A]; t = A is D = p and t = -A is D = -q, and a group
-        with no member must have D = 0. The pass applies every group's
-        decision at once. When no group decides a pair, the probe reads with
-        no member left go, and the planarity rule closes the pairs that
-        cross a known edge, non-edges whose fold leaves D unchanged, and the
-        passes go on. The fixpoint is reached when the rule closes nothing
-        either. A pass writes each pair i * n + j, i < j, and mirrors it."""
+        group's residual. With A a read's undecided members and B the sum of
+        their signs (so p = (A + B)/2 and q = (A - B)/2), t = 2D - B must
+        lie in [-A, A]; t = A is D = p and t = -A is D = -q, and a read
+        with no undecided member must have D = 0. A pass applies all the
+        decisions of the reads it checks at once. When no read decides a
+        pair, the probe reads with no member left go, and the planarity
+        rule closes the pairs that cross a known edge, non-edges whose fold
+        leaves D unchanged, and the passes go on. The fixpoint is reached
+        when the rule closes nothing either. A pass writes each pair it
+        decides both ways round, and lowers the row reads' counters by it
+        (`_decide`). The row reads are checked most often and cost least:
+        a cascade of counting leaves the probe reads untouched."""
         n = len(undecided)
         und, known = undecided.ravel(), edge.ravel()
         start = len(self.D)
@@ -546,49 +615,98 @@ class _Reads:
         chunks.clear()
         G = len(D)
         while True:
+            t = 2 * self.residual - self.open
+            size = np.abs(t)
+            bad = size > self.open
+            if bad.any():
+                raise self._conflict(int(bad.argmax()))
+            # +1: the members are edges; -1: they are not
+            vote = np.sign(t) * (size == self.open)
+            if vote.any():
+                self._decide(self._members(vote, undecided, known), und, known)
+                continue
             D = D - np.bincount(group, weights=sign * known[pair], minlength=G)
             live = und[pair]
             group, pair, sign = group[live], pair[live], sign[live]
             A = np.bincount(group, minlength=G)
             B = np.bincount(group, weights=sign, minlength=G)
-            A[:n] = B[:n] = undecided.sum(axis=1)
-            D[:n] = self.degree - edge.sum(axis=1)
             t = 2.0 * D - B
             size = np.abs(t)
             bad = size > A
             if bad.any():
-                raise self._conflict(int(bad.argmax()), tag, D, A, B, n)
+                e = int(bad.argmax())
+                probe, u = divmod(int(tag[e]), n)
+                p, m = int(A[e] + B[e]) // 2, int(A[e] - B[e]) // 2
+                raise BowTieConflict(*divmod(probe, n), u, int(D[e]), p, m)
             # +1: the + members are edges and the - members are not; -1: the reverse
             vote = np.sign(t) * (size == A)
             if vote.any():
                 # an edge wins a pair also read as a non-edge; the read that
-                # refused it raises in the next pass
-                row, member = vote[:n, None], vote[group] * sign
-                edge |= undecided & (row > 0)
-                undecided &= row == 0
-                und[pair[member != 0]] = False
+                # refused it raises in a later pass
+                member = vote[group] * sign
                 known[pair[member > 0]] = True
-            else:
-                # the probe reads left with no member passed their last check and go;
-                # then the planarity rule, whose non-edges change no residual
-                keep = A > 0
-                keep[:n] = True
-                tag, D, group = tag[keep[n:]], D[keep], (keep.cumsum() - 1)[group]
-                G = len(D)
-                decided = _crossing_pairs(self.X, self.Y, und, known, self.tol)
-                if not len(decided):
-                    break
-                und[decided] = False
-            undecided &= undecided.T
-            edge |= edge.T
+                self._decide(pair[member != 0], und, known)
+                continue
+            # the probe reads left with no member passed their last check and go;
+            # then the planarity rule, whose non-edges change no residual
+            keep = A > 0
+            tag, D, group = tag[keep], D[keep], (keep.cumsum() - 1)[group]
+            G = len(D)
+            decided = _crossing_pairs(self.X, self.Y, und, known, self.tol)
+            if not len(decided):
+                break
+            self._decide(decided, und, known)
         self.tag, self.D, self.group, self.pair, self.sign = tag, D, group, pair, sign
         return bool(undecided.any())
 
-    @staticmethod
-    def _conflict(e, tag, D, A, B, n):
-        """The error for group e, whose residual D[e] lies outside its range."""
-        r, p, m = int(D[e]), int(A[e] + B[e]) // 2, int(A[e] - B[e]) // 2
-        if e < n:
-            return DegreeConflict(e, r, p)
-        probe, u = divmod(int(tag[e - n]), n)
-        return BowTieConflict(*divmod(probe, n), u, r, p, m)
+    def _members(self, vote, undecided, known) -> np.ndarray:
+        """The undecided members of the row reads that vote, as i * n + j
+        with i < j, maybe more than once: those of the read at level L and
+        vertex u are the pairs (u, w) with rank[L, w] <= rank[L, u]. The
+        members of a read voting +1 are marked as edges in the raveled mask
+        known, one way round; an edge wins a pair also read as a non-edge,
+        and the read that refused it raises in the next pass."""
+        n = len(undecided)
+        voters = np.flatnonzero(vote)
+        level, u = np.divmod(voters, n)
+        below = self.rank[level] <= self.rank[level, u, None]
+        r, w = (below & undecided[u]).nonzero()
+        u = u[r]
+        known[(u * n + w)[vote[voters[r]] > 0]] = True
+        return np.minimum(u, w) * n + np.maximum(u, w)
+
+    def _decide(self, key: np.ndarray, und: np.ndarray, known: np.ndarray) -> None:
+        """Close the pairs decided, each given as i * n + j with i < j, maybe
+        more than once, and all undecided in the raveled mask und: each
+        becomes an edge, both ways round in the raveled mask known, when
+        known holds it either way round. Each row read loses one open member
+        for each of them among its members, and one from its residual if it
+        is an edge: a degree read at both ends, and the read of a diagram at
+        the end that is higher along it. At most _BATCH_CELLS pairs are
+        counted at a time."""
+        n, R = len(self.X), len(self.open)
+        key.sort()
+        first = np.ones(len(key), dtype=bool)
+        first[1:] = key[1:] != key[:-1]
+        key = key[first]
+        for start in range(0, len(key), _BATCH_CELLS):
+            ij = key[start : start + _BATCH_CELLS]
+            i, j = np.divmod(ij, n)
+            ji = j * n + i
+            known[ij] = known[ji] = is_edge = known[ij] | known[ji]
+            und[ij] = und[ji] = False
+            # the read at the upper end holds the pair; the degree read at j,
+            # here, and at i
+            at = np.where(self.rank.take(i, axis=1) > self.rank.take(j, axis=1), i, j) + self.level
+            self.open = self.open - np.bincount(at.ravel(), minlength=R) - np.bincount(i, minlength=R)
+            lost = np.bincount(at[:, is_edge].ravel(), minlength=R)
+            lost[:n] += np.bincount(i[is_edge], minlength=n)
+            self.residual = self.residual - lost
+
+    def _conflict(self, e: int):
+        """The error for row read e, whose residual lies outside [0, open]."""
+        level, v = divmod(e, len(self.X))
+        r, p = int(self.residual[e]), int(self.open[e])
+        if level == 0:
+            return DegreeConflict(v, r, p)
+        return HalfPlaneConflict(v, self.directions[level - 1], r, p)

@@ -112,6 +112,25 @@ class DegreeConflict(PhreconError):
         super().__init__(message)
 
 
+class HalfPlaneConflict(PhreconError):
+    """The diagram along `direction` reads an indegree at vertex v that its
+    lower pairs cannot meet.
+
+    `residual` is indeg(v, direction) less v's known edges to the vertices
+    below it along the direction, and `open` is the number of those pairs
+    still undecided; the edge phase needs 0 <= residual <= open. Raised
+    when the oracle's diagrams, or the vertices they are read at, disagree
+    with each other.
+    """
+
+    def __init__(self, v: int, direction, residual: int, open: int):
+        self.v, self.direction, self.residual, self.open = v, direction, residual, open
+        super().__init__(
+            f"the diagram along {direction} reads {residual} more edges below vertex {v}, "
+            f"outside [0, {open}]"
+        )
+
+
 class BowTieConflict(PhreconError):
     """The read of the probe pair asked for pair (i, j) at vertex u
     contradicts itself or the pairs already decided.

@@ -40,7 +40,21 @@ class VertexArray(np.ndarray):
     """The vertex phase's answer: a read-only float64 (n, 2) array of (x, y)
     rows. A row read alone, V[i] or by iterating, is its Point2, so code
     written for a list of points runs unchanged, and no object is made for
-    a row that is not read so. Other indices and computed arrays are plain."""
+    a row that is not read so. Other indices and computed arrays are plain.
+
+    The array `reconstruct_vertices(o)` returns also carries the diagrams it
+    was read from, tied to o by a weak reference: `diagrams_of(o)` gives
+    them to the edge phase. Slices, views and copies carry nothing."""
+
+    #: (weak reference to the oracle, the diagrams it answered), set on the
+    #: vertex phase's answer only
+    _read_from = None
+
+    def diagrams_of(self, oracle) -> tuple:
+        """The diagrams these vertices were read from, when oracle answered
+        them; else ()."""
+        read = self._read_from
+        return read[1] if read is not None and read[0]() is oracle else ()
 
     def __getitem__(self, key):
         item = self.view(np.ndarray)[key]

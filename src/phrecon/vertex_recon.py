@@ -16,6 +16,7 @@ no object per vertex, in O(n log n) after the three oracle queries.
 from __future__ import annotations
 
 import math
+import weakref
 
 import numpy as np
 
@@ -132,6 +133,13 @@ def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> VertexArra
     birth; a row read alone is its Point2. A single vertex is read off the
     two axis births, with any -0.0 made 0.0. A tol outside [0, inf), NaN
     included, raises ValueError before any query.
+
+    The array carries the three diagrams, tied to o: `reconstruct_edges_detail`
+    with this same o reads them as it reads its own diagrams, and asks
+    (1, 0) no second time (`VertexArray.diagrams_of`). The edge phase's
+    reads of them, like all its reads, assume o's graph is plane, as
+    `validate` checks: on a graph whose edges cross, a wrong edge set can
+    come back.
     """
     checked_tolerance(tol)
     d1, d2 = o.query_many([AXIS_X, AXIS_Y])
@@ -141,5 +149,7 @@ def reconstruct_vertices(o: DiagramOracle, tol: float = TOLERANCE) -> VertexArra
     if len(xs) == 1:
         V = (np.array([xs, ys]).T + 0.0).view(VertexArray)
         V.flags.writeable = False
-        return V
-    return match_and_intersect(xs, ys, d3.direction, lines_from_dgm0(d3, tol))
+    else:
+        V = match_and_intersect(xs, ys, d3.direction, lines_from_dgm0(d3, tol))
+    V._read_from = (weakref.ref(o), (d1, d2, d3))
+    return V

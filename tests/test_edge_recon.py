@@ -16,6 +16,7 @@ from phrecon import (
     DegeneratePoints,
     DegreeConflict,
     Diagram,
+    HalfPlaneConflict,
     DiagramOracle,
     Direction,
     PlaneGraph,
@@ -282,19 +283,20 @@ def test_edge_phase_raises_on_height_tie(monkeypatch):
     # the geometry of test_pair_directions_raise_on_height_tie, run through
     # the edge phase with every bow-tie width pinned to theta: the bow tie
     # at V[1] towards V[0] has the opposite directions, so both ends tie.
-    # Every vertex has degree 1 and (0, 1) is the nearest pair of V[0], so
-    # the first round asks it.
+    # V[4], right of V[1], keeps the axis reads from settling (0, 1): the
+    # (-1, 0) read at V[0] holds (0, 1) and (0, 4), one of them an edge.
+    # (0, 1) is the nearest pair of V[0], so the first round asks it.
     theta = math.pi / 8.0
-    V = _height_tie(theta)
-    monkeypatch.setattr(edge_recon, "_widths", lambda angle: np.full((4, 4), theta))
-    o = RecordingOracle(PlaneGraph(V, [(0, 3), (1, 2)]))
+    V = _height_tie(theta) + [Point2(2.0, -1.0)]
+    monkeypatch.setattr(edge_recon, "_widths", lambda angle: np.full((5, 5), theta))
+    o = RecordingOracle(PlaneGraph(V, [(0, 3), (0, 4), (1, 2)]))
     with pytest.raises(UncertifiedPair) as err:
         reconstruct_edges_detail(o, V)
     assert (err.value.i, err.value.j, err.value.k) == (0, 1, 2)
     assert abs(err.value.headroom) <= 1.0
-    assert o.query_count == 2 and o.calls == [2]  # only the degrees were asked
+    assert o.query_count == 2 and o.calls == [2]  # only the axis diagrams were asked
     monkeypatch.undo()
-    assert reconstruct_edges_detail(o, V).edges == {(0, 3), (1, 2)}
+    assert reconstruct_edges_detail(o, V).edges == {(0, 3), (0, 4), (1, 2)}
 
 
 class OneDegenerateOracle(RecordingOracle):
@@ -474,20 +476,35 @@ def test_probe_reads_hold_exactly_the_height_test_of_every_vertex():
 
 
 def test_a_counting_only_settle_holds_no_member():
-    # the degree reads are their vertices' rows: a settle with no probe read
-    # leaves the reads holding no member, and both masks symmetric. Counting
-    # settles a star, and only some pairs of the other graph
+    # a settle with no probe read, where every read is counting: the degree
+    # and half-plane reads store no member, both masks stay symmetric, and
+    # each row read's two counters are the row sums its members would give,
+    # the members being every pair of u for a degree read and the pairs
+    # (u, w) with w below u along a diagram's direction for its read. The
+    # axis reads settle a star and only some pairs of the other graph; the
+    # vertex phase's diagrams, carried by its array, are read the same way
     for g, settles in ((_star(8, 1), True), (random_plane_graph(12, 0.7, 3, margin=1e-3), False)):
-        n = len(g.vertices)
-        X, Y = np.array(g.vertices).T
-        reads = edge_recon._Reads(X, Y, 1e-9, edge_recon._degrees(DiagramOracle(g), X, Y, 1e-9))
-        undecided, edge = ~np.eye(n, dtype=bool), np.zeros((n, n), dtype=bool)
-        left = reads.settle(undecided, edge, [])
-        assert len(reads.tag) == len(reads.group) == len(reads.pair) == len(reads.sign) == 0
-        assert len(reads.D) == n and left == undecided.any() != settles
-        assert (undecided == undecided.T).all() and (edge == edge.T).all()
-        found = set(zip(*(a.tolist() for a in np.triu(edge).nonzero())))
-        assert found == set(g.edges) if settles else found < set(g.edges)
+        for carried in (False, True):
+            n = len(g.vertices)
+            o = DiagramOracle(g)
+            V = reconstruct_vertices(o) if carried else np.array(g.vertices)
+            X, Y = np.array(V).T
+            held = V.diagrams_of(o) if carried else ()
+            degree, directions, H, indegree = edge_recon._degrees(o, X, Y, 1e-9, held)
+            # carried: 3 vertex queries and (-1, 0); else (1, 0) and (-1, 0)
+            assert len(directions) == o.query_count == (4 if carried else 2)
+            reads = edge_recon._Reads(X, Y, 1e-9, degree, directions, H, indegree)
+            undecided, edge = ~np.eye(n, dtype=bool), np.zeros((n, n), dtype=bool)
+            left = reads.settle(undecided, edge, [])
+            assert len(reads.tag) == len(reads.group) == len(reads.pair) == len(reads.sign) == 0
+            assert left == undecided.any() != settles
+            assert (undecided == undecided.T).all() and (edge == edge.T).all()
+            found = remap_edges(zip(*np.triu(edge).nonzero()), match_to_hidden(V, g))
+            assert found == set(g.edges) if settles else found < set(g.edges)
+            below = np.concatenate([np.ones((1, n, n), dtype=bool), H[:, None, :] < H[:, :, None]])
+            count = np.concatenate([degree[None], indegree])
+            assert reads.open.tolist() == (below & undecided).sum(axis=2).ravel().tolist()
+            assert reads.residual.tolist() == (count - (below & edge).sum(axis=2)).ravel().tolist()
 
 
 def test_nearest_orders_every_row_by_the_global_key_on_exact_ties():
@@ -511,12 +528,16 @@ def test_nearest_orders_every_row_by_the_global_key_on_exact_ties():
 
 
 def test_edge_query_counts_are_pinned():
-    # reads of every vertex off every asked probe pair, min(r(v), 2)
-    # proposals per vertex and round, and the planarity rule: 154 queries
-    # here, 268 without the planarity rule, 490 with the centre read alone
-    # and r(v) proposals
+    # half-plane reads of every diagram held, reads of every vertex off
+    # every asked probe pair, min(r(v), 2) proposals per vertex and round,
+    # and the planarity rule: 156 queries here from a plain V, whose axis
+    # diagrams settle other pairs first than the degrees alone did (154),
+    # and 258 without the planarity rule. The vertex phase's array carries
+    # (0, 1) and s3 as well, and saves asking (1, 0): 153
     g = random_plane_graph(60, 1.0, 3, margin=1e-5)
-    assert reconstruct_edges_detail(DiagramOracle(g), list(g.vertices)).queries == 154
+    assert reconstruct_edges_detail(DiagramOracle(g), list(g.vertices)).queries == 156
+    o = DiagramOracle(g)
+    assert reconstruct_edges_detail(o, reconstruct_vertices(o)).queries == 153
 
 
 def test_edge_phase_round_trips_the_n1000_jittered_grid():
@@ -531,7 +552,7 @@ def test_edge_phase_round_trips_the_n1000_jittered_grid():
     hidden = {p: k for k, p in enumerate(g.vertices)}  # every vertex comes back exactly
     detail = reconstruct_edges_detail(o, vs)
     assert remap_edges(detail.edges, {i: hidden[p] for i, p in enumerate(vs)}) == set(g.edges)
-    assert detail.queries == 2572  # 3 492 without the planarity rule
+    assert detail.queries == 2571  # 3 255 without the planarity rule
 
 
 @pytest.mark.parametrize("scale, offset", [(1e3, 0.0), (1e6, 0.0), (1.0, 1e6)])
@@ -539,7 +560,7 @@ def test_scaled_and_offset_grids_round_trip(scale, offset):
     # the n = 300 grid with its 887 Delaunay edges, far from the unit
     # square: at 1e6 a certified vertex can lie within a few ulps of pi of
     # a bow tie's boundary, and the offset grid's chords are 1e-7 of its
-    # coordinates. Both phases come back exactly, with the unit grid's 772
+    # coordinates. Both phases come back exactly, with the unit grid's 771
     # edge queries
     g = _jittered_grid_graph(300, scale, offset)
     assert len(g.edges) == 887
@@ -548,7 +569,7 @@ def test_scaled_and_offset_grids_round_trip(scale, offset):
     hidden = {p: k for k, p in enumerate(g.vertices)}  # every vertex comes back exactly
     detail = reconstruct_edges_detail(o, vs)
     assert remap_edges(detail.edges, {i: hidden[p] for i, p in enumerate(map(tuple, vs.tolist()))}) == set(g.edges)
-    assert detail.queries == 772
+    assert detail.queries == 771
 
 
 def test_a_grid_scaled_past_the_tolerance_raises_a_phrecon_error():
@@ -575,16 +596,141 @@ def test_vertices_of_the_wrong_number_raise_diagram_mismatch(wrong):
     assert o.query_count == 2
 
 
+def test_vertices_carry_their_diagrams_to_their_own_oracle_only():
+    # the vertex phase's array carries its three diagrams, tied to the
+    # oracle that answered them. Passed with another oracle over the same
+    # vertices, it carries nothing: that oracle's own edges come back, from
+    # its own (1, 0) and (-1, 0)
+    g = random_plane_graph(12, 1.0, 3)
+    o = DiagramOracle(g)
+    V = reconstruct_vertices(o)
+    assert [d.direction for d in V.diagrams_of(o)] == list(o.query_log)
+    mapping = match_to_hidden(V, g)
+    for edges in ([], sorted(g.edges)[::2]):
+        other = DiagramOracle(PlaneGraph(g.vertices, edges))
+        assert V.diagrams_of(other) == ()
+        detail = reconstruct_edges_detail(other, V)
+        assert remap_edges(detail.edges, mapping) == set(edges)
+        assert other.query_log[:2] == (Direction(1.0, 0.0), Direction(-1.0, 0.0))
+    # slices, views, copies, plain arrays and lists carry nothing
+    for W in (V[:-1], V[1:], V[:], V.view(type(V)), V.copy()):
+        assert W.diagrams_of(o) == ()
+    for W in (V[:-1], V[1:]):
+        with pytest.raises(DiagramMismatch, match="degree diagram") as err:
+            reconstruct_edges_detail(o, W)
+        assert err.value.direction == Direction(1.0, 0.0)
+    for W in (V[:], np.asarray(V), list(V)):
+        start = o.query_count
+        assert reconstruct_edges_detail(o, W).edges == reconstruct_edges_detail(o, V).edges
+        assert o.query_log[start : start + 2] == (Direction(1.0, 0.0), Direction(-1.0, 0.0))
+
+
+def test_the_pipeline_asks_minus_x_alone_first():
+    # the vertex phase asked (1, 0), (0, 1) and s3; the edge phase holds all
+    # three and asks only (-1, 0), alone, before any probe. (1, 0) is asked
+    # once in the whole log
+    for n, density, seed in ((2, 1.0, 1), (8, 1.0, 1), (12, 0.5, 4), (30, 0.7, 4)):
+        g = random_plane_graph(n, density, seed, margin=1e-6)
+        o = RecordingOracle(g)
+        V = reconstruct_vertices(o)
+        assert len(o.asked) == 3 and o.calls == [2]  # s3 is asked by `query`
+        detail = reconstruct_edges_detail(o, V)
+        assert remap_edges(detail.edges, match_to_hidden(V, g)) == set(g.edges)
+        assert o.calls[1] == 1 and o.asked[3] == Direction(-1.0, 0.0)
+        assert o.asked.count(Direction(1.0, 0.0)) == 1
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.integers(2, 14), st.sampled_from([0.0, 0.3, 0.7, 1.0]), st.integers(0, 10_000))
+def test_the_pipeline_stays_one_query_inside_the_budget(n, density, seed):
+    # with the vertex phase's (1, 0) carried, the edge phase asks at most
+    # 1 + 2(P - 1) = n(n - 1) - 1 diagrams, P = n(n - 1)/2
+    g = random_plane_graph(n, density, seed)
+    o = DiagramOracle(g)
+    V = reconstruct_vertices(o)
+    detail = reconstruct_edges_detail(o, V)
+    assert remap_edges(detail.edges, match_to_hidden(V, g)) == set(g.edges)
+    assert detail.queries == o.query_count - 3 <= n * (n - 1) - 1
+
+
+class AxisLyingOracle(DiagramOracle):
+    """Adds one dim-1 birth at the height of vertex v to the (0, 1)
+    diagram, which only the vertex phase asks: its births, and so the
+    vertices, stay right, and v reads one more edge below it along (0, 1)."""
+
+    def __init__(self, graph, v):
+        super().__init__(graph)
+        self.v = v
+
+    def query_many(self, S):
+        out = super().query_many(S)
+        for e, d in enumerate(out):
+            if d.direction == Direction(0.0, 1.0):
+                out[e] = _with_cycles(d, [height(self._graph.vertices[self.v], d.direction)])
+        return out
+
+
+def test_a_lie_in_a_carried_diagram_raises():
+    # the carried (0, 1) diagram is read at every vertex like the edge
+    # phase's own: a lie in it raises a PhreconError, and no edge set comes
+    # back. Most often a (0, 1) read raises HalfPlaneConflict, at v or at a
+    # vertex whose pairs the lie at v decided wrongly
+    raised = []
+    for n, density, seed in ((5, 0.5, 1), (8, 1.0, 2), (12, 0.7, 3), (12, 0.0, 5)):
+        g = random_plane_graph(n, density, seed, margin=1e-6)
+        for v in range(n):
+            o = AxisLyingOracle(g, v)
+            V = reconstruct_vertices(o)
+            assert V.tolist() == reconstruct_vertices(DiagramOracle(g)).tolist()
+            with pytest.raises(PhreconError) as err:
+                reconstruct_edges_detail(o, V)
+            raised.append(err.value)
+    lies = [e for e in raised if isinstance(e, HalfPlaneConflict) and e.direction == Direction(0.0, 1.0)]
+    assert len(lies) > len(raised) // 2
+    e = lies[0]
+    assert str(e) == f"the diagram along {e.direction} reads {e.residual} more edges below vertex {e.v}, outside [0, {e.open}]"
+
+
+def test_a_graph_whose_edges_cross_can_come_back_wrong():
+    # the edge phase's reads and its planarity rule hold for plane graphs,
+    # as `validate` checks. This graph has one crossing, and the edge set
+    # that comes back after one edge query is not its own: it has the same
+    # indegree at every vertex along every direction asked, so no diagram
+    # asked, and no check that asks nothing more, tells the two apart
+    g = PlaneGraph(
+        [
+            (0.8285042969263247, 0.1851255307210561),
+            (0.27143341375581953, 0.4754867973601027),
+            (0.6820897964707338, 0.2937617575516791),
+            (0.9864675384066327, 0.262896808371179),
+            (0.48130944832725653, 0.17249267139253777),
+        ],
+        [(0, 1), (0, 3), (0, 4), (2, 3), (2, 4)],
+    )
+    assert validate(g) == ["crossing edges (0, 1) x (2, 4)"]
+    o = DiagramOracle(g)
+    V = reconstruct_vertices(o)
+    detail = reconstruct_edges_detail(o, V)
+    wrong = remap_edges(detail.edges, match_to_hidden(V, g))
+    assert wrong == {(0, 2), (0, 3), (0, 4), (1, 3), (2, 4)} != set(g.edges)
+    assert detail.queries == 1
+    read = PlaneGraph(g.vertices, sorted(wrong))
+    for s in o.query_log:
+        assert [indegree_direct(read, v, s) for v in range(5)] == [indegree_direct(g, v, s) for v in range(5)]
+
+
 def test_uncertifiable_pair_raises_before_its_row_is_queried():
     # (1, 2) certifies but (0, 2) cannot: V[2] lies on the line through
-    # V[0] and V[3], so the bow tie has width 0 at both ends. Every vertex
-    # has degree 1, and (0, 2) is the nearest pair of V[0], so the first
-    # round asks it and raises before its chunk is queried.
-    V = [Point2(0.0, 0.0), Point2(1.0, 0.3), Point2(0.4, 0.4), Point2(2.0, 2.0)]
+    # V[0] and V[3], so the bow tie has width 0 at both ends. V[4], left of
+    # V[2], keeps the axis reads from settling (0, 2): the (1, 0) read at
+    # V[2] holds (0, 2) and (2, 4), one of them an edge. (0, 2) is the
+    # nearest pair of V[0], so the first round asks it and raises before
+    # its chunk is queried.
+    V = [Point2(0.0, 0.0), Point2(1.0, 0.3), Point2(0.4, 0.4), Point2(2.0, 2.0), Point2(-0.4, 1.0)]
     W = bowtie_widths(V)
     pair_directions(V, 1, 2, W[1, 2])
     assert W[0, 2] == W[2, 0] == 0.0
-    o = RecordingOracle(PlaneGraph(V, [(0, 2), (1, 3)]))
+    o = RecordingOracle(PlaneGraph(V, [(0, 2), (1, 3), (3, 4)]))
     with pytest.raises(UncertifiedPair) as err:
         reconstruct_edges_detail(o, V)
     assert (err.value.i, err.value.j, err.value.k, err.value.headroom) == (0, 2, 3, 0.0)
@@ -654,9 +800,8 @@ def test_frontier_n300_certifies_every_pair_at_its_better_end():
     assert remap_edges(detail.edges, match_to_hidden(vs, g)) == set(g.edges)
     assert detail.queries <= n * (n - 1) and detail.retries == 0
     # the reads and the planarity rule keep the edge phase output-sensitive:
-    # 1 220 queries without the planarity rule, 2 776 with the centre read
-    # alone
-    assert detail.queries == 790 <= 1300
+    # 1 149 queries without the planarity rule
+    assert detail.queries == 767 <= 1300
 
 
 def test_indegree_from_diagrams_appendix(appendix_graph):
@@ -721,7 +866,7 @@ def test_reconstruct_edges_segment():
     V = reconstruct_vertices(o)
     detail = reconstruct_edges_detail(o, V)
     assert detail.edges == frozenset({(0, 1)})
-    assert detail.queries == 2
+    assert detail.queries == 1  # (-1, 0): V carries the vertex phase's (1, 0)
     assert detail.retries == 0
 
 
@@ -779,7 +924,7 @@ def test_edge_queries_stay_within_the_budget(shape):
         assert remap_edges(detail.edges, match_to_hidden(vs, g)) == set(g.edges)
         assert detail.queries <= n * (n - 1) and detail.retries == 0
         if shape is _star or not g.edges:  # counting settles every pair
-            assert detail.queries == 2
+            assert detail.queries == 1  # (-1, 0): vs carries (1, 0)
 
 
 class LyingOracle(DiagramOracle):
@@ -804,11 +949,14 @@ def test_a_wrong_degree_raises_degree_conflict():
     with pytest.raises(DegreeConflict, match="vertex 0 has 1 edges left to find among 0") as err:
         reconstruct_edges_detail(LyingOracle(g, 0), list(g.vertices))
     assert (err.value.v, err.value.remaining, err.value.open) == (0, 1, 0)
-    # an odd degree sum can never be met, whichever vertex it shows at
+    # an odd degree sum can never be met, whichever vertex it shows at. The
+    # (-1, 0) diagram is also read at every vertex, so the lie can make
+    # pairs edges that a half-plane or a probe read then refuses: it raises
+    # as the conflict of whichever read it first pushes out of range
     for n, seed in ((7, 2), (12, 3), (30, 4)):
         g = random_plane_graph(n, 0.7, seed, margin=1e-6)
         for v in (0, n // 2, n - 1):
-            with pytest.raises(DegreeConflict):
+            with pytest.raises((DegreeConflict, HalfPlaneConflict, BowTieConflict)):
                 reconstruct_edges_detail(LyingOracle(g, v), list(g.vertices))
 
 
@@ -816,10 +964,12 @@ def test_counting_after_the_last_read_is_checked_by_the_reads():
     # vertices 0 and 1 each read one degree too many, an even sum that no
     # single degree read refuses: the degree reads and the probe reads meet
     # in one fixpoint, and the loop ends only on a settle that checks them
-    # all, so the lie raises after the rounds and no edge set is returned
+    # all, so the lie raises after the rounds and no edge set is returned.
+    # Counting runs to its own fixpoint before the probe reads are checked,
+    # and it makes one edge too many at vertex 2 first
     g = random_plane_graph(12, 1.0, 0, margin=1e-3)
     o = LyingOracle(g, 0, 1)
-    with pytest.raises(DegreeConflict, match="vertex 1 has 1 edges left to find among 0 open pairs"):
+    with pytest.raises(DegreeConflict, match="^vertex 2 already has 1 more edges than its degree read allows$"):
         reconstruct_edges_detail(o, list(g.vertices))
     assert o.query_count > 2  # raised after at least one round
 
@@ -938,20 +1088,22 @@ def test_a_read_of_a_pair_decided_before_it_was_asked_raises_bow_tie_conflict():
 def test_a_read_of_a_pair_the_planarity_rule_closed_raises_bow_tie_conflict(monkeypatch):
     # the planarity rule closes pairs after the first round. The second
     # round's first probe pair then reads one of them, (u, w), alone in the
-    # bow tie at u, as an edge at both ends: the read at u raises, and no
-    # edge set holding (u, w) comes back
+    # bow tie at u, as an edge at both ends: the read at u, +1 or -1 as w
+    # lies below u along s1 or s2 only, raises, and no edge set holding
+    # (u, w) comes back. With the axis diagrams read at every vertex, most
+    # graphs of 30 vertices settle in one round; this one takes two
     closed = _recorded_closures(monkeypatch)
-    g = random_plane_graph(30, 0.7, 5, margin=1e-6)
+    g = random_plane_graph(40, 0.7, 22, margin=1e-6)
     lied = []
 
     def lie(d1, d2, H):
-        return _claim_a_lone_pair(d1, d2, H, lambda u, w: min(u, w) * 30 + max(u, w) in closed, lied)
+        return _claim_a_lone_pair(d1, d2, H, lambda u, w: min(u, w) * 40 + max(u, w) in closed, lied)
 
     o = ProbeLyingOracle(g, lie, batch=1)
     with pytest.raises(BowTieConflict) as err:
         reconstruct_edges_detail(o, list(g.vertices))
     e = err.value
-    assert (e.u, e.residual, e.plus, e.minus) == (lied[0][0], 1, 0, 0) and len(lied) == 1
+    assert (e.u, abs(e.residual), e.plus, e.minus) == (lied[0][0], 1, 0, 0) and len(lied) == 1
 
 
 def _claim_a_lone_pair(d1, d2, H, wanted, lied):
@@ -1004,7 +1156,7 @@ def test_a_pair_across_a_known_edge_closes_without_a_query(monkeypatch):
     # degree 4 among 4 pairs, so counting makes all its pairs edges; the
     # other diagonal (1, 3) crosses (0, 2) and closes, and with the pairs of
     # vertex 4 that cross (2, 3) closed too, counting settles the rest. No
-    # probe pair is asked; without the rule, three are
+    # probe pair is asked; without the rule, two are
     g = PlaneGraph(
         [(0.1, 0.45), (0.5, 0.05), (0.9, 0.5), (0.45, 0.95), (0.85, 0.9)],
         [(0, 1), (1, 2), (2, 3), (0, 3), (0, 2), (2, 4), (3, 4)],
@@ -1016,7 +1168,7 @@ def test_a_pair_across_a_known_edge_closes_without_a_query(monkeypatch):
     assert detail.edges == g.edges and detail.queries == 2 and o.calls == [2]
     assert 1 * 5 + 3 in closed
     monkeypatch.setattr(edge_recon, "_crossing_pairs", lambda *args: np.empty(0, np.intp))
-    assert reconstruct_edges_detail(DiagramOracle(g), list(g.vertices)).queries == 8
+    assert reconstruct_edges_detail(DiagramOracle(g), list(g.vertices)).queries == 6
 
 
 def test_a_crossing_inside_the_margin_leaves_the_pair_open(monkeypatch):
@@ -1031,7 +1183,7 @@ def test_a_crossing_inside_the_margin_leaves_the_pair_open(monkeypatch):
     assert orientations[0] * margin < 0 < -orientations[2] * orientations[3]
     assert 0.02 < margin == min(map(abs, orientations)) < 0.03
     closed, asked = _recorded_closures(monkeypatch), _recorded_asks(monkeypatch)
-    for tol, queries in ((0.99 * margin, 2), (1.01 * margin, 12)):
+    for tol, queries in ((0.99 * margin, 2), (1.01 * margin, 8)):
         closed.clear()
         asked.clear()
         detail = reconstruct_edges_detail(DiagramOracle(g, tol), list(V), tol)
@@ -1118,7 +1270,7 @@ def test_a_degree_diagram_off_the_vertex_heights_raises_diagram_mismatch():
     e = err.value
     assert isinstance(e, PhreconError) and (e.i, e.j) == (None, None)
     assert e.direction == Direction(-1.0, 0.0)
-    assert o.query_count == 5  # three for the vertices, two for the degrees, no probe
+    assert o.query_count == 4  # three for the vertices, (-1, 0) for the degrees, no probe
 
 
 def test_indegree_difference_decides_every_pair():
