@@ -12,7 +12,6 @@ from .errors import (
     BowTieConflict,
     DegenerateDirection,
     DegeneratePoints,
-    DegreeConflict,
     DiagramMismatch,
     DuplicateHeights,
     GenerationFailed,

@@ -17,16 +17,17 @@ every pair in the bow tie that it pins down.
 Any one diagram is a read too: indeg(u, s) counts u's edges to the
 vertices below u along s, a half-plane at u. The vertex phase's array
 carries its three diagrams, (1, 0), (0, 1) and s3, so the edge phase asks
-only (-1, 0) before it reads all four at every vertex, with the degrees
-indeg(u, (1, 0)) + indeg(u, (-1, 0)).
+only (-1, 0) before it reads all four at every vertex. The (1, 0) and
+(-1, 0) reads at u split u's pairs between them, so together they count
+deg(u), as the paper's two opposite filtrations do.
 
 The input is a plane graph, so no edge properly crosses another: a pair
 that crosses a known edge is not an edge. This planarity rule needs no
 query, and certified orientations decide each crossing. On a graph whose
 edges cross, the reads and the rule can settle a wrong edge set.
 
-`reconstruct_edges_detail` reads every degree and half-plane first, then
-asks, nearest first and in batched rounds, only pairs that counting, the
+`reconstruct_edges_detail` reads every half-plane first, then asks,
+nearest first and in batched rounds, only pairs that counting, the
 planarity rule and the reads of earlier probe pairs leave open; it stays
 within the paper's n(n-1) queries, one fewer after the vertex phase. Each
 asked pair's bow tie has its own width (`bowtie_widths`), both ends are
@@ -48,7 +49,6 @@ from .errors import (
     BowTieConflict,
     DegenerateDirection,
     DegeneratePoints,
-    DegreeConflict,
     DiagramMismatch,
     HalfPlaneConflict,
     UncertifiedPair,
@@ -231,18 +231,18 @@ def reconstruct_edges_detail(
     vertex phase's (1, 0), (0, 1) and s3 diagrams (`VertexArray.diagrams_of`);
     any other V carries none. The phase asks, in one `query_many`, whichever
     of (1, 0) and (-1, 0) it does not hold: (-1, 0) alone after the vertex
-    phase, both otherwise. indeg(v, s) + indeg(v, -s) = deg(v) gives every
-    degree; this needs V's x-coordinates more than tol apart, as the vertex
-    phase does. Each degree is a read of its vertex's row, and each
-    diagram held is a half-plane read at every vertex u: D = indeg(u, s),
-    over the pairs (u, w) with w below u along s. `_Reads.settle` applies
-    one rule to these reads and to those of the asked probe pairs, to one
-    joint fixpoint, and says whether any pair is still undecided. With r(v)
-    the degree v has left and open(v) its undecided pairs, the rule on a
-    degree read is counting: r(v) = 0 closes v's pairs as non-edges,
-    r(v) = open(v) closes them as edges, and r(v) outside [0, open(v)]
-    raises DegreeConflict naming v. A half-plane read counts the same way
-    over its lower pairs and raises HalfPlaneConflict. Whenever the reads
+    phase, both otherwise. Each diagram held is a half-plane read at every
+    vertex u: D = indeg(u, s), over the pairs (u, w) with w below u along
+    s. `_Reads.settle` applies one rule to these reads and to those of the
+    asked probe pairs, to one joint fixpoint, and says whether any pair is
+    still undecided. On a half-plane read the rule is counting: with r its
+    residual, D less u's known edges among its pairs, and open its
+    undecided pairs, r = 0 closes them as non-edges, r = open closes them
+    as edges, and r outside [0, open] raises HalfPlaneConflict naming u and
+    s. V's x-coordinates are more than tol apart, as the vertex phase
+    needs, so the (1, 0) and (-1, 0) reads at v split v's pairs: r(v), the
+    sum of their residuals, is the degree v has left, and open(v), the sum
+    of their open counts, its undecided pairs. Whenever the reads
     decide nothing more, the planarity rule (`_crossing_pairs`) closes as a
     non-edge every undecided pair that properly crosses a known edge, and
     the reads go on. A crossing counts only when its four orientations have
@@ -266,9 +266,10 @@ def reconstruct_edges_detail(
     The budget: each asked pair is settled in its own round, so it is asked
     once, for 2 queries, and the reads and the planarity rule only settle
     pairs that would otherwise be asked: they remove asks and add none. At
-    a fixpoint neither the rule nor a degree read decides, so every vertex
-    with open pairs has 0 < r(v) < open(v): it proposes at least one pair
-    and not its last one. The longest open pair is last in both of its
+    a fixpoint neither the rule nor an axis read decides, so each axis read
+    with open pairs lies strictly between 0 and them, and every vertex with
+    open pairs has 0 < r(v) < open(v): it proposes at least one pair and
+    not its last one. The longest open pair is last in both of its
     ends' orders, as the key is global, so no round asks it; after the
     final round it is settled without a query. With P = n(n - 1)/2 pairs,
     at most P - 1 are asked, and the queries number at most
@@ -284,8 +285,10 @@ def reconstruct_edges_detail(
     held = V.diagrams_of(o) if isinstance(V, VertexArray) else ()
     X, Y = np.array(V, dtype=np.float64).T
     start = o.query_count
-    degree, directions, H, indegree = _degrees(o, X, Y, tol, held)
-    reads = _Reads(X, Y, tol, degree, directions, H, indegree)
+    directions, H, indegree = _degrees(o, X, Y, tol, held)
+    reads = _Reads(X, Y, tol, directions, H, indegree)
+    # the (1, 0) and (-1, 0) reads split each vertex's pairs between them
+    axes = [directions.index(Direction(1.0, 0.0)), directions.index(Direction(-1.0, 0.0))]
     undecided = ~np.eye(n, dtype=bool)
     edge = np.zeros((n, n), dtype=bool)
     geometry, chunks = None, []
@@ -296,7 +299,7 @@ def reconstruct_edges_detail(
             geometry = _geometry(X, Y, tol)
         nearest = geometry.nearest
         ranked = undecided[rows, nearest]
-        left = reads.residual[:n]  # the degree each vertex has left
+        left = reads.residual.reshape(-1, n)[axes].sum(axis=0)  # the degree each vertex has left
         pick = ranked & (ranked.cumsum(axis=1) <= np.minimum(left, 2)[:, None])
         ask = np.zeros_like(undecided)
         ask[pick.nonzero()[0], nearest[pick]] = True
@@ -316,22 +319,20 @@ def _degrees(
     whichever of (1, 0) and (-1, 0) they lack, asked in one `query_many`.
     All are read in one `events_at_ranks` call at the vertex heights along
     each diagram's own direction; a diagram that does not match the heights
-    raises DiagramMismatch.
+    raises DiagramMismatch naming its direction.
 
-    Returns (degree, directions, H, indegree): every vertex's degree,
-    indeg(v, s) + indeg(v, -s) for s = (1, 0); the diagrams' directions;
-    the (k, n) vertex heights along them; and indegree[e, v], the events of
-    diagram e at vertex v."""
-    axes = [Direction(1.0, 0.0), Direction(-1.0, 0.0)]
+    Returns (directions, H, indegree): the diagrams' directions, the (k, n)
+    vertex heights along them, and indegree[e, v], the events of diagram e
+    at vertex v."""
     have = [d.direction for d in held]
-    answers = [*held, *o.query_many([s for s in axes if s not in have])]
+    lacking = [s for s in (Direction(1.0, 0.0), Direction(-1.0, 0.0)) if s not in have]
+    answers = [*held, *o.query_many(lacking)]
     directions = [d.direction for d in answers]
     H = heights(X, Y, np.array(directions))
     indegree, mismatched = events_at_ranks(answers, H, tol)
     if mismatched.any():
         raise DiagramMismatch(direction=directions[int(mismatched.argmax())])
-    degree = sum(indegree[directions.index(s)] for s in axes)
-    return degree, directions, H, indegree
+    return directions, H, indegree
 
 
 #: How far past the bow tie's half-angle the chord window reaches, in
@@ -526,53 +527,47 @@ def _orientation(X, Y, o, p, q, tol: float) -> np.ndarray:
 
 
 class _Reads:
-    """The reads, each kept while it can still decide: a degree read and a
-    half-plane read of every diagram held (`_degrees`) at every vertex, and
-    every asked probe pair read at every vertex (`_probe`).
+    """The reads, each kept while it can still decide: a half-plane read of
+    every diagram held (`_degrees`) at every vertex, and every asked probe
+    pair read at every vertex (`_probe`).
 
     A read is a count D and its members, pairs of sign +1 or -1, with D the
     sum of the signs of the members that are edges. With the pairs already
     decided, its residual is D less the sign of every known edge among its
     members, and with p and q its undecided members of sign +1 and -1 the
-    residual must lie in [-q, p]; outside it raises DegreeConflict for a
-    degree read, HalfPlaneConflict for a half-plane read and BowTieConflict
-    for a probe read. A residual of p makes the + members edges and the -
-    members non-edges, and a residual of -q the reverse. Both conclusions
-    only grow more certain as pairs get decided, so applying them to a
-    fixpoint settles the same pairs in any order. The planarity rule closes
+    residual must lie in [-q, p]; outside it raises HalfPlaneConflict for a
+    half-plane read and BowTieConflict for a probe read. A residual of p
+    makes the + members edges and the - members non-edges, and a residual
+    of -q the reverse. Both conclusions only grow more certain as pairs get
+    decided, so applying them to a fixpoint settles the same pairs in any
+    order. The planarity rule closes
     pairs between the passes; a non-edge changes no residual, and a read
     that needed such a pair as an edge raises in the next pass.
 
     Two layouts hold them:
 
-    - Row reads, one per vertex u and level: level 0 is the degree read,
-      whose members are all of u's pairs, and level 1 + e the half-plane
+    - Row reads, one per vertex u and level: level e is the half-plane
       read of diagram e, whose members are the pairs (u, w) with w below u
       along `directions[e]`. `rank` says which: the read at level L and u
-      holds the pairs (u, w), w != u, with rank[L, w] <= rank[L, u], and
-      rank[0] is all 0. Every member has sign +1, so q = 0 and the rule is
-      counting. A row read stores neither members nor a mask row: it is two
-      counters at index L * n + u, its residual and p (`open`), which
-      `_decide` lowers by each pair it closes, and its members are found
-      from `rank` only when it votes. A read with no undecided pair left
-      costs one entry of each check and is not dropped. Row reads are
-      checked first, the degree reads foremost: a pass in which a degree
-      read is out of range raises its DegreeConflict before any other.
+      holds the pairs (u, w), w != u, with rank[L, w] <= rank[L, u]. Every
+      member has sign +1, so q = 0 and the rule is counting. A row read
+      stores neither members nor a mask row: it is two counters at index
+      L * n + u, its residual and p (`open`), which `_decide` lowers by
+      each pair it closes, and its members are found from `rank` only when
+      it votes. A read with no undecided pair left costs one entry of each
+      check and is not dropped. Row reads are checked first.
     - Probe reads, with explicit members: `tag`, `D`, and per member its
       `group`, `pair` and `sign`, as `_probe` returns them. The centre read
       of an asked pair is the case p + q = 1, the paper's rule.
     """
 
-    def __init__(self, X, Y, tol, degree, directions, H, indegree):
+    def __init__(self, X, Y, tol, directions, H, indegree):
         self.X, self.Y, self.tol = X, Y, tol  # the vertices, for the planarity rule
         self.directions = directions
-        n = len(X)
-        self.rank = np.zeros((len(H) + 1, n), dtype=np.int32)  # level 0: the degree reads
-        self.rank[1:] = H.argsort(axis=1).argsort(axis=1)
-        self.level = np.arange(0, self.rank.size, n)[:, None]  # where each level's reads start
-        self.residual = np.concatenate([degree, indegree.ravel()])
-        self.open = self.rank.ravel().astype(np.intp)  # every pair is undecided
-        self.open[:n] = n - 1
+        self.rank = H.argsort(axis=1).argsort(axis=1)
+        self.level = np.arange(0, self.rank.size, len(X))[:, None]  # where each level's reads start
+        self.residual = indegree.ravel()
+        self.open = self.rank.flatten()  # every pair is undecided
         self.D, self.sign = np.empty(0), np.empty(0)
         self.tag = self.group = self.pair = np.empty(0, np.intp)
 
@@ -679,11 +674,10 @@ class _Reads:
         """Close the pairs decided, each given as i * n + j with i < j, maybe
         more than once, and all undecided in the raveled mask und: each
         becomes an edge, both ways round in the raveled mask known, when
-        known holds it either way round. Each row read loses one open member
-        for each of them among its members, and one from its residual if it
-        is an edge: a degree read at both ends, and the read of a diagram at
-        the end that is higher along it. At most _BATCH_CELLS pairs are
-        counted at a time."""
+        known holds it either way round. The read of each diagram at the end
+        that is higher along it holds the pair: it loses one open member,
+        and one from its residual if the pair is an edge. At most
+        _BATCH_CELLS pairs are counted at a time."""
         n, R = len(self.X), len(self.open)
         key.sort()
         first = np.ones(len(key), dtype=bool)
@@ -695,18 +689,13 @@ class _Reads:
             ji = j * n + i
             known[ij] = known[ji] = is_edge = known[ij] | known[ji]
             und[ij] = und[ji] = False
-            # the read at the upper end holds the pair; the degree read at j,
-            # here, and at i
+            # the read at the upper end holds the pair
             at = np.where(self.rank.take(i, axis=1) > self.rank.take(j, axis=1), i, j) + self.level
-            self.open = self.open - np.bincount(at.ravel(), minlength=R) - np.bincount(i, minlength=R)
-            lost = np.bincount(at[:, is_edge].ravel(), minlength=R)
-            lost[:n] += np.bincount(i[is_edge], minlength=n)
-            self.residual = self.residual - lost
+            self.open = self.open - np.bincount(at.ravel(), minlength=R)
+            self.residual = self.residual - np.bincount(at[:, is_edge].ravel(), minlength=R)
 
     def _conflict(self, e: int):
         """The error for row read e, whose residual lies outside [0, open]."""
         level, v = divmod(e, len(self.X))
         r, p = int(self.residual[e]), int(self.open[e])
-        if level == 0:
-            return DegreeConflict(v, r, p)
-        return HalfPlaneConflict(v, self.directions[level - 1], r, p)
+        return HalfPlaneConflict(v, self.directions[level], r, p)

@@ -92,43 +92,32 @@ class UncertifiedPair(PhreconError):
         )
 
 
-class DegreeConflict(PhreconError):
-    """Vertex v's degree cannot be met by its open pairs.
-
-    `remaining` is v's degree from the oracle less the edges decided at v
-    so far, and `open` is the number of v's pairs still undecided; the edge
-    phase needs 0 <= remaining <= open. A negative remaining means that
-    reads elsewhere, such as the other end's degree, made more of v's pairs
-    edges than v's degree allows. Raised when the oracle's diagrams, or the
-    vertices they are read at, disagree with each other.
-    """
-
-    def __init__(self, v: int, remaining: int, open: int):
-        self.v, self.remaining, self.open = v, remaining, open
-        if remaining < 0:
-            message = f"vertex {v} already has {-remaining} more edges than its degree read allows"
-        else:
-            message = f"vertex {v} has {remaining} edges left to find among {open} open pairs"
-        super().__init__(message)
-
-
 class HalfPlaneConflict(PhreconError):
     """The diagram along `direction` reads an indegree at vertex v that its
     lower pairs cannot meet.
 
     `residual` is indeg(v, direction) less v's known edges to the vertices
     below it along the direction, and `open` is the number of those pairs
-    still undecided; the edge phase needs 0 <= residual <= open. Raised
-    when the oracle's diagrams, or the vertices they are read at, disagree
-    with each other.
+    still undecided; the edge phase needs 0 <= residual <= open. A
+    negative residual means that reads elsewhere, such as the other end's,
+    made more of those pairs edges than the diagram allows. Raised when the
+    oracle's diagrams, or the vertices they are read at, disagree with each
+    other.
     """
 
     def __init__(self, v: int, direction, residual: int, open: int):
         self.v, self.direction, self.residual, self.open = v, direction, residual, open
-        super().__init__(
-            f"the diagram along {direction} reads {residual} more edges below vertex {v}, "
-            f"outside [0, {open}]"
-        )
+        if residual < 0:
+            message = (
+                f"vertex {v} already has {-residual} more edges below it than the diagram "
+                f"along {direction} allows"
+            )
+        else:
+            message = (
+                f"the diagram along {direction} reads {residual} more edges below vertex {v}, "
+                f"outside [0, {open}]"
+            )
+        super().__init__(message)
 
 
 class BowTieConflict(PhreconError):
@@ -154,10 +143,10 @@ class DiagramMismatch(PhreconError):
     """A diagram the edge phase asked for does not fit the known vertices:
     its dim-0 births are not within the tolerance of the vertex heights
     along its direction, rank by rank, or one of its events lies at no
-    vertex height. i and j name the probed pair, and are None for a degree
-    diagram."""
+    vertex height. i and j name the probed pair, and are None for a diagram
+    read before any probe, which its direction alone names."""
 
     def __init__(self, i: int | None = None, j: int | None = None, direction=None):
         self.i, self.j, self.direction = i, j, direction
-        read = "degree diagram" if i is None else f"probe diagram of pair ({i}, {j})"
+        read = "diagram" if i is None else f"probe diagram of pair ({i}, {j})"
         super().__init__(f"the {read} along {direction} does not match the vertex heights")

@@ -137,7 +137,7 @@ def events_at_ranks(
     which matters only where two heights of a row lie within 2 tol;
     mismatched[e] flags an entry whose dim-0 births are not n or not within
     tol of its row rank by rank, or with an event within tol of no height
-    of its row.
+    of its row. A NaN birth, death or dim-1 birth is within tol of none.
 
     The births check lines each dim-0 pair up with the height of its birth's
     rank, so the common diagonal death is counted by one elementwise test.
@@ -154,14 +154,16 @@ def events_at_ranks(
     blank = np.full(n, INFINITY)
     births = np.array([d.births if len(d.births) == n else blank for d in entries]).reshape(k, n)
     death = np.array([d.deaths if len(d.births) == n else blank for d in entries]).reshape(k, n)
-    mismatched = (np.abs(births - ascending) > tol).any(axis=1)
+    # both tests fail NaN: a NaN birth mismatches, and a NaN death is
+    # located below as an event at no height
+    mismatched = ~(np.abs(births - ascending) <= tol).all(axis=1)
     own = np.abs(death - ascending) <= tol
-    # every other event x: the finite deaths off their own height (an own
-    # death is finite, hence the xor), few on a connected graph, then the
-    # dim-1 births. Its place is the number of heights of its row below
-    # x - tol: by one comparison each with the row for those deaths, by one
-    # search per row for the births, which are ascending in each row
-    row, at = ((death < INFINITY) ^ own).nonzero()
+    # every other event x: the deaths that are not infinite, off their own
+    # height (an own death is finite, hence the xor), few on a connected
+    # graph, then the dim-1 births. Its place is the number of heights of
+    # its row below x - tol: by one comparison each with the row for those
+    # deaths, by one search per row for the births, ascending in each row
+    row, at = (~(death == INFINITY) ^ own).nonzero()
     sizes = [len(d.cycles) for d in entries]
     x = np.concatenate([death[row, at], *(d.cycles for d in entries)])
     low = x - tol

@@ -14,7 +14,6 @@ from phrecon import (
     bowtie_widths,
     DegenerateDirection,
     DegeneratePoints,
-    DegreeConflict,
     Diagram,
     HalfPlaneConflict,
     DiagramOracle,
@@ -476,13 +475,14 @@ def test_probe_reads_hold_exactly_the_height_test_of_every_vertex():
 
 
 def test_a_counting_only_settle_holds_no_member():
-    # a settle with no probe read, where every read is counting: the degree
-    # and half-plane reads store no member, both masks stay symmetric, and
-    # each row read's two counters are the row sums its members would give,
-    # the members being every pair of u for a degree read and the pairs
-    # (u, w) with w below u along a diagram's direction for its read. The
-    # axis reads settle a star and only some pairs of the other graph; the
-    # vertex phase's diagrams, carried by its array, are read the same way
+    # a settle with no probe read, where every read is counting: the
+    # half-plane reads store no member, both masks stay symmetric, and each
+    # row read's two counters are the row sums its members would give, the
+    # members being the pairs (u, w) with w below u along a diagram's
+    # direction. The (1, 0) and (-1, 0) reads split u's pairs, so their
+    # residuals sum to deg(u) less u's known edges. The axis reads settle a
+    # star and only some pairs of the other graph; the vertex phase's
+    # diagrams, carried by its array, are read the same way
     for g, settles in ((_star(8, 1), True), (random_plane_graph(12, 0.7, 3, margin=1e-3), False)):
         for carried in (False, True):
             n = len(g.vertices)
@@ -490,21 +490,25 @@ def test_a_counting_only_settle_holds_no_member():
             V = reconstruct_vertices(o) if carried else np.array(g.vertices)
             X, Y = np.array(V).T
             held = V.diagrams_of(o) if carried else ()
-            degree, directions, H, indegree = edge_recon._degrees(o, X, Y, 1e-9, held)
+            directions, H, indegree = edge_recon._degrees(o, X, Y, 1e-9, held)
             # carried: 3 vertex queries and (-1, 0); else (1, 0) and (-1, 0)
             assert len(directions) == o.query_count == (4 if carried else 2)
-            reads = edge_recon._Reads(X, Y, 1e-9, degree, directions, H, indegree)
+            reads = edge_recon._Reads(X, Y, 1e-9, directions, H, indegree)
             undecided, edge = ~np.eye(n, dtype=bool), np.zeros((n, n), dtype=bool)
             left = reads.settle(undecided, edge, [])
             assert len(reads.tag) == len(reads.group) == len(reads.pair) == len(reads.sign) == 0
             assert left == undecided.any() != settles
             assert (undecided == undecided.T).all() and (edge == edge.T).all()
-            found = remap_edges(zip(*np.triu(edge).nonzero()), match_to_hidden(V, g))
+            mapping = match_to_hidden(V, g)
+            found = remap_edges(zip(*np.triu(edge).nonzero()), mapping)
             assert found == set(g.edges) if settles else found < set(g.edges)
-            below = np.concatenate([np.ones((1, n, n), dtype=bool), H[:, None, :] < H[:, :, None]])
-            count = np.concatenate([degree[None], indegree])
+            below = H[:, None, :] < H[:, :, None]
             assert reads.open.tolist() == (below & undecided).sum(axis=2).ravel().tolist()
-            assert reads.residual.tolist() == (count - (below & edge).sum(axis=2)).ravel().tolist()
+            assert reads.residual.tolist() == (indegree - (below & edge).sum(axis=2)).ravel().tolist()
+            axes = [directions.index(Direction(1.0, 0.0)), directions.index(Direction(-1.0, 0.0))]
+            degree = [sum(mapping[u] in e for e in g.edges) for u in range(n)]
+            left = reads.residual.reshape(-1, n)[axes].sum(axis=0)
+            assert left.tolist() == (np.array(degree) - edge.sum(axis=1)).tolist()
 
 
 def test_nearest_orders_every_row_by_the_global_key_on_exact_ties():
@@ -590,7 +594,7 @@ def test_vertices_of_the_wrong_number_raise_diagram_mismatch(wrong):
     V = np.asarray(g.vertices)
     V = V[:-1] if wrong == "one short" else np.vstack([V, [[0.5, 0.123]]])
     o = DiagramOracle(g)
-    with pytest.raises(DiagramMismatch, match="degree diagram") as err:
+    with pytest.raises(DiagramMismatch, match="^the diagram along") as err:
         reconstruct_edges_detail(o, V)
     assert err.value.direction == Direction(1.0, 0.0)
     assert o.query_count == 2
@@ -616,7 +620,7 @@ def test_vertices_carry_their_diagrams_to_their_own_oracle_only():
     for W in (V[:-1], V[1:], V[:], V.view(type(V)), V.copy()):
         assert W.diagrams_of(o) == ()
     for W in (V[:-1], V[1:]):
-        with pytest.raises(DiagramMismatch, match="degree diagram") as err:
+        with pytest.raises(DiagramMismatch, match="^the diagram along") as err:
             reconstruct_edges_detail(o, W)
         assert err.value.direction == Direction(1.0, 0.0)
     for W in (V[:], np.asarray(V), list(V)):
@@ -654,19 +658,20 @@ def test_the_pipeline_stays_one_query_inside_the_budget(n, density, seed):
 
 
 class AxisLyingOracle(DiagramOracle):
-    """Adds one dim-1 birth at the height of vertex v to the (0, 1)
-    diagram, which only the vertex phase asks: its births, and so the
-    vertices, stay right, and v reads one more edge below it along (0, 1)."""
+    """Adds one dim-1 birth at the height of vertex v plus offset to the
+    (0, 1) diagram, which only the vertex phase asks: its births, and so the
+    vertices, stay right. With no offset, v reads one more edge below it
+    along (0, 1)."""
 
-    def __init__(self, graph, v):
+    def __init__(self, graph, v, offset=0.0):
         super().__init__(graph)
-        self.v = v
+        self.v, self.offset = v, offset
 
     def query_many(self, S):
         out = super().query_many(S)
         for e, d in enumerate(out):
             if d.direction == Direction(0.0, 1.0):
-                out[e] = _with_cycles(d, [height(self._graph.vertices[self.v], d.direction)])
+                out[e] = _with_cycles(d, [height(self._graph.vertices[self.v], d.direction) + self.offset])
         return out
 
 
@@ -689,6 +694,20 @@ def test_a_lie_in_a_carried_diagram_raises():
     assert len(lies) > len(raised) // 2
     e = lies[0]
     assert str(e) == f"the diagram along {e.direction} reads {e.residual} more edges below vertex {e.v}, outside [0, {e.open}]"
+
+
+def test_a_carried_diagram_off_the_vertex_heights_raises_diagram_mismatch():
+    # a dim-1 birth halfway between the two lowest heights along (0, 1)
+    # lies at no vertex: the carried diagram is named by its direction
+    g = random_plane_graph(12, 0.7, 3)
+    y = sorted(p.y for p in g.vertices)
+    o = AxisLyingOracle(g, [p.y for p in g.vertices].index(y[0]), 0.5 * (y[1] - y[0]))
+    V = reconstruct_vertices(o)
+    message = r"^the diagram along Direction\(dx=0.0, dy=1.0\) does not match the vertex heights$"
+    with pytest.raises(DiagramMismatch, match=message) as err:
+        reconstruct_edges_detail(o, V)
+    assert (err.value.i, err.value.j, err.value.direction) == (None, None, Direction(0.0, 1.0))
+    assert o.query_count == 4  # three for the vertices and (-1, 0), no probe
 
 
 def test_a_graph_whose_edges_cross_can_come_back_wrong():
@@ -944,46 +963,57 @@ class LyingOracle(DiagramOracle):
         return out
 
 
-def test_a_wrong_degree_raises_degree_conflict():
+def test_a_wrong_degree_raises_half_plane_conflict():
+    # vertex 0 is the lowest along (-1, 0), so that read has no pair to
+    # find the lie's edge among
     g = PlaneGraph([(0.1, 0.2), (0.6, 0.9), (0.9, 0.4)], [])
-    with pytest.raises(DegreeConflict, match="vertex 0 has 1 edges left to find among 0") as err:
-        reconstruct_edges_detail(LyingOracle(g, 0), list(g.vertices))
-    assert (err.value.v, err.value.remaining, err.value.open) == (0, 1, 0)
+    o = LyingOracle(g, 0)
+    message = r"^the diagram along Direction\(dx=-1.0, dy=0.0\) reads 1 more edges below vertex 0, outside \[0, 0\]$"
+    with pytest.raises(HalfPlaneConflict, match=message) as err:
+        reconstruct_edges_detail(o, list(g.vertices))
+    e = err.value
+    assert (e.v, e.direction, e.residual, e.open) == (0, Direction(-1.0, 0.0), 1, 0)
+    assert o.query_count == 2
     # an odd degree sum can never be met, whichever vertex it shows at. The
-    # (-1, 0) diagram is also read at every vertex, so the lie can make
-    # pairs edges that a half-plane or a probe read then refuses: it raises
-    # as the conflict of whichever read it first pushes out of range
+    # lie can make pairs edges that another half-plane or a probe read then
+    # refuses: it raises as the conflict of whichever read it first pushes
+    # out of range
     for n, seed in ((7, 2), (12, 3), (30, 4)):
         g = random_plane_graph(n, 0.7, seed, margin=1e-6)
         for v in (0, n // 2, n - 1):
-            with pytest.raises((DegreeConflict, HalfPlaneConflict, BowTieConflict)):
+            with pytest.raises((HalfPlaneConflict, BowTieConflict)):
                 reconstruct_edges_detail(LyingOracle(g, v), list(g.vertices))
 
 
 def test_counting_after_the_last_read_is_checked_by_the_reads():
     # vertices 0 and 1 each read one degree too many, an even sum that no
-    # single degree read refuses: the degree reads and the probe reads meet
-    # in one fixpoint, and the loop ends only on a settle that checks them
-    # all, so the lie raises after the rounds and no edge set is returned.
-    # Counting runs to its own fixpoint before the probe reads are checked,
-    # and it makes one edge too many at vertex 2 first
+    # single read refuses at first: the half-plane reads and the probe reads
+    # meet in one fixpoint, and the loop ends only on a settle that checks
+    # them all, so the lie raises after the rounds and no edge set is
+    # returned. Counting runs to its own fixpoint before the probe reads are
+    # checked, and it makes one edge too many below vertex 2 first
     g = random_plane_graph(12, 1.0, 0, margin=1e-3)
     o = LyingOracle(g, 0, 1)
-    with pytest.raises(DegreeConflict, match="^vertex 2 already has 1 more edges than its degree read allows$"):
+    message = r"^vertex 2 already has 1 more edges below it than the diagram along Direction\(dx=1.0, dy=0.0\) allows$"
+    with pytest.raises(HalfPlaneConflict, match=message) as err:
         reconstruct_edges_detail(o, list(g.vertices))
-    assert o.query_count > 2  # raised after at least one round
+    e = err.value
+    assert (e.v, e.direction, e.residual, e.open) == (2, Direction(1.0, 0.0), -1, 3)
+    assert o.query_count == 32  # raised after the rounds
 
 
 def test_an_edge_wins_a_pair_one_end_refuses():
-    # vertex 0 reads degree 1 on an edgeless segment: its degree read needs
-    # (0, 1) as an edge and vertex 1's refuses it, in the same pass. The
-    # edge wins, and vertex 1's read raises in the next pass
+    # vertex 0 reads one edge below it along (-1, 0) on an edgeless
+    # segment: that read needs (0, 1) as an edge and vertex 1's (1, 0) read
+    # refuses it, in the same pass. The edge wins, and vertex 1's read
+    # raises in the next pass
     g = PlaneGraph([(0.1, 0.2), (0.6, 0.9)], [])
     o = LyingOracle(g, 0)
-    message = "^vertex 1 already has 1 more edges than its degree read allows$"
-    with pytest.raises(DegreeConflict, match=message) as err:
+    message = r"^vertex 1 already has 1 more edges below it than the diagram along Direction\(dx=1.0, dy=0.0\) allows$"
+    with pytest.raises(HalfPlaneConflict, match=message) as err:
         reconstruct_edges_detail(o, list(g.vertices))
-    assert (err.value.v, err.value.remaining, err.value.open) == (1, -1, 0)
+    e = err.value
+    assert (e.v, e.direction, e.residual, e.open) == (1, Direction(1.0, 0.0), -1, 0)
     assert o.query_count == 2
 
 
@@ -1265,12 +1295,45 @@ def test_a_degree_diagram_off_the_vertex_heights_raises_diagram_mismatch():
     g = random_plane_graph(12, 0.7, 3, margin=1e-3)
     o = ShiftedBirthOracle(g)
     V = reconstruct_vertices(o)
-    with pytest.raises(DiagramMismatch, match="degree diagram") as err:
+    with pytest.raises(DiagramMismatch, match="^the diagram along") as err:
         reconstruct_edges_detail(o, V)
     e = err.value
     assert isinstance(e, PhreconError) and (e.i, e.j) == (None, None)
     assert e.direction == Direction(-1.0, 0.0)
     assert o.query_count == 4  # three for the vertices, (-1, 0) for the degrees, no probe
+
+
+class NaNOracle(DiagramOracle):
+    """Sets entry `entry` of the (-1, 0) diagram's dim-0 `births` or
+    `deaths` to NaN."""
+
+    def __init__(self, graph, field, entry):
+        super().__init__(graph)
+        self.field, self.entry = field, entry
+
+    def query_many(self, S):
+        out = super().query_many(S)
+        for e, d in enumerate(out):
+            if d.direction == Direction(-1.0, 0.0):
+                arrays = {"births": d.births, "deaths": d.deaths}
+                arrays[self.field] = arrays[self.field].copy()
+                arrays[self.field][self.entry] = math.nan
+                out[e] = Diagram._of(d.direction, arrays["births"], arrays["deaths"], d.cycles)
+        return out
+
+
+def test_a_nan_in_a_diagram_raises_diagram_mismatch():
+    # NaN is within tol of no height, so neither a NaN birth nor a NaN death
+    # passes as an event of a vertex, or drops out of the counts unseen
+    for seed in range(40):
+        g = random_plane_graph(10, 0.7, seed)
+        for field in ("births", "deaths"):
+            for entry in (0, 3, 9):
+                o = NaNOracle(g, field, entry)
+                with pytest.raises(DiagramMismatch, match=r"^the diagram along") as err:
+                    reconstruct_edges_detail(o, list(g.vertices))
+                assert err.value.direction == Direction(-1.0, 0.0)
+                assert o.query_count == 2
 
 
 def test_indegree_difference_decides_every_pair():
